@@ -11,7 +11,6 @@ from .agent import (
     Hyperparams,
     QTable,
     TrainingLog,
-    decay_step,
     decayed,
     greedy_action,
     load_qtable,
@@ -32,7 +31,7 @@ from .battery import (
     PenaltyTable,
     StepOutcome,
     apply_action,
-    compute_reward,
+    transition,
 )
 from .encoding import (
     BinSpec,
@@ -41,7 +40,6 @@ from .encoding import (
     StateIndex,
     soc_bin,
     soc_level_energy,
-    state_space_size,
     value_bin,
 )
 from .evaluation import (
@@ -67,8 +65,6 @@ from .timeseries import (
     generate_synthetic,
     load_csv,
     month_of_hour,
-    price_at,
-    tier_of,
     write_csv,
 )
 

@@ -11,15 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .battery import Action, BatteryEnv, _TIER_CODE, _flow_tuple, _penalty_value
-from .encoding import (
-    BinSpec,
-    EncodingKind,
-    StateEncoder,
-    StateIndex,
-    soc_level_energy,
-    value_bin,
-)
+from .battery import Action, BatteryEnv, transition
+from .encoding import BinSpec, EncodingKind, StateEncoder, StateIndex, soc_level_energy
 from .ioutil import atomic_write_bytes, atomic_write_text
 
 QTABLE_MAGIC = "farmbess-qtable"
@@ -67,7 +60,7 @@ class Hyperparams:
 class QTable:
     """Dense action-value table over an encoder's flat state space."""
 
-    values: np.ndarray  # shape (state_space_size, 3)
+    values: np.ndarray  # shape (encoder.size(), 3)
     encoder: StateEncoder
     hyperparams: Hyperparams | None = None
 
@@ -156,11 +149,6 @@ def td_update(
     return float(updated)
 
 
-def decay_step(value: float, decay: float, floor: float) -> float:
-    """One step of the linear decay schedule: max(value - decay, floor)."""
-    return max(value - decay, floor)
-
-
 def decayed(initial: float, decay: float, floor: float, steps: int) -> float:
     """Schedule value after the given number of decay steps, in closed form
     so repeated application cannot accumulate rounding drift."""
@@ -184,58 +172,39 @@ def train(
             f"encoder has {encoder.soc_levels} charge levels but the battery spec has {spec.soc_levels}"
         )
     series = env.series
-    kind = encoder.kind
-    if kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND and not series.has_wind:
+    if encoder.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND and not series.has_wind:
         raise ValueError("wind encoding requires a series with wind data")
 
-    n_hours = len(series)
-    n_days = series.n_days
-    levels = spec.soc_levels
     hp = hyperparams
+    levels = spec.soc_levels
+    top = levels - 1
+    reset_low = hp.soc_reset_low
+    if reset_low > top:
+        raise ValueError(f"soc_reset_low {reset_low} exceeds the top charge level {top}")
 
-    # Per-hour scalars pulled out of the records once; the loop below touches
+    # Per-hour scalars taken from the columns once; the loop below touches
     # only these lists.
-    loads = [r.load_kwh for r in series]
-    renews = [r.renewables_kwh for r in series]
-    prices = [r.price_per_kwh for r in series]
-    tiers = [_TIER_CODE[env.tariff.tier_of(h)] for h in range(24)]
-    # Flat-index contribution of everything past (hour, soc), precomputed per
-    # series hour; 0 for the hour-soc encoding where soc is the last axis.
-    if kind is EncodingKind.HOUR_SOC:
-        tail_mul = 1
-        tails = [0] * n_hours
-    else:
-        lb, pb = encoder.load_bins, encoder.pv_bins
-        lbins = [value_bin(lb, v) for v in loads]
-        pbins = [value_bin(pb, r.pv_kwh) for r in series]
-        if kind is EncodingKind.HOUR_SOC_LOAD_PV:
-            tail_mul = lb.bin_count * pb.bin_count
-            tails = [lbins[i] * pb.bin_count + pbins[i] for i in range(n_hours)]
-        else:
-            wb = encoder.wind_bins
-            wbins = [value_bin(wb, r.wind_kwh) for r in series]
-            tail_mul = lb.bin_count * pb.bin_count * wb.bin_count
-            tails = [
-                (lbins[i] * pb.bin_count + pbins[i]) * wb.bin_count + wbins[i]
-                for i in range(n_hours)
-            ]
-
+    n_hours = len(series)
+    loads = series.load.tolist()
+    renews = series.renewables.tolist()
+    prices = series.price.tolist()
+    tier_of_hour = [env.tariff.tier_of(h) for h in range(24)]
+    tiers = [tier_of_hour[i % 24] for i in range(n_hours)]
+    # The state of series hour i at charge level s is bases[i] + s * stride.
+    pvs = series.pv.tolist()
+    winds = series.wind.tolist() if series.has_wind else [None] * n_hours
+    bases = [
+        encoder.state_index(i % 24, 0, loads[i], pvs[i], winds[i]) for i in range(n_hours)
+    ]
     size = encoder.size()
+    stride = size // (24 * levels)
+
     q = [[0.0, 0.0, 0.0] for _ in range(size)]
-    cap = spec.capacity_kwh
-    soc_min = spec.soc_min_kwh
-    crate = spec.charge_rate_kw * 1.0
-    drate = spec.discharge_rate_kw * 1.0
+    limits = spec.limits
     pen = env.penalties
     gamma = hp.discount_factor
     steps = hp.steps_per_episode
-    reset_low = hp.soc_reset_low
-    if reset_low > levels - 1:
-        raise ValueError(
-            f"soc_reset_low {reset_low} exceeds the top charge level {levels - 1}"
-        )
-    bin_scale = (levels - 1) / cap
-    top = levels - 1
+    bin_scale = top / spec.capacity_kwh
 
     rng = random.Random(hp.rng_seed)
     rng_random = rng.random
@@ -250,17 +219,13 @@ def train(
     for episode in range(hp.total_episodes):
         alpha = decayed(hp.learning_rate_init, hp.decay, hp.floor, episode)
         epsilon = decayed(hp.epsilon_init, hp.decay, hp.floor, episode)
-        day = rng_randrange(n_days)
+        day = rng_randrange(series.n_days)
         level = rng_randrange(reset_low, levels)
         energy = soc_level_energy(spec, level)
-        soc = level
         episode_return = 0.0
         position = day * 24
-        for local_step in range(steps):
-            idx = position % n_hours
-            hour = idx % 24
-            state = (hour * levels + soc) * tail_mul + tails[idx]
-            row = q[state]
+        row = q[bases[position] + level * stride]
+        for _ in range(steps):
             if rng_random() < epsilon:
                 action = rng_randrange(3)
             else:
@@ -269,12 +234,10 @@ def train(
                     action = 1
                 if row[2] > row[action]:
                     action = 2
-            flows = _flow_tuple(
-                cap, soc_min, crate, drate, energy, loads[idx], renews[idx], action, None
+            idx = position % n_hours
+            _, _, _, _, _, energy, _, _, reward = transition(
+                limits, energy, loads[idx], renews[idx], prices[idx], tiers[idx], action, None, pen
             )
-            penalty = _penalty_value(action, tiers[hour], energy, cap, soc_min, pen)
-            reward = -(flows[3] * prices[idx]) + penalty
-            energy = flows[5]
             x = energy * bin_scale
             soc = int(x)
             if x - soc > 1.0 - 1e-9:
@@ -282,9 +245,7 @@ def train(
             if soc > top:
                 soc = top
             position += 1
-            nidx = position % n_hours
-            next_state = ((nidx % 24) * levels + soc) * tail_mul + tails[nidx]
-            nrow = q[next_state]
+            nrow = q[bases[position % n_hours] + soc * stride]
             bootstrap = nrow[0]
             if nrow[1] > bootstrap:
                 bootstrap = nrow[1]
@@ -292,6 +253,7 @@ def train(
                 bootstrap = nrow[2]
             row[action] += alpha * (reward + gamma * bootstrap - row[action])
             episode_return += reward
+            row = nrow
         log_days[episode] = day
         log_levels[episode] = level
         log_alphas[episode] = alpha
@@ -382,20 +344,33 @@ def load_qtable(path: str | Path, expected_encoder: StateEncoder | None = None) 
             f"{path}: format version {version} is not supported "
             f"(this build reads version {QTABLE_FORMAT_VERSION})"
         )
-    encoder = _encoder_from_json(header["encoding"])
-    shape = tuple(header["shape"])
+    try:
+        encoder = _encoder_from_json(header["encoding"])
+        shape = tuple(header["shape"])
+        hp = header.get("hyperparams")
+        hyperparams = Hyperparams(**hp) if hp else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise QTableFormatError(f"{path}: bad header ({exc})") from None
     expected_shape = (encoder.size(), len(Action))
     if shape != expected_shape:
         raise QTableFormatError(
             f"{path}: stored shape {shape} does not match encoding size {expected_shape}"
         )
-    values = np.frombuffer(raw[newline + 1 :], dtype=header["dtype"]).reshape(shape)
+    if header.get("dtype") != "<f8":
+        raise QTableFormatError(f"{path}: dtype {header.get('dtype')!r} is not '<f8'")
+    payload_bytes = len(raw) - newline - 1
+    if payload_bytes != 8 * shape[0] * shape[1]:
+        raise QTableFormatError(
+            f"{path}: payload holds {payload_bytes} bytes, shape {shape} needs "
+            f"{8 * shape[0] * shape[1]}"
+        )
+    values = np.frombuffer(raw, dtype="<f8", offset=newline + 1).reshape(shape)
+    if not np.isfinite(values).all():
+        raise QTableFormatError(f"{path}: payload holds non-finite values")
     if expected_encoder is not None and encoder != expected_encoder:
         raise QTableFormatError(
             f"{path}: stored encoding {encoder.kind.value} with dims "
             f"{encoder.dims()} does not match the configured encoding "
             f"{expected_encoder.kind.value} with dims {expected_encoder.dims()}"
         )
-    hp = header.get("hyperparams")
-    hyperparams = Hyperparams(**hp) if hp else None
     return QTable(values=values.copy(), encoder=encoder, hyperparams=hyperparams)

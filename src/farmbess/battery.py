@@ -1,9 +1,14 @@
 """Battery dispatch physics and the penalty-shaped reward: the hourly MDP a
-controller interacts with."""
+controller interacts with.
+
+`transition` is the single step kernel: it turns one hour's charge, demand,
+supply, price and tariff tier plus an action into the energy flows, the next
+charge, the shaping penalty and the reward. `apply_action`, `BatteryEnv.step`,
+the training loop, rollouts, `day_return` and the DP oracle all call it.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -47,6 +52,17 @@ class BatterySpec:
     def soc_min_kwh(self) -> float:
         """Discharge floor: the reserve the battery never discharges below."""
         return self.reserve_fraction * self.capacity_kwh
+
+    @property
+    def limits(self) -> tuple[float, float, float, float]:
+        """(capacity, reserve, charge rate, discharge rate), as `transition`
+        takes them; rates are per one-hour step."""
+        return (
+            self.capacity_kwh,
+            self.soc_min_kwh,
+            self.charge_rate_kw * 1.0,
+            self.discharge_rate_kw * 1.0,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,103 +136,100 @@ class EnvObservation:
     wind_kwh: float | None
 
 
-_TIER_CODE = {Tier.OFF_PEAK: 0, Tier.STANDARD: 1, Tier.PEAK: 2}
+# Module-level aliases keep each tier test in the kernel to one global lookup.
+_PEAK = Tier.PEAK
+_OFF_PEAK = Tier.OFF_PEAK
+# Scores cost only; used where no shaping applies.
+_NO_SHAPING = PenaltyTable.zero()
 
 
-def _flow_tuple(
-    capacity: float,
-    soc_min: float,
-    charge_rate: float,
-    discharge_rate: float,
+def transition(
+    limits: tuple[float, float, float, float],
     energy: float,
     load: float,
     renewables: float,
+    price: float,
+    tier: Tier,
     action: int,
     charge_cap: float | None,
-) -> tuple[float, float, float, float, float, float]:
-    """Scalar core of the dispatch physics, shared by the public wrappers and
-    the training hot loop.
+    penalties: PenaltyTable,
+) -> tuple[float, float, float, float, float, float, float, float, float]:
+    """One hour of dispatch physics and its reward: the step kernel.
 
     Returns (renewables_used, charge_in, discharge_out, grid_import,
-    curtailed, next_energy). Renewables serve load first; charging draws the
-    renewable surplus before the grid; discharging covers only the residual
-    deficit and never breaches the reserve. Boundary-binding transitions snap
-    next_energy exactly onto capacity or the reserve.
+    curtailed, next_energy, cost, penalty, reward). Renewables serve load
+    first; charging draws the renewable surplus before the grid; discharging
+    covers only the residual deficit and never breaches the reserve.
+    Boundary-binding transitions snap next_energy exactly onto capacity or
+    the reserve. `charge_cap` limits what the battery accepts this hour.
+
+    cost is grid_import * price; penalty is the first matching shaping row
+    for (action, tier, charge before the action); reward = -cost + penalty.
     """
+    capacity, soc_min, charge_rate, discharge_rate = limits
     surplus = renewables - load if renewables > load else 0.0
     deficit = load - renewables if load > renewables else 0.0
     if action == 0:  # charge
         headroom = capacity - energy
-        accepted = charge_rate if charge_rate < headroom else headroom
-        if charge_cap is not None and charge_cap < accepted:
-            accepted = charge_cap
-        if accepted < 0.0:
-            accepted = 0.0
-        renew_to_battery = surplus if surplus < accepted else accepted
-        grid_import = deficit + (accepted - renew_to_battery)
-        next_energy = capacity if accepted == headroom else energy + accepted
-        curtailed = surplus - renew_to_battery
-        return (
-            renewables - curtailed,
-            accepted,
-            0.0,
-            grid_import,
-            curtailed,
-            next_energy,
-        )
-    if action == 1:  # discharge
+        charged = charge_rate if charge_rate < headroom else headroom
+        if charge_cap is not None and charge_cap < charged:
+            charged = charge_cap
+        if charged < 0.0:
+            charged = 0.0
+        stored = surplus if surplus < charged else charged
+        grid_import = deficit + (charged - stored)
+        next_energy = capacity if charged == headroom else energy + charged
+        curtailed = surplus - stored
+        discharged = 0.0
+        if energy >= capacity:
+            penalty = penalties.charge_full_peak if tier is _PEAK else penalties.charge_full
+        elif tier is _PEAK:
+            penalty = penalties.charge_peak
+        elif tier is _OFF_PEAK:
+            penalty = penalties.charge_off_peak_bonus
+        else:
+            penalty = 0.0
+    elif action == 1:  # discharge
         available = energy - soc_min if energy > soc_min else 0.0
-        delivered = discharge_rate if discharge_rate < available else available
-        if deficit < delivered:
-            delivered = deficit
-        grid_import = deficit - delivered
-        if delivered == available and available > 0.0:
+        discharged = discharge_rate if discharge_rate < available else available
+        if deficit < discharged:
+            discharged = deficit
+        grid_import = deficit - discharged
+        if discharged == available and available > 0.0:
             next_energy = soc_min
         else:
-            next_energy = energy - delivered
-        return (
-            renewables - surplus,
-            0.0,
-            delivered,
-            grid_import,
-            surplus,
-            next_energy,
-        )
-    # idle
-    return (renewables - surplus, 0.0, 0.0, deficit, surplus, energy)
-
-
-def _penalty_value(
-    action: int,
-    tier_code: int,
-    energy: float,
-    capacity: float,
-    soc_min: float,
-    p: PenaltyTable,
-) -> float:
-    """First matching shaping row for (action, tier, charge-before)."""
-    if action == 0:
-        full = energy >= capacity
-        if full and tier_code == 2:
-            return p.charge_full_peak
-        if full:
-            return p.charge_full
-        if tier_code == 2:
-            return p.charge_peak
-        if tier_code == 0:
-            return p.charge_off_peak_bonus
-        return 0.0
-    if action == 1:
+            next_energy = energy - discharged
+        curtailed = surplus
+        charged = 0.0
         if energy <= soc_min:
-            return p.discharge_empty
-        if tier_code == 0:
-            return p.discharge_off_peak
-        if tier_code == 2:
-            return p.discharge_peak_bonus
-        return 0.0
-    if tier_code == 2 and energy >= soc_min:
-        return p.idle_peak_with_charge
-    return 0.0
+            penalty = penalties.discharge_empty
+        elif tier is _OFF_PEAK:
+            penalty = penalties.discharge_off_peak
+        elif tier is _PEAK:
+            penalty = penalties.discharge_peak_bonus
+        else:
+            penalty = 0.0
+    else:  # idle
+        grid_import = deficit
+        next_energy = energy
+        curtailed = surplus
+        charged = discharged = 0.0
+        if tier is _PEAK and energy >= soc_min:
+            penalty = penalties.idle_peak_with_charge
+        else:
+            penalty = 0.0
+    cost = grid_import * price
+    return (
+        renewables - curtailed,
+        charged,
+        discharged,
+        grid_import,
+        curtailed,
+        next_energy,
+        cost,
+        penalty,
+        -cost + penalty,
+    )
 
 
 def apply_action(
@@ -233,16 +246,16 @@ def apply_action(
     battery may accept this hour, used by controllers that charge from
     renewable surplus only.
     """
-    used, charged, discharged, grid_import, curtailed, next_energy = _flow_tuple(
-        spec.capacity_kwh,
-        spec.soc_min_kwh,
-        spec.charge_rate_kw * 1.0,
-        spec.discharge_rate_kw * 1.0,
+    used, charged, discharged, grid_import, curtailed, next_energy, *_ = transition(
+        spec.limits,
         battery.energy_kwh,
         record.load_kwh,
         record.renewables_kwh,
-        int(action),
+        record.price_per_kwh,
+        Tier.STANDARD,
+        action,
         charge_cap_kwh,
+        _NO_SHAPING,
     )
     return EnergyFlows(
         renewables_used_kwh=used,
@@ -252,47 +265,6 @@ def apply_action(
         curtailed_kwh=curtailed,
         next_battery=BatteryState(energy_kwh=next_energy),
     )
-
-
-def compute_reward(
-    action: Action,
-    tier: Tier,
-    price: float,
-    load_kwh: float,
-    renewables_kwh: float,
-    battery: BatteryState,
-    spec: BatterySpec,
-    penalties: PenaltyTable,
-    charge_cap_kwh: float | None = None,
-) -> tuple[float, float]:
-    """Reward and applied shaping term for one step.
-
-    reward = -(grid_import * price) + penalty, where grid import is the
-    energy actually bought given the realized flows (a full battery buys
-    nothing extra) and penalty is the first matching shaping row for the
-    action, tier, and charge level before the action.
-    """
-    flows = _flow_tuple(
-        spec.capacity_kwh,
-        spec.soc_min_kwh,
-        spec.charge_rate_kw * 1.0,
-        spec.discharge_rate_kw * 1.0,
-        battery.energy_kwh,
-        load_kwh,
-        renewables_kwh,
-        int(action),
-        charge_cap_kwh,
-    )
-    penalty = _penalty_value(
-        int(action),
-        _TIER_CODE[tier],
-        battery.energy_kwh,
-        spec.capacity_kwh,
-        spec.soc_min_kwh,
-        penalties,
-    )
-    reward = -(flows[3] * price) + penalty
-    return reward, penalty
 
 
 class BatteryEnv:
@@ -358,28 +330,28 @@ class BatteryEnv:
                 f"episode horizon of {self.steps_per_episode} steps exhausted"
             )
         record = self.series[self._cursor % len(self.series)]
-        before = self._battery
-        flows = apply_action(self.spec, before, record, action, charge_cap_kwh)
-        tier = self.tariff.tier_of(record.hour_of_day)
-        penalty = _penalty_value(
-            int(action),
-            _TIER_CODE[tier],
-            before.energy_kwh,
-            self.spec.capacity_kwh,
-            self.spec.soc_min_kwh,
+        before = self._battery.energy_kwh
+        _, _, _, grid_import, curtailed, after, cost, penalty, reward = transition(
+            self.spec.limits,
+            before,
+            record.load_kwh,
+            record.renewables_kwh,
+            record.price_per_kwh,
+            self.tariff.tier_of(record.hour_of_day),
+            action,
+            charge_cap_kwh,
             self.penalties,
         )
-        cost = flows.grid_import_kwh * record.price_per_kwh
+        self._battery = BatteryState(energy_kwh=after)
         outcome = StepOutcome(
-            reward=-cost + penalty,
-            grid_import_kwh=flows.grid_import_kwh,
+            reward=reward,
+            grid_import_kwh=grid_import,
             cost=cost,
-            battery_delta_kwh=flows.next_battery.energy_kwh - before.energy_kwh,
-            curtailed_kwh=flows.curtailed_kwh,
-            next_battery=flows.next_battery,
+            battery_delta_kwh=after - before,
+            curtailed_kwh=curtailed,
+            next_battery=self._battery,
             penalty_applied=penalty,
         )
-        self._battery = flows.next_battery
         self._cursor += 1
         self._steps_taken += 1
         return outcome, self._observation_at(self._cursor)

@@ -14,14 +14,14 @@ import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .agent import QTableFormatError, load_qtable, save_qtable, train
 from .baselines import BaselineKind
 from .battery import BatteryEnv
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import ConfigError, RunConfig, load_config
 from .encoding import EncodingKind
 from .evaluation import (
     EvalReport,
@@ -35,14 +35,11 @@ from .ioutil import atomic_write_bytes, atomic_write_text
 from .timeseries import (
     DataValidationError,
     SyntheticProfileConfig,
-    default_tariff,
     generate_synthetic,
     write_csv,
 )
 
 OUTPUT_DIR_ENV = "FARMBESS_OUTPUT_DIR"
-
-_DEFAULT_CONFIG: dict = {"dataset": {"synthetic": {}}}
 
 
 class CliError(ValueError):
@@ -56,23 +53,6 @@ def _output_dir(config: RunConfig | None, out_flag: str | None) -> Path:
     if env:
         return Path(env)
     return Path(config.output_dir if config else "out")
-
-
-def _load_config_arg(args, overrides: dict | None = None) -> RunConfig:
-    if args.config is None:
-        return config_from_dict(
-            _apply_overrides(dict(_DEFAULT_CONFIG), overrides or {})
-        )
-    return load_config(args.config, overrides=overrides)
-
-
-def _apply_overrides(raw: dict, overrides: dict) -> dict:
-    for key, value in overrides.items():
-        section, _, name = key.partition(".")
-        raw.setdefault(section, {})
-        raw[section] = dict(raw[section] or {})
-        raw[section][name] = value
-    return raw
 
 
 def _hyperparam_overrides(args) -> dict:
@@ -96,22 +76,8 @@ def cmd_gen_data(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             overrides[f"dataset.synthetic.{key}"] = value
-
-    if args.config is not None:
-        config = load_config(args.config)
-        tariff = config.tariff
-        base = asdict(config.synthetic) if config.synthetic else {}
-    else:
-        tariff = default_tariff()
-        base = {}
-    for key, value in overrides.items():
-        base[key.rsplit(".", 1)[1]] = value
-    try:
-        synthetic = SyntheticProfileConfig(**base)
-    except (TypeError, DataValidationError) as exc:
-        raise CliError(f"gen-data: {exc}") from None
-
-    series = generate_synthetic(synthetic, tariff)
+    config = load_config(args.config, overrides)
+    series = generate_synthetic(config.synthetic or SyntheticProfileConfig(), config.tariff)
     if args.no_wind:
         series = series.without_wind()
     out = Path(args.out) if args.out else _output_dir(None, None) / "synthetic.csv"
@@ -131,7 +97,7 @@ def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, st
     series = config.load_series()
     encoder = config.encoder_for(series)
     env = BatteryEnv(series, config.battery, config.tariff, config.penalties)
-    hp = config.hyperparams_for_seed(seed)
+    hp = replace(config.hyperparams, rng_seed=seed)
     table, log = train(env, hp, encoder)
 
     out = Path(out_dir)
@@ -157,7 +123,7 @@ def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, st
 
 
 def cmd_train(args) -> int:
-    config = _load_config_arg(args, overrides=_hyperparam_overrides(args))
+    config = load_config(args.config, overrides=_hyperparam_overrides(args))
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1 and len(config.seeds) > 1:
@@ -218,14 +184,12 @@ def _evaluate_ref(ref: str, config: RunConfig, series) -> EvalReport:
         config.battery,
         config.tariff,
         initial_soc_level=config.initial_soc_level,
-        penalty_mode=config.penalty_mode,
-        penalties=config.penalties,
         label=ref,
     )
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config_arg(args)
+    config = load_config(args.config)
     series = config.load_series()
     report = _evaluate_ref(args.controller, config, series)
     out_dir = _output_dir(config, args.out)
@@ -268,7 +232,7 @@ def _comparison_text(rows) -> str:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config_arg(args, overrides=_hyperparam_overrides(args))
+    config = load_config(args.config, overrides=_hyperparam_overrides(args))
     series = config.load_series()
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -280,7 +244,7 @@ def cmd_compare(args) -> int:
             config.battery,
             config.tariff,
             encodings,
-            config.hyperparams_for_seed(config.seeds[0]),
+            replace(config.hyperparams, rng_seed=config.seeds[0]),
             penalties=config.penalties,
             encoder_factory=lambda kind: replace(config, encoding_kind=kind).encoder_for(series),
             initial_soc_level=config.initial_soc_level,

@@ -1,11 +1,19 @@
 """Run configuration: a single YAML file with nested sections, validated
-strictly (unknown keys are errors) before any run starts."""
+strictly before any run starts.
+
+The keys of each section are the fields of one dataclass (`_SECTIONS`).
+Unknown keys, values of the wrong type and non-finite numbers are rejected
+where the file is read, with a one-line `ConfigError` naming `section.key`.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -27,64 +35,47 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
 
 
-_SECTIONS = ("dataset", "tariff", "battery", "hyperparams", "encoding", "penalties", "run")
+# Sections that configure the run rather than one program object; each
+# dataclass holds the section's keys and defaults.
+@dataclass(frozen=True)
+class _Dataset:
+    path: str | None = None
+    synthetic: dict | None = None
+    include_wind: bool = True
 
-_DATASET_KEYS = ("path", "synthetic", "include_wind")
-_SYNTHETIC_KEYS = (
-    "days",
-    "base_load_kwh",
-    "load_amplitude_kwh",
-    "pv_peak_kwh",
-    "wind_mean_kwh",
-    "noise_fraction",
-    "rng_seed",
-)
-_TARIFF_KEYS = (
-    "off_peak_rate",
-    "standard_rate",
-    "peak_rate",
-    "off_peak_hours",
-    "standard_hours",
-    "peak_hours",
-)
-_BATTERY_KEYS = (
-    "capacity_kwh",
-    "charge_rate_kw",
-    "discharge_rate_kw",
-    "reserve_fraction",
-    "soc_levels",
-)
-_HYPERPARAM_KEYS = (
-    "learning_rate_init",
-    "epsilon_init",
-    "discount_factor",
-    "decay",
-    "floor",
-    "total_episodes",
-    "steps_per_episode",
-    "soc_reset_low",
-)
-_ENCODING_KEYS = (
-    "kind",
-    "load_bins",
-    "pv_bins",
-    "wind_bins",
-    "load_bin_max",
-    "pv_bin_max",
-    "wind_bin_max",
-    "percentile",
-)
-_PENALTY_KEYS = (
-    "charge_full_peak",
-    "charge_full",
-    "charge_peak",
-    "charge_off_peak_bonus",
-    "discharge_empty",
-    "discharge_off_peak",
-    "discharge_peak_bonus",
-    "idle_peak_with_charge",
-)
-_RUN_KEYS = ("output_dir", "seeds", "initial_soc_level", "penalty_mode")
+
+@dataclass(frozen=True)
+class _Encoding:
+    kind: str = EncodingKind.HOUR_SOC.value
+    load_bins: int = 5
+    pv_bins: int = 5
+    wind_bins: int = 5
+    load_bin_max: float | None = None
+    pv_bin_max: float | None = None
+    wind_bin_max: float | None = None
+    percentile: float = 99.0
+
+
+@dataclass(frozen=True)
+class _Run:
+    output_dir: str = "out"
+    seeds: tuple[int, ...] = (0,)
+    initial_soc_level: int = 1
+
+
+# Section name -> the dataclass whose fields are its keys.
+_SECTIONS = {
+    "dataset": _Dataset,
+    "tariff": TariffSchedule,
+    "battery": BatterySpec,
+    "hyperparams": Hyperparams,
+    "encoding": _Encoding,
+    "penalties": PenaltyTable,
+    "run": _Run,
+}
+
+# Config file read when no path is given: a default synthetic year.
+_DEFAULT_CONFIG = {"dataset": {"synthetic": {}}}
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -94,10 +85,72 @@ def _require_mapping(value, where: str) -> dict:
         raise ConfigError(f"{where} must be a mapping")
     return value
 
-def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
+
+def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = [k for k in section if k not in allowed]
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _check_type(value, hint, name: str) -> None:
+    """Reject a value that does not fit a dataclass field's type hint."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in options:
+        return
+    kind = options[0]
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if typing.get_origin(kind) in (tuple, frozenset):
+        ok = isinstance(value, (list, tuple)) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value
+        )
+        expected = "a list of integers"
+    elif kind is bool:
+        ok, expected = isinstance(value, bool), "a boolean"
+    elif kind is int:
+        ok, expected = is_int, "an integer"
+    elif kind is float:
+        ok = (is_int or isinstance(value, float)) and math.isfinite(value)
+        expected = "a finite number"
+    elif kind is str:
+        ok, expected = isinstance(value, str), "a string"
+    else:
+        ok, expected = isinstance(value, dict), "a mapping"
+    if not ok:
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def _section(cls, value, where: str, skip: tuple[str, ...] = ()) -> dict:
+    """A config section checked against the fields of `cls` (minus `skip`):
+    its keys must be field names and its values must fit their types."""
+    section = _require_mapping(value, where)
+    _check_keys(section, [f.name for f in fields(cls) if f.name not in skip], where)
+    hints = typing.get_type_hints(cls)
+    for key, item in section.items():
+        _check_type(item, hints[key], f"{where}.{key}")
+    return section
+
+
+def _build(cls, value, where: str, skip: tuple[str, ...] = ()):
+    """An instance of `cls` from a checked config section."""
+    section = _section(cls, value, where, skip)
+    try:
+        return cls(**section)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _with_overrides(raw: dict, overrides: dict) -> dict:
+    """A copy of `raw` with each dotted key ("battery.capacity_kwh",
+    "dataset.synthetic.days") set to its value."""
+    raw = dict(raw)
+    for dotted, value in overrides.items():
+        *parents, name = dotted.split(".")
+        node = raw
+        for part in parents:
+            node[part] = dict(_require_mapping(node.get(part), part))
+            node = node[part]
+        node[name] = value
+    return raw
 
 
 @dataclass(frozen=True)
@@ -118,7 +171,6 @@ class RunConfig:
     output_dir: str
     seeds: tuple[int, ...]
     initial_soc_level: int
-    penalty_mode: str
     resolved: dict = field(compare=False, repr=False, default_factory=dict)
 
     def load_series(self) -> HourlySeries:
@@ -140,57 +192,39 @@ class RunConfig:
             percentile=self.percentile,
         )
 
-    def hyperparams_for_seed(self, seed: int) -> Hyperparams:
-        return Hyperparams(
-            learning_rate_init=self.hyperparams.learning_rate_init,
-            epsilon_init=self.hyperparams.epsilon_init,
-            discount_factor=self.hyperparams.discount_factor,
-            decay=self.hyperparams.decay,
-            floor=self.hyperparams.floor,
-            total_episodes=self.hyperparams.total_episodes,
-            steps_per_episode=self.hyperparams.steps_per_episode,
-            rng_seed=seed,
-            soc_reset_low=self.hyperparams.soc_reset_low,
-        )
-
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.resolved, sort_keys=True).encode("utf-8")
         ).hexdigest()
 
 
-def _build_tariff(section: dict) -> TariffSchedule:
-    _check_keys(section, _TARIFF_KEYS, "tariff")
-    rates = {
-        "off_peak_rate": section.get("off_peak_rate", 0.05),
-        "standard_rate": section.get("standard_rate", 0.10),
-        "peak_rate": section.get("peak_rate", 0.20),
-    }
-    base = default_tariff(**rates)
-    if "off_peak_hours" in section or "peak_hours" in section:
-        off_peak = frozenset(section.get("off_peak_hours", sorted(base.off_peak_hours)))
-        peak = frozenset(section.get("peak_hours", sorted(base.peak_hours)))
-        if "standard_hours" in section:
-            standard = frozenset(section["standard_hours"])
-        else:
-            standard = frozenset(range(24)) - off_peak - peak
-        return TariffSchedule(
-            off_peak_hours=off_peak,
-            standard_hours=standard,
-            peak_hours=peak,
-            **rates,
-        )
-    if "standard_hours" in section:
+def _build_tariff(value) -> TariffSchedule:
+    section = _section(TariffSchedule, value, "tariff")
+    rates = {k: v for k, v in section.items() if k.endswith("_rate")}
+    hours = {k: frozenset(v) for k, v in section.items() if k.endswith("_hours")}
+    if list(hours) == ["standard_hours"]:
         raise ConfigError("standard_hours given without off_peak_hours/peak_hours")
-    return base
+    try:
+        base = default_tariff(**rates)
+        if hours and "standard_hours" not in hours:
+            off_peak = hours.get("off_peak_hours", base.off_peak_hours)
+            peak = hours.get("peak_hours", base.peak_hours)
+            hours["standard_hours"] = frozenset(range(24)) - off_peak - peak
+        return replace(base, **hours)
+    except ValueError as exc:
+        raise ConfigError(f"tariff: {exc}") from None
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate a YAML run config.
+def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a YAML run config; with no path, every setting
+    takes its default and the dataset is a default synthetic year.
 
-    `overrides` maps "section.key" strings to values that take precedence
-    over the file (used for command-line flags).
+    `overrides` maps dotted keys ("section.key", or
+    "dataset.synthetic.key") to values that take precedence over the file
+    (used for command-line flags).
     """
+    if path is None:
+        return _validate(_with_overrides(_DEFAULT_CONFIG, overrides or {}), "config")
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -199,180 +233,72 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from None
     raw = _require_mapping(raw, str(path))
-    _check_keys(raw, _SECTIONS, str(path))
-    for key, value in (overrides or {}).items():
-        section_name, _, field_name = key.partition(".")
-        raw.setdefault(section_name, {})
-        raw[section_name] = dict(_require_mapping(raw[section_name], section_name))
-        raw[section_name][field_name] = value
-    return _validate(raw)
+    return _validate(_with_overrides(raw, overrides or {}), str(path))
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate an already-parsed config mapping."""
-    _check_keys(raw, _SECTIONS, "config")
-    return _validate(raw)
+    return _validate(raw, "config")
 
 
-def _validate(raw: dict) -> RunConfig:
-    dataset = _require_mapping(raw.get("dataset"), "dataset")
-    _check_keys(dataset, _DATASET_KEYS, "dataset")
-    dataset_path = dataset.get("path")
-    synthetic_section = dataset.get("synthetic")
-    if dataset_path is not None and synthetic_section is not None:
+def _validate(raw: dict, where: str) -> RunConfig:
+    _check_keys(raw, _SECTIONS, where)
+    dataset = _build(_Dataset, raw.get("dataset"), "dataset")
+    if dataset.path is not None and dataset.synthetic is not None:
         raise ConfigError("dataset.path and dataset.synthetic are mutually exclusive")
     synthetic = None
-    if dataset_path is None:
-        synthetic_section = _require_mapping(synthetic_section, "dataset.synthetic")
-        _check_keys(synthetic_section, _SYNTHETIC_KEYS, "dataset.synthetic")
-        try:
-            synthetic = SyntheticProfileConfig(**synthetic_section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dataset.synthetic: {exc}") from None
-    include_wind = dataset.get("include_wind", True)
-    if not isinstance(include_wind, bool):
-        raise ConfigError("dataset.include_wind must be a boolean")
+    if dataset.path is None:
+        synthetic = _build(SyntheticProfileConfig, dataset.synthetic, "dataset.synthetic")
+    tariff = _build_tariff(raw.get("tariff"))
+    battery = _build(BatterySpec, raw.get("battery"), "battery")
+    # Training seeds come from run.seeds, so rng_seed is not a key.
+    hyperparams = _build(Hyperparams, raw.get("hyperparams"), "hyperparams", skip=("rng_seed",))
 
-    tariff = _build_tariff(_require_mapping(raw.get("tariff"), "tariff"))
-
-    battery_section = _require_mapping(raw.get("battery"), "battery")
-    _check_keys(battery_section, _BATTERY_KEYS, "battery")
+    encoding = _build(_Encoding, raw.get("encoding"), "encoding")
     try:
-        battery = BatterySpec(**battery_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"battery: {exc}") from None
-
-    hp_section = _require_mapping(raw.get("hyperparams"), "hyperparams")
-    _check_keys(hp_section, _HYPERPARAM_KEYS, "hyperparams")
-    try:
-        hyperparams = Hyperparams(**hp_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"hyperparams: {exc}") from None
-
-    enc_section = _require_mapping(raw.get("encoding"), "encoding")
-    _check_keys(enc_section, _ENCODING_KEYS, "encoding")
-    kind_name = enc_section.get("kind", EncodingKind.HOUR_SOC.value)
-    try:
-        kind = EncodingKind(kind_name)
+        kind = EncodingKind(encoding.kind)
     except ValueError:
         valid = ", ".join(k.value for k in EncodingKind)
         raise ConfigError(f"encoding.kind must be one of: {valid}") from None
-    bin_counts = (
-        int(enc_section.get("load_bins", 5)),
-        int(enc_section.get("pv_bins", 5)),
-        int(enc_section.get("wind_bins", 5)),
-    )
-    bin_maxes = (
-        enc_section.get("load_bin_max"),
-        enc_section.get("pv_bin_max"),
-        enc_section.get("wind_bin_max"),
-    )
-    percentile = float(enc_section.get("percentile", 99.0))
+    if not 0 <= encoding.percentile <= 100:
+        raise ConfigError(f"encoding.percentile must be in [0, 100], got {encoding.percentile}")
 
-    pen_section = _require_mapping(raw.get("penalties"), "penalties")
-    _check_keys(pen_section, _PENALTY_KEYS, "penalties")
+    pen_section = _section(PenaltyTable, raw.get("penalties"), "penalties")
     penalties = PenaltyTable(**{k: float(v) for k, v in pen_section.items()})
 
-    run_section = _require_mapping(raw.get("run"), "run")
-    _check_keys(run_section, _RUN_KEYS, "run")
-    output_dir = run_section.get("output_dir", "out")
-    seeds = run_section.get("seeds", [0])
-    if not isinstance(seeds, (list, tuple)) or not seeds:
+    run = _build(_Run, raw.get("run"), "run")
+    if not run.seeds:
         raise ConfigError("run.seeds must be a non-empty list of integers")
-    if not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("run.seeds must contain integers only")
-    initial_soc_level = run_section.get("initial_soc_level", 1)
-    if not 0 <= initial_soc_level < battery.soc_levels:
+    if not 0 <= run.initial_soc_level < battery.soc_levels:
         raise ConfigError(
             f"run.initial_soc_level must be in 0..{battery.soc_levels - 1}"
         )
-    penalty_mode = run_section.get("penalty_mode", "cost-only")
-    if penalty_mode not in ("shaped", "cost-only"):
-        raise ConfigError("run.penalty_mode must be 'shaped' or 'cost-only'")
 
-    resolved = _resolved_dict(
-        dataset_path,
-        synthetic,
-        include_wind,
-        tariff,
-        battery,
-        hyperparams,
-        kind,
-        bin_counts,
-        bin_maxes,
-        percentile,
-        penalties,
-        output_dir,
-        seeds,
-        initial_soc_level,
-        penalty_mode,
-    )
+    resolved = {
+        "dataset": {**asdict(dataset), "synthetic": asdict(synthetic) if synthetic else None},
+        "tariff": {
+            k: sorted(v) if isinstance(v, frozenset) else v for k, v in asdict(tariff).items()
+        },
+        "battery": asdict(battery),
+        "hyperparams": asdict(hyperparams),
+        "encoding": asdict(encoding),
+        "penalties": asdict(penalties),
+        "run": asdict(run),
+    }
     return RunConfig(
-        dataset_path=dataset_path,
+        dataset_path=dataset.path,
         synthetic=synthetic,
-        include_wind=include_wind,
+        include_wind=dataset.include_wind,
         tariff=tariff,
         battery=battery,
         hyperparams=hyperparams,
         encoding_kind=kind,
-        bin_counts=bin_counts,
-        bin_maxes=bin_maxes,
-        percentile=percentile,
+        bin_counts=(encoding.load_bins, encoding.pv_bins, encoding.wind_bins),
+        bin_maxes=(encoding.load_bin_max, encoding.pv_bin_max, encoding.wind_bin_max),
+        percentile=float(encoding.percentile),
         penalties=penalties,
-        output_dir=str(output_dir),
-        seeds=tuple(seeds),
-        initial_soc_level=int(initial_soc_level),
-        penalty_mode=penalty_mode,
+        output_dir=run.output_dir,
+        seeds=tuple(run.seeds),
+        initial_soc_level=run.initial_soc_level,
         resolved=resolved,
     )
-
-
-def _resolved_dict(
-    dataset_path,
-    synthetic,
-    include_wind,
-    tariff,
-    battery,
-    hyperparams,
-    kind,
-    bin_counts,
-    bin_maxes,
-    percentile,
-    penalties,
-    output_dir,
-    seeds,
-    initial_soc_level,
-    penalty_mode,
-) -> dict:
-    from dataclasses import asdict
-
-    return {
-        "dataset": {
-            "path": dataset_path,
-            "synthetic": asdict(synthetic) if synthetic else None,
-            "include_wind": include_wind,
-        },
-        "tariff": {
-            "off_peak_hours": sorted(tariff.off_peak_hours),
-            "standard_hours": sorted(tariff.standard_hours),
-            "peak_hours": sorted(tariff.peak_hours),
-            "off_peak_rate": tariff.off_peak_rate,
-            "standard_rate": tariff.standard_rate,
-            "peak_rate": tariff.peak_rate,
-        },
-        "battery": asdict(battery),
-        "hyperparams": asdict(hyperparams),
-        "encoding": {
-            "kind": kind.value,
-            "bin_counts": list(bin_counts),
-            "bin_maxes": list(bin_maxes),
-            "percentile": percentile,
-        },
-        "penalties": asdict(penalties),
-        "run": {
-            "output_dir": str(output_dir),
-            "seeds": list(seeds),
-            "initial_soc_level": initial_soc_level,
-            "penalty_mode": penalty_mode,
-        },
-    }

@@ -109,7 +109,8 @@ class StateEncoder:
         return tuple(dims)
 
     def size(self) -> int:
-        return state_space_size(self)
+        """Product of the dimension cardinalities."""
+        return math.prod(cardinality for _, cardinality in self.dims())
 
     def flat(
         self,
@@ -128,6 +129,31 @@ class StateEncoder:
             return index
         return index * self.wind_bins.bin_count + wind_bin
 
+    def state_index(
+        self,
+        hour_of_day: int,
+        soc_level: int,
+        load_kwh: float = 0.0,
+        pv_kwh: float = 0.0,
+        wind_kwh: float | None = None,
+    ) -> int:
+        """Flat index of one hour's state from the hour, the charge level and
+        the hour's raw series values (hot path, ranges unchecked)."""
+        if self.kind is EncodingKind.HOUR_SOC:
+            return self.flat(hour_of_day, soc_level)
+        wind_bin = 0
+        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND:
+            if wind_kwh is None:
+                raise ValueError("observation has no wind value but the encoding requires one")
+            wind_bin = value_bin(self.wind_bins, wind_kwh)
+        return self.flat(
+            hour_of_day,
+            soc_level,
+            value_bin(self.load_bins, load_kwh),
+            value_bin(self.pv_bins, pv_kwh),
+            wind_bin,
+        )
+
     def encode(self, observation) -> StateIndex:
         """Encode an environment observation (hour_of_day, soc_level and the
         load/pv/wind fields the kind requires) into a StateIndex."""
@@ -135,20 +161,12 @@ class StateEncoder:
             raise ValueError(f"hour_of_day out of range: {observation.hour_of_day}")
         if not 0 <= observation.soc_level < self.soc_levels:
             raise ValueError(f"soc_level out of range: {observation.soc_level}")
-        if self.kind is EncodingKind.HOUR_SOC:
-            flat = self.flat(observation.hour_of_day, observation.soc_level)
-            return StateIndex(flat_index=flat, dims=self.dims())
-        load_bin = value_bin(self.load_bins, observation.load_kwh)
-        pv_bin = value_bin(self.pv_bins, observation.pv_kwh)
-        wind_bin = 0
-        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND:
-            if observation.wind_kwh is None:
-                raise ValueError(
-                    "observation has no wind value but the encoding requires one"
-                )
-            wind_bin = value_bin(self.wind_bins, observation.wind_kwh)
-        flat = self.flat(
-            observation.hour_of_day, observation.soc_level, load_bin, pv_bin, wind_bin
+        flat = self.state_index(
+            observation.hour_of_day,
+            observation.soc_level,
+            observation.load_kwh,
+            observation.pv_kwh,
+            observation.wind_kwh,
         )
         return StateIndex(flat_index=flat, dims=self.dims())
 
@@ -203,10 +221,3 @@ class StateEncoder:
             wind_bins=wind_bins,
         )
 
-
-def state_space_size(encoder: StateEncoder) -> int:
-    """Product of the encoder's dimension cardinalities."""
-    size = 1
-    for _, cardinality in encoder.dims():
-        size *= cardinality
-    return size

@@ -1,31 +1,25 @@
 """Controller evaluation: full-series rollouts, the import/cost/peak metrics,
 controller comparisons, the exact finite-horizon oracle, and the state-space
-ablation harness."""
+ablation harness.
+
+Rollouts, `day_return` and `dp_oracle` step the battery with the shared
+kernel `battery.transition`. Rollouts score grid cost only; `day_return` and
+the oracle score the shaped or the cost-only reward (`penalty_mode`).
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .agent import Hyperparams, QTable, greedy_action, train
 from .baselines import BaselineKind, baseline_decision
-from .battery import (
-    Action,
-    BatteryEnv,
-    BatterySpec,
-    BatteryState,
-    EnvObservation,
-    PenaltyTable,
-    _TIER_CODE,
-    _flow_tuple,
-    _penalty_value,
-    apply_action,
-)
+from .battery import Action, BatteryEnv, BatterySpec, BatteryState, PenaltyTable, transition
 from .encoding import EncodingKind, StateEncoder, soc_bin, soc_level_energy
 from .ioutil import atomic_write_text
-from .timeseries import HourlyRecord, HourlySeries, TariffSchedule
+from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier
 
 # A controller maps (record, battery state) to (action, optional charge cap).
 Controller = Callable[[HourlyRecord, BatteryState], "tuple[Action, float | None]"]
@@ -140,14 +134,14 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
     encoder = q.encoder
 
     def decide(record: HourlyRecord, battery: BatteryState):
-        observation = EnvObservation(
-            hour_of_day=record.hour_of_day,
-            soc_level=soc_bin(spec, battery.energy_kwh),
-            load_kwh=record.load_kwh,
-            pv_kwh=record.pv_kwh,
-            wind_kwh=record.wind_kwh,
+        state = encoder.state_index(
+            record.hour_of_day,
+            soc_bin(spec, battery.energy_kwh),
+            record.load_kwh,
+            record.pv_kwh,
+            record.wind_kwh,
         )
-        return greedy_action(q, encoder.encode(observation)), None
+        return greedy_action(q, state), None
 
     return decide
 
@@ -166,49 +160,43 @@ def rollout(
     spec: BatterySpec,
     tariff: TariffSchedule,
     initial_soc_level: int = 1,
-    penalty_mode: str = "cost-only",
-    penalties: PenaltyTable | None = None,
     label: str = "controller",
 ) -> EvalReport:
-    """Deterministic sequential pass over every hour of the series.
+    """Deterministic sequential pass over every hour of the series, scored
+    on grid cost only (no shaping, so the tariff tier plays no part).
 
     Battery state carries across day boundaries. Totals and monthly
     aggregates are exact sums/maxima over the trace.
     """
-    records: Iterable[HourlyRecord] = (
-        series.records if isinstance(series, HourlySeries) else series
-    )
-    _resolve_penalties(penalty_mode, penalties)  # validates the mode
-    battery = BatteryState(energy_kwh=soc_level_energy(spec, initial_soc_level))
+    limits = spec.limits
+    no_shaping = PenaltyTable.zero()
+    energy = soc_level_energy(spec, initial_soc_level)
     trace: list[TraceRow] = []
     total_import = 0.0
     total_cost = 0.0
     monthly_import: dict[int, float] = {}
     monthly_cost: dict[int, float] = {}
     monthly_peak: dict[int, float] = {}
-    for record in records:
-        action, cap = controller(record, battery)
-        flows = apply_action(spec, battery, record, action, cap)
-        cost = flows.grid_import_kwh * record.price_per_kwh
-        battery = flows.next_battery
-        trace.append(
-            TraceRow(
-                hour_index=record.hour_index,
-                action=action,
-                grid_import_kwh=flows.grid_import_kwh,
-                cost=cost,
-                soc_after=battery.energy_kwh,
-            )
+    for record in series:
+        action, cap = controller(record, BatteryState(energy_kwh=energy))
+        _, _, _, grid_import, _, energy, cost, _, _ = transition(
+            limits,
+            energy,
+            record.load_kwh,
+            record.renewables_kwh,
+            record.price_per_kwh,
+            Tier.STANDARD,
+            action,
+            cap,
+            no_shaping,
         )
-        total_import += flows.grid_import_kwh
+        trace.append(TraceRow(record.hour_index, action, grid_import, cost, energy))
+        total_import += grid_import
         total_cost += cost
         m = record.month
-        monthly_import[m] = monthly_import.get(m, 0.0) + flows.grid_import_kwh
+        monthly_import[m] = monthly_import.get(m, 0.0) + grid_import
         monthly_cost[m] = monthly_cost.get(m, 0.0) + cost
-        if flows.grid_import_kwh > monthly_peak.get(m, 0.0):
-            monthly_peak[m] = flows.grid_import_kwh
-        else:
-            monthly_peak.setdefault(m, 0.0)
+        monthly_peak[m] = max(monthly_peak.get(m, 0.0), grid_import)
     monthly = tuple(
         MonthlyAggregate(
             month=m,
@@ -240,25 +228,26 @@ def day_return(
     """Episode return of a controller over one day, under the same reward the
     oracle scores (shaped or cost-only, optionally discounted)."""
     table = _resolve_penalties(penalty_mode, penalties)
-    battery = BatteryState(energy_kwh=soc_level_energy(spec, initial_soc_level))
+    limits = spec.limits
+    energy = soc_level_energy(spec, initial_soc_level)
     total = 0.0
     weight = 1.0
     for record in day:
-        action, cap = controller(record, battery)
-        flows = apply_action(spec, battery, record, action, cap)
-        penalty = _penalty_value(
-            int(action),
-            _TIER_CODE[tariff.tier_of(record.hour_of_day)],
-            battery.energy_kwh,
-            spec.capacity_kwh,
-            spec.soc_min_kwh,
+        action, cap = controller(record, BatteryState(energy_kwh=energy))
+        _, _, _, _, _, energy, _, _, reward = transition(
+            limits,
+            energy,
+            record.load_kwh,
+            record.renewables_kwh,
+            record.price_per_kwh,
+            tariff.tier_of(record.hour_of_day),
+            action,
+            cap,
             table,
         )
-        reward = -(flows.grid_import_kwh * record.price_per_kwh) + penalty
         total += weight * reward
         if discount is not None:
             weight *= discount
-        battery = flows.next_battery
     return total
 
 
@@ -311,69 +300,51 @@ def dp_oracle(
     sequence, ties broken by action order.
     """
     table = _resolve_penalties(penalty_mode, penalties)
-    levels = spec.soc_levels
-    horizon = len(day)
-    if horizon == 0:
+    if len(day) == 0:
         raise ValueError("day must contain at least one record")
-    cap = spec.capacity_kwh
-    soc_min = spec.soc_min_kwh
-    crate = spec.charge_rate_kw * 1.0
-    drate = spec.discharge_rate_kw * 1.0
+    limits = spec.limits
     gamma = 1.0 if discount is None else discount
+    energies = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
 
-    energies = [soc_level_energy(spec, level) for level in range(levels)]
-    # value[level] holds V_{h+1}; reward/transition tables are rebuilt per hour
-    value = [0.0] * levels
-    best_action: list[list[int]] = []
-    for h in range(horizon - 1, -1, -1):
-        record = day[h]
-        tier = _TIER_CODE[tariff.tier_of(record.hour_of_day)]
-        load = record.load_kwh
-        renewables = record.renewables_kwh
-        price = record.price_per_kwh
-        new_value = [0.0] * levels
-        actions_here = [0] * levels
-        for level in range(levels):
-            energy = energies[level]
-            best_value = None
-            best = 0
+    # value[level] holds V_{h+1}; plan[h][level] is the (action, next level)
+    # that attains V_h, ties going to the lowest action index
+    value = [0.0] * len(energies)
+    plan: list[list[tuple[int, int]]] = []
+    for record in reversed(day):
+        tier = tariff.tier_of(record.hour_of_day)
+        new_value = []
+        choices = []
+        for energy in energies:
+            best = None
             for action in range(3):
-                flows = _flow_tuple(
-                    cap, soc_min, crate, drate, energy, load, renewables, action, None
+                out = transition(
+                    limits,
+                    energy,
+                    record.load_kwh,
+                    record.renewables_kwh,
+                    record.price_per_kwh,
+                    tier,
+                    action,
+                    None,
+                    table,
                 )
-                penalty = _penalty_value(action, tier, energy, cap, soc_min, table)
-                reward = -(flows[3] * price) + penalty
-                next_level = soc_bin(spec, flows[5])
-                candidate = reward + gamma * value[next_level]
-                if best_value is None or candidate > best_value:
-                    best_value = candidate
-                    best = action
-            new_value[level] = best_value
-            actions_here[level] = best
+                next_level = soc_bin(spec, out[5])
+                candidate = out[8] + gamma * value[next_level]
+                if best is None or candidate > best:
+                    best = candidate
+                    choice = (action, next_level)
+            new_value.append(best)
+            choices.append(choice)
         value = new_value
-        best_action.append(actions_here)
-    best_action.reverse()
+        plan.append(choices)
+    plan.reverse()
 
-    optimal_return = value[initial_soc_level]
     actions: list[Action] = []
     level = initial_soc_level
-    for h in range(horizon):
-        record = day[h]
-        action = best_action[h][level]
+    for choices in plan:
+        action, level = choices[level]
         actions.append(Action(action))
-        flows = _flow_tuple(
-            cap,
-            soc_min,
-            crate,
-            drate,
-            energies[level],
-            record.load_kwh,
-            record.renewables_kwh,
-            action,
-            None,
-        )
-        level = soc_bin(spec, flows[5])
-    return optimal_return, actions
+    return value[initial_soc_level], actions
 
 
 def ablation_run(

@@ -1,5 +1,11 @@
 """Hourly farm datasets: CSV ingest and validation, time-of-use tariffs,
-and a synthetic profile generator standing in for real farm data."""
+and a synthetic profile generator standing in for real farm data.
+
+A dataset is an `HourlySeries` of validated numpy columns (load, pv, optional
+wind, price). The CSV reader and the generator fill the columns directly; the
+per-hour `HourlyRecord` views the rule-based controllers read are built from
+them once, on first use.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +52,11 @@ def month_of_hour(hour_index: int) -> int:
 
 @dataclass(frozen=True)
 class HourlyRecord:
-    """One hour of farm data: demand, renewable generation, and price."""
+    """One hour of farm data: demand, renewable generation, and price.
+
+    A plain view of one row of an `HourlySeries`; the series validates its
+    columns, so a record is not re-checked.
+    """
 
     hour_index: int
     hour_of_day: int
@@ -55,30 +66,10 @@ class HourlyRecord:
     wind_kwh: float | None
     price_per_kwh: float
 
-    def __post_init__(self) -> None:
-        if self.hour_index < 0:
-            raise DataValidationError(f"hour_index must be >= 0, got {self.hour_index}")
-        if self.hour_of_day != self.hour_index % 24:
-            raise DataValidationError(
-                f"hour_of_day {self.hour_of_day} inconsistent with hour_index {self.hour_index}"
-            )
-        if not 1 <= self.month <= 12:
-            raise DataValidationError(f"month must be in 1..12, got {self.month}")
-        for name in ("load_kwh", "pv_kwh", "price_per_kwh"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise DataValidationError(f"{name} must be finite and >= 0, got {value}")
-        if self.wind_kwh is not None and (
-            not math.isfinite(self.wind_kwh) or self.wind_kwh < 0
-        ):
-            raise DataValidationError(
-                f"wind_kwh must be finite and >= 0, got {self.wind_kwh}"
-            )
-
     @property
     def renewables_kwh(self) -> float:
         """Total renewable supply for the hour (PV plus wind when present)."""
-        return self.pv_kwh + (self.wind_kwh or 0.0)
+        return self.pv_kwh + (0.0 if self.wind_kwh is None else self.wind_kwh)
 
 
 @dataclass(frozen=True)
@@ -110,31 +101,23 @@ class TariffSchedule:
             )
 
     def tier_of(self, hour_of_day: int) -> Tier:
-        return tier_of(self, hour_of_day)
+        """Tariff tier containing the given hour of day (0..23)."""
+        if not 0 <= hour_of_day <= 23:
+            raise ValueError(f"hour_of_day must be in 0..23, got {hour_of_day}")
+        if hour_of_day in self.peak_hours:
+            return Tier.PEAK
+        if hour_of_day in self.off_peak_hours:
+            return Tier.OFF_PEAK
+        return Tier.STANDARD
 
     def price_at(self, hour_of_day: int) -> float:
-        return price_at(self, hour_of_day)
-
-
-def tier_of(tariff: TariffSchedule, hour_of_day: int) -> Tier:
-    """Tariff tier containing the given hour of day (0..23)."""
-    if not 0 <= hour_of_day <= 23:
-        raise ValueError(f"hour_of_day must be in 0..23, got {hour_of_day}")
-    if hour_of_day in tariff.peak_hours:
-        return Tier.PEAK
-    if hour_of_day in tariff.off_peak_hours:
-        return Tier.OFF_PEAK
-    return Tier.STANDARD
-
-
-def price_at(tariff: TariffSchedule, hour_of_day: int) -> float:
-    """Rate of the tier containing the given hour of day."""
-    tier = tier_of(tariff, hour_of_day)
-    if tier is Tier.PEAK:
-        return tariff.peak_rate
-    if tier is Tier.OFF_PEAK:
-        return tariff.off_peak_rate
-    return tariff.standard_rate
+        """Rate of the tier containing the given hour of day."""
+        tier = self.tier_of(hour_of_day)
+        if tier is Tier.PEAK:
+            return self.peak_rate
+        if tier is Tier.OFF_PEAK:
+            return self.off_peak_rate
+        return self.standard_rate
 
 
 # Night window runs 23:00-07:00 and the evening peak 17:00-19:00, both
@@ -164,32 +147,47 @@ def default_tariff(
     )
 
 
-@dataclass(frozen=True)
 class HourlySeries:
-    """Contiguous hourly records covering a whole number of days."""
+    """Hourly farm data covering a whole number of days, held as validated
+    read-only float64 columns: load, pv, wind (None when the dataset has no
+    wind) and price. Row i is hour i of the series.
 
-    records: tuple[HourlyRecord, ...]
-    has_wind: bool
+    `records`, iteration, indexing and `day()` give per-hour `HourlyRecord`
+    views, built once on first use.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.records)
+    def __init__(self, load, pv, wind, price) -> None:
+        columns = {"load_kwh": load, "pv_kwh": pv, "wind_kwh": wind, "price_per_kwh": price}
+        n = len(load)
         if n == 0 or n % 24 != 0:
             raise DataValidationError(
                 f"series length must be a positive multiple of 24, got {n}"
             )
-        for i, record in enumerate(self.records):
-            if record.hour_index != i:
-                raise DataValidationError(
-                    f"records must be contiguous from hour 0; index {i} holds hour {record.hour_index}"
-                )
-        wind_present = all(r.wind_kwh is not None for r in self.records)
-        if self.has_wind != wind_present:
-            raise DataValidationError(
-                "has_wind must be true exactly when every record carries a wind value"
-            )
+        for name, values in columns.items():
+            if values is None:
+                continue
+            column = np.array(values, dtype=np.float64)
+            if column.shape != (n,):
+                raise DataValidationError(f"{name} has shape {column.shape}, expected ({n},)")
+            bad = ~(np.isfinite(column) & (column >= 0))
+            if bad.any():
+                value = float(column[bad.argmax()])
+                raise DataValidationError(f"{name} must be finite and >= 0, got {value}")
+            column.setflags(write=False)
+            columns[name] = column
+        self.load = columns["load_kwh"]
+        self.pv = columns["pv_kwh"]
+        self.wind = columns["wind_kwh"]
+        self.price = columns["price_per_kwh"]
+        self.renewables = self.pv + (0.0 if self.wind is None else self.wind)
+        self.renewables.setflags(write=False)
+
+    @property
+    def has_wind(self) -> bool:
+        return self.wind is not None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.load)
 
     def __iter__(self):
         return iter(self.records)
@@ -197,9 +195,28 @@ class HourlySeries:
     def __getitem__(self, index: int) -> HourlyRecord:
         return self.records[index]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HourlySeries):
+            return NotImplemented
+        if self.has_wind != other.has_wind:
+            return False
+        pairs = [(self.load, other.load), (self.pv, other.pv), (self.price, other.price)]
+        if self.has_wind:
+            pairs.append((self.wind, other.wind))
+        return all(np.array_equal(a, b) for a, b in pairs)
+
+    @cached_property
+    def records(self) -> tuple[HourlyRecord, ...]:
+        winds = self.wind.tolist() if self.has_wind else [None] * len(self)
+        rows = zip(self.load.tolist(), self.pv.tolist(), winds, self.price.tolist())
+        return tuple(
+            HourlyRecord(i, i % 24, month_of_hour(i), load, pv, wind, price)
+            for i, (load, pv, wind, price) in enumerate(rows)
+        )
+
     @property
     def n_days(self) -> int:
-        return len(self.records) // 24
+        return len(self) // 24
 
     def day(self, day_index: int) -> tuple[HourlyRecord, ...]:
         """The 24 records of one day."""
@@ -208,36 +225,24 @@ class HourlySeries:
         return self.records[day_index * 24 : (day_index + 1) * 24]
 
     def loads(self) -> np.ndarray:
-        return np.array([r.load_kwh for r in self.records])
+        return self.load
 
     def pvs(self) -> np.ndarray:
-        return np.array([r.pv_kwh for r in self.records])
+        return self.pv
 
     def winds(self) -> np.ndarray:
         if not self.has_wind:
             raise DataValidationError("series has no wind data")
-        return np.array([r.wind_kwh for r in self.records])
+        return self.wind
 
     def prices(self) -> np.ndarray:
-        return np.array([r.price_per_kwh for r in self.records])
+        return self.price
 
     def without_wind(self) -> "HourlySeries":
         """Copy of the series with the wind column dropped."""
         if not self.has_wind:
             return self
-        records = tuple(
-            HourlyRecord(
-                hour_index=r.hour_index,
-                hour_of_day=r.hour_of_day,
-                month=r.month,
-                load_kwh=r.load_kwh,
-                pv_kwh=r.pv_kwh,
-                wind_kwh=None,
-                price_per_kwh=r.price_per_kwh,
-            )
-            for r in self.records
-        )
-        return HourlySeries(records=records, has_wind=False)
+        return HourlySeries(self.load, self.pv, None, self.price)
 
 
 @dataclass(frozen=True)
@@ -302,24 +307,15 @@ def generate_synthetic(
     n_hours = config.days * 24
     rng = np.random.default_rng(config.rng_seed)
     noise = 1.0 + config.noise_fraction * rng.uniform(-1.0, 1.0, size=(n_hours, 3))
-    records = []
-    for i in range(n_hours):
-        hod = i % 24
-        load = max(0.0, diurnal_load_kwh(config, hod) * float(noise[i, 0]))
-        pv = max(0.0, diurnal_pv_kwh(config, hod) * float(noise[i, 1]))
-        wind = max(0.0, config.wind_mean_kwh * float(noise[i, 2]))
-        records.append(
-            HourlyRecord(
-                hour_index=i,
-                hour_of_day=hod,
-                month=month_of_hour(i),
-                load_kwh=load,
-                pv_kwh=pv,
-                wind_kwh=wind,
-                price_per_kwh=tariff.price_at(hod),
-            )
-        )
-    return HourlySeries(records=tuple(records), has_wind=True)
+    hod = np.arange(n_hours) % 24
+    load_shape = np.array([diurnal_load_kwh(config, h) for h in range(24)])
+    pv_shape = np.array([diurnal_pv_kwh(config, h) for h in range(24)])
+    return HourlySeries(
+        load=np.maximum(0.0, load_shape[hod] * noise[:, 0]),
+        pv=np.maximum(0.0, pv_shape[hod] * noise[:, 1]),
+        wind=np.maximum(0.0, config.wind_mean_kwh * noise[:, 2]),
+        price=np.array([tariff.price_at(h) for h in range(24)])[hod],
+    )
 
 
 def _parse_value(raw: str, column: str, row: int) -> float:
@@ -371,7 +367,7 @@ def load_csv(path: str | Path, tariff: TariffSchedule | None = None) -> HourlySe
                 "dataset has no price_per_kwh column and no tariff was provided"
             )
 
-        records = []
+        loads, pvs, winds, prices = [], [], [], []
         for row_number, raw in enumerate(reader, start=1):
             if not raw or all(not cell.strip() for cell in raw):
                 continue
@@ -390,50 +386,27 @@ def load_csv(path: str | Path, tariff: TariffSchedule | None = None) -> HourlySe
                 raise DataValidationError(
                     f"non-contiguous hour at row {row_number}: expected {row_number - 1}, got {hour_index}"
                 )
-            hod = hour_index % 24
-            load = _parse_value(raw[col["load_kwh"]], "load_kwh", row_number)
-            pv = _parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number)
-            wind = (
-                _parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number)
-                if has_wind
-                else None
-            )
+            loads.append(_parse_value(raw[col["load_kwh"]], "load_kwh", row_number))
+            pvs.append(_parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number))
+            if has_wind:
+                winds.append(_parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number))
             if has_price:
-                price = _parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
-            else:
-                price = tariff.price_at(hod)
-            records.append(
-                HourlyRecord(
-                    hour_index=hour_index,
-                    hour_of_day=hod,
-                    month=month_of_hour(hour_index),
-                    load_kwh=load,
-                    pv_kwh=pv,
-                    wind_kwh=wind,
-                    price_per_kwh=price,
+                prices.append(
+                    _parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
                 )
-            )
-
-    if len(records) % 24 != 0 or not records:
-        raise DataValidationError(
-            f"series length must be a positive multiple of 24, got {len(records)}"
-        )
-    return HourlySeries(records=tuple(records), has_wind=has_wind)
+            else:
+                prices.append(tariff.price_at(hour_index % 24))
+    return HourlySeries(loads, pvs, winds if has_wind else None, prices)
 
 
 def write_csv(series: HourlySeries, path: str | Path, include_price: bool = True) -> None:
     """Write a series in the schema `load_csv` reads, with lossless floats."""
-    header = ["hour", "load_kwh", "pv_kwh"]
+    columns = {"load_kwh": series.load, "pv_kwh": series.pv}
     if series.has_wind:
-        header.append("wind_kwh")
+        columns["wind_kwh"] = series.wind
     if include_price:
-        header.append("price_per_kwh")
-    lines = [",".join(header)]
-    for r in series.records:
-        fields = [str(r.hour_index), repr(r.load_kwh), repr(r.pv_kwh)]
-        if series.has_wind:
-            fields.append(repr(r.wind_kwh))
-        if include_price:
-            fields.append(repr(r.price_per_kwh))
-        lines.append(",".join(fields))
+        columns["price_per_kwh"] = series.price
+    rows = zip(*(column.tolist() for column in columns.values()))
+    lines = [",".join(["hour", *columns])]
+    lines.extend(",".join([str(i), *map(repr, row)]) for i, row in enumerate(rows))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -16,7 +16,6 @@ from farmbess import (
     Hyperparams,
     QTable,
     StateEncoder,
-    decay_step,
     decayed,
     greedy_action,
     load_qtable,
@@ -158,7 +157,7 @@ def test_td_update_matches_one_line_oracle_on_random_cases():
 
 
 def test_decay_single_step():
-    assert decay_step(0.8, 0.0001, 0.1) == 0.7999
+    assert decayed(0.8, 0.0001, 0.1, 1) == 0.7999
 
 
 def test_decay_hits_floor_exactly_at_step_7000():
@@ -168,11 +167,12 @@ def test_decay_hits_floor_exactly_at_step_7000():
 
 
 def test_decay_at_floor_stays():
-    assert decay_step(0.1, 0.0001, 0.1) == 0.1
+    assert decayed(0.1, 0.0001, 0.1, 1) == 0.1
 
 
 def test_decayed_matches_single_step():
-    assert decayed(0.8, 0.0001, 0.1, 1) == decay_step(0.8, 0.0001, 0.1)
+    # one step of the schedule is max(value - decay, floor)
+    assert decayed(0.8, 0.0001, 0.1, 1) == max(0.8 - 0.0001, 0.1)
 
 
 # ---------------------------------------------------------------- training
@@ -333,6 +333,36 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.qt"
     path.write_bytes(b"not a table\nxxxx")
     with pytest.raises(QTableFormatError):
+        load_qtable(path)
+
+
+def _saved_table(tmp_path, toy_env, toy_encoder):
+    table, _ = train(toy_env, Hyperparams(total_episodes=10, rng_seed=1), toy_encoder)
+    path = tmp_path / "t.qt"
+    save_qtable(table, path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    return path, header, payload
+
+
+def test_load_rejects_object_dtype(tmp_path, toy_env, toy_encoder):
+    path, header, payload = _saved_table(tmp_path, toy_env, toy_encoder)
+    path.write_bytes(header.replace(b'"<f8"', b'"|O"') + b"\n" + payload)
+    with pytest.raises(QTableFormatError, match=f"{path.name}.*dtype"):
+        load_qtable(path)
+
+
+def test_load_rejects_short_payload(tmp_path, toy_env, toy_encoder):
+    path, header, payload = _saved_table(tmp_path, toy_env, toy_encoder)
+    path.write_bytes(header + b"\n" + payload[:-8])
+    with pytest.raises(QTableFormatError, match=f"{path.name}.*bytes"):
+        load_qtable(path)
+
+
+def test_load_rejects_non_finite_values(tmp_path, toy_env, toy_encoder):
+    path, header, payload = _saved_table(tmp_path, toy_env, toy_encoder)
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(header + b"\n" + nan + payload[8:])
+    with pytest.raises(QTableFormatError, match=f"{path.name}.*non-finite"):
         load_qtable(path)
 
 

@@ -18,10 +18,10 @@ from farmbess import (
     SyntheticProfileConfig,
     Tier,
     apply_action,
-    compute_reward,
     default_tariff,
     generate_synthetic,
     month_of_hour,
+    transition,
 )
 
 POWERWALL = BatterySpec()  # 13.5 kWh, 5 kW, reserve 0.1
@@ -156,7 +156,16 @@ def test_more_pv_never_increases_import():
         assert high.grid_import_kwh <= low.grid_import_kwh + 1e-12
 
 
-# ---------------------------------------------------------------- compute_reward
+# ---------------------------------------------------------------- reward
+
+
+def _reward(action, tier, price, load, renewables, battery, spec, penalties):
+    """(reward, penalty) of one step of the kernel."""
+    *_, penalty, reward = transition(
+        spec.limits, battery.energy_kwh, load, renewables, price, tier, action, None, penalties
+    )
+    return reward, penalty
+
 
 # Spec-level cases: one per row of the penalty cascade plus the plain
 # cost-only branches, with hand-computed expected values.
@@ -188,7 +197,7 @@ REWARD_CASES = [
 )
 def test_reward_matrix(action, tier, price, load, renewables, energy,
                        expected_reward, expected_penalty):
-    reward, penalty = compute_reward(
+    reward, penalty = _reward(
         action, tier, price, load, renewables, BatteryState(energy), POWERWALL, PEN
     )
     assert reward == pytest.approx(expected_reward, abs=1e-12)
@@ -197,7 +206,7 @@ def test_reward_matrix(action, tier, price, load, renewables, energy,
 
 def test_full_and_peak_row_wins_over_sum():
     # first matching row only: full battery at peak charges -15, not -35
-    _, penalty = compute_reward(
+    _, penalty = _reward(
         Action.CHARGE, Tier.PEAK, 0.2, 3.0, 0.0, BatteryState(13.5), POWERWALL, PEN
     )
     assert penalty == -15.0
@@ -206,7 +215,7 @@ def test_full_and_peak_row_wins_over_sum():
 def test_reward_decomposition_on_table_cases():
     for action, tier, price, load, renew, energy, _, _ in REWARD_CASES:
         battery = BatteryState(energy)
-        reward, penalty = compute_reward(
+        reward, penalty = _reward(
             action, tier, price, load, renew, battery, POWERWALL, PEN
         )
         flows = apply_action(POWERWALL, battery, _record(load, renew, price=price), action)
@@ -222,7 +231,7 @@ def test_zero_penalties_make_reward_pure_cost():
         price = rng.uniform(0.01, 1.0)
         action = Action(rng.randrange(3))
         tier = [Tier.OFF_PEAK, Tier.STANDARD, Tier.PEAK][rng.randrange(3)]
-        reward, penalty = compute_reward(
+        reward, penalty = _reward(
             action, tier, price, load, pv, battery, POWERWALL, zero
         )
         flows = apply_action(POWERWALL, battery, _record(load, pv), action)
@@ -232,7 +241,7 @@ def test_zero_penalties_make_reward_pure_cost():
 
 def test_custom_penalty_table_is_honored():
     table = PenaltyTable(charge_off_peak_bonus=2.5)
-    _, penalty = compute_reward(
+    _, penalty = _reward(
         Action.CHARGE, Tier.OFF_PEAK, 0.05, 2.0, 0.0, BatteryState(5.0), POWERWALL, table
     )
     assert penalty == 2.5
@@ -297,10 +306,7 @@ def test_env_deterministic_trajectory(one_day_env, tariff):
 
 
 def test_env_self_sufficient_day_imports_nothing(tariff):
-    records = tuple(
-        _record(1.0, 5.0, hour=i) for i in range(24)
-    )
-    series = HourlySeries(records=records, has_wind=False)
+    series = HourlySeries(load=[1.0] * 24, pv=[5.0] * 24, wind=None, price=[0.1] * 24)
     env = BatteryEnv(series, POWERWALL, tariff)
     env.reset(day_index=0, initial_soc_level=3)
     total = 0.0
@@ -310,7 +316,7 @@ def test_env_self_sufficient_day_imports_nothing(tariff):
     assert total == 0.0
 
 
-def test_env_step_reward_matches_compute_reward(one_day_env, tariff):
+def test_env_step_reward_matches_transition(one_day_env, tariff):
     env = one_day_env
     obs = env.reset(day_index=0, initial_soc_level=4)
     rng = random.Random(9)
@@ -318,7 +324,7 @@ def test_env_step_reward_matches_compute_reward(one_day_env, tariff):
         record = env.series[env._cursor]
         before = env.battery
         action = Action(rng.randrange(3))
-        expected_reward, expected_penalty = compute_reward(
+        expected_reward, expected_penalty = _reward(
             action,
             tariff.tier_of(record.hour_of_day),
             record.price_per_kwh,

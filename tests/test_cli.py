@@ -298,3 +298,28 @@ def test_compare_ablation_three_rows(tmp_path):
         "qlearning:hour-soc-load-pv",
         "qlearning:hour-soc-load-pv-wind",
     ]
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("run", "seeds", "[true]"),
+        ("hyperparams", "total_episodes", "1.5"),
+        ("encoding", "load_bin_max", "abc"),
+        ("encoding", "load_bins", "2.7"),
+        ("battery", "capacity_kwh", ".nan"),
+        ("encoding", "percentile", "150"),
+        ("penalties", "charge_full", "abc"),
+    ],
+)
+def test_bad_config_value_is_one_line_naming_the_key(tmp_path, capsys, section, key, value):
+    config = _config(
+        tmp_path,
+        f"dataset:\n  synthetic:\n    days: 1\n{section}:\n  {key}: {value}\n",
+    )
+    code = main(["evaluate", "--config", str(config), "baseline:no-battery",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{section}.{key}" in err

@@ -13,7 +13,6 @@ from farmbess import (
     StateEncoder,
     soc_bin,
     soc_level_energy,
-    state_space_size,
     value_bin,
 )
 
@@ -159,9 +158,9 @@ def test_state_space_sizes():
         pv_bins=BinSpec(5, 1.0),
         wind_bins=BinSpec(5, 1.0),
     )
-    assert state_space_size(hour_soc) == 264
-    assert state_space_size(load_pv) == 6600
-    assert state_space_size(wind) == 33000
+    assert hour_soc.size() == 264
+    assert load_pv.size() == 6600
+    assert wind.size() == 33000
 
 
 def test_encoder_requires_bins_for_extended_kinds():

@@ -7,6 +7,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from farmbess import (
     Action,
@@ -16,15 +17,17 @@ from farmbess import (
     ComparisonReport,
     EvalReport,
     HourlyRecord,
+    HourlySeries,
     PenaltyTable,
     apply_action,
     compare,
     day_return,
+    default_tariff,
     dp_oracle,
     month_of_hour,
     rollout,
+    transition,
 )
-from farmbess.battery import _TIER_CODE, _flow_tuple, _penalty_value
 from farmbess.encoding import soc_bin, soc_level_energy
 from farmbess.evaluation import (
     baseline_controller,
@@ -216,26 +219,20 @@ def test_oracle_single_peak_hour_prefers_discharge(tariff):
 def _enumerate_best(day, spec, tariff, penalties, level):
     """Independent forward enumeration over action sequences with
     memoization on (hour, charge level)."""
-    tiers = [_TIER_CODE[tariff.tier_of(r.hour_of_day)] for r in day]
 
     @functools.lru_cache(maxsize=None)
     def best_from(h, lvl):
         if h == len(day):
             return 0.0
         record = day[h]
-        energy = soc_level_energy(spec, lvl)
         best = None
         for action in range(3):
-            flows = _flow_tuple(
-                spec.capacity_kwh, spec.soc_min_kwh,
-                spec.charge_rate_kw, spec.discharge_rate_kw,
-                energy, record.load_kwh, record.renewables_kwh, action, None,
+            *_, next_energy, _, _, reward = transition(
+                spec.limits, soc_level_energy(spec, lvl), record.load_kwh,
+                record.renewables_kwh, record.price_per_kwh,
+                tariff.tier_of(record.hour_of_day), action, None, penalties,
             )
-            pen = _penalty_value(action, tiers[h], energy, spec.capacity_kwh,
-                                 spec.soc_min_kwh, penalties)
-            value = -(flows[3] * record.price_per_kwh) + pen + best_from(
-                h + 1, soc_bin(spec, flows[5])
-            )
+            value = reward + best_from(h + 1, soc_bin(spec, next_energy))
             if best is None or value > best:
                 best = value
         return best
@@ -303,3 +300,68 @@ def test_rollout_report_files(tmp_path, synthetic_week, tariff):
     data = json.loads(json_path.read_text())
     assert data["label"] == "msc"
     assert data["total_cost"] == pytest.approx(report.total_cost)
+
+
+# ---------------------------------------------------------------- oracle properties
+
+
+@st.composite
+def lattice_days(draw, charge_steps=None):
+    """A battery whose charge lattice, rates and reserve are whole multiples
+    of a power-of-two unit, and a 24-hour day whose load and PV are too: every
+    trajectory then stays exactly on the lattice the oracle searches.
+
+    `charge_steps` fixes the charge rate in lattice steps (drawn otherwise).
+    """
+    top = draw(st.sampled_from([2, 4, 8]))
+    unit = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    spec = BatterySpec(
+        capacity_kwh=top * unit,
+        charge_rate_kw=(charge_steps or draw(st.integers(1, top))) * unit,
+        discharge_rate_kw=draw(st.integers(1, top)) * unit,
+        reserve_fraction=draw(st.integers(0, top - 1)) / top,
+        soc_levels=top + 1,
+    )
+    hourly = st.lists(st.integers(0, 2 * top), min_size=24, max_size=24)
+    tariff = default_tariff()
+    series = HourlySeries(
+        load=[x * unit for x in draw(hourly)],
+        pv=[x * unit for x in draw(hourly)],
+        wind=None,
+        price=[tariff.price_at(h) for h in range(24)],
+    )
+    return spec, tariff, series.day(0), draw(st.integers(0, top))
+
+
+REWARDS = st.sampled_from(["shaped", "cost-only"])
+DISCOUNTS = st.sampled_from([None, 0.9])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lattice_days(), mode=REWARDS, discount=DISCOUNTS)
+def test_oracle_plan_replays_to_its_return(case, mode, discount):
+    spec, tariff, day, level = case
+    best, actions = dp_oracle(day, spec, tariff, level, penalty_mode=mode, discount=discount)
+    plan = iter(actions)
+    replay = day_return(lambda record, battery: (next(plan), None), day, spec, tariff,
+                        level, penalty_mode=mode, discount=discount)
+    assert replay == pytest.approx(best, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lattice_days(charge_steps=1), mode=REWARDS, discount=DISCOUNTS,
+       seed=st.integers(0, 2**16))
+def test_no_controller_beats_the_oracle(case, mode, discount, seed):
+    # The oracle charges at the full rate only. MSC and TOU may charge from
+    # the renewable surplus alone, an action outside the oracle's set; at a
+    # one-step charge rate that surplus cap never binds, so the bound holds.
+    spec, tariff, day, level = case
+    best, _ = dp_oracle(day, spec, tariff, level, penalty_mode=mode, discount=discount)
+    rng = random.Random(seed)
+    controllers = [no_battery_controller(), lambda record, battery: (Action(rng.randrange(3)), None)]
+    controllers += [baseline_controller(kind, spec, tariff)
+                    for kind in (BaselineKind.MSC, BaselineKind.TOU)]
+    for controller in controllers:
+        value = day_return(controller, day, spec, tariff, level,
+                           penalty_mode=mode, discount=discount)
+        assert value <= best + 1e-9

@@ -18,8 +18,6 @@ from farmbess import (
     generate_synthetic,
     load_csv,
     month_of_hour,
-    price_at,
-    tier_of,
     write_csv,
 )
 from farmbess.timeseries import diurnal_load_kwh, diurnal_pv_kwh
@@ -40,26 +38,26 @@ def test_default_tariff_partitions_the_day(tariff):
 
 
 def test_price_at_night_hour_is_off_peak(tariff):
-    assert price_at(tariff, 3) == tariff.off_peak_rate
+    assert tariff.price_at(3) == tariff.off_peak_rate
 
 
 def test_price_at_evening_hour_is_peak(tariff):
-    assert price_at(tariff, 18) == tariff.peak_rate
+    assert tariff.price_at(18) == tariff.peak_rate
 
 
 def test_price_at_midday_is_standard(tariff):
-    assert price_at(tariff, 12) == tariff.standard_rate
+    assert tariff.price_at(12) == tariff.standard_rate
 
 
 def test_tier_of_boundary_hours(tariff):
-    assert tier_of(tariff, 23) is Tier.OFF_PEAK
-    assert tier_of(tariff, 17) is Tier.PEAK
-    assert tier_of(tariff, 9) is Tier.STANDARD
+    assert tariff.tier_of(23) is Tier.OFF_PEAK
+    assert tariff.tier_of(17) is Tier.PEAK
+    assert tariff.tier_of(9) is Tier.STANDARD
 
 
 def test_tier_of_rejects_out_of_range(tariff):
     with pytest.raises(ValueError):
-        tier_of(tariff, 24)
+        tariff.tier_of(24)
 
 
 def test_price_at_consistent_with_tier_of(tariff):
@@ -69,7 +67,7 @@ def test_price_at_consistent_with_tier_of(tariff):
         Tier.PEAK: tariff.peak_rate,
     }
     for hour in range(24):
-        assert price_at(tariff, hour) == rate[tier_of(tariff, hour)]
+        assert tariff.price_at(hour) == rate[tariff.tier_of(hour)]
 
 
 def test_tariff_rejects_non_partition():
@@ -121,7 +119,7 @@ def test_load_csv_fills_price_from_tariff(tmp_path, tariff):
     path = _write(tmp_path / "nop.csv", "\n".join(lines) + "\n")
     series = load_csv(path, tariff=tariff)
     for record in series:
-        assert record.price_per_kwh == price_at(tariff, record.hour_of_day)
+        assert record.price_per_kwh == tariff.price_at(record.hour_of_day)
     assert all(r.price_per_kwh == tariff.peak_rate for r in series if r.hour_of_day == 18)
 
 
@@ -181,22 +179,31 @@ def test_csv_round_trip(tmp_path, synthetic_week):
 
 
 def test_series_rejects_non_multiple_of_24(tariff):
-    records = tuple(
-        HourlyRecord(i, i % 24, 1, 1.0, 0.0, None, 0.1) for i in range(23)
-    )
-    with pytest.raises(DataValidationError):
-        HourlySeries(records=records, has_wind=False)
+    with pytest.raises(DataValidationError, match="multiple of 24"):
+        HourlySeries(load=[1.0] * 23, pv=[0.0] * 23, wind=None, price=[0.1] * 23)
 
 
-def test_record_rejects_hour_mismatch():
-    with pytest.raises(DataValidationError):
-        HourlyRecord(hour_index=25, hour_of_day=2, month=1, load_kwh=1.0,
-                     pv_kwh=0.0, wind_kwh=None, price_per_kwh=0.1)
+def test_series_records_follow_row_position():
+    series = HourlySeries(load=[1.0] * 48, pv=[0.0] * 48, wind=None, price=[0.1] * 48)
+    record = series[25]
+    assert (record.hour_index, record.hour_of_day, record.month) == (25, 1, 1)
+    assert series.day(1)[1] is record
+    assert record == HourlyRecord(25, 1, 1, 1.0, 0.0, None, 0.1)
 
 
-def test_record_rejects_non_finite():
-    with pytest.raises(DataValidationError):
-        HourlyRecord(0, 0, 1, math.nan, 0.0, None, 0.1)
+def test_series_rejects_non_finite_or_negative_column():
+    names = {"load": "load_kwh", "pv": "pv_kwh", "wind": "wind_kwh", "price": "price_per_kwh"}
+    for column, name in names.items():
+        for bad in (math.nan, math.inf, -1.0):
+            columns = {c: [1.0] * 24 for c in names}
+            columns[column][5] = bad
+            with pytest.raises(DataValidationError, match=f"{name} must be finite and >= 0"):
+                HourlySeries(**columns)
+
+
+def test_series_columns_are_read_only(synthetic_week):
+    with pytest.raises(ValueError):
+        synthetic_week.loads()[0] = 1.0
 
 
 def test_without_wind_drops_column(synthetic_week):
