@@ -19,12 +19,11 @@ from .agent import (
     td_update,
     train,
 )
-from .baselines import BaselineKind, msc_action, no_battery_action, tou_action
+from .baselines import BaselineKind, baseline_decision
 from .battery import (
     Action,
     BatteryEnv,
     BatterySpec,
-    BatteryState,
     EnergyFlows,
     EnvObservation,
     EpisodeHorizonError,
@@ -37,7 +36,6 @@ from .encoding import (
     BinSpec,
     EncodingKind,
     StateEncoder,
-    StateIndex,
     soc_bin,
     soc_level_energy,
     value_bin,
@@ -50,7 +48,6 @@ from .evaluation import (
     compare,
     day_return,
     dp_oracle,
-    no_battery_controller,
     qtable_controller,
     rollout,
 )

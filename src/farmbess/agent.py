@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery import Action, BatteryEnv, transition
-from .encoding import BinSpec, EncodingKind, StateEncoder, StateIndex, soc_level_energy
+from .encoding import BinSpec, EncodingKind, StateEncoder, soc_level_energy
 from .ioutil import atomic_write_bytes, atomic_write_text
 
 QTABLE_MAGIC = "farmbess-qtable"
@@ -96,14 +96,10 @@ class TrainingLog:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _flat(state: StateIndex | int) -> int:
-    return state.flat_index if isinstance(state, StateIndex) else state
-
-
-def greedy_action(q: QTable, state: StateIndex | int) -> Action:
+def greedy_action(q: QTable, state: int) -> Action:
     """Argmax over the three action values; ties go to the lowest action
     index (charge < discharge < idle)."""
-    row = q.values[_flat(state)]
+    row = q.values[state]
     best = 0
     if row[1] > row[best]:
         best = 1
@@ -112,9 +108,7 @@ def greedy_action(q: QTable, state: StateIndex | int) -> Action:
     return Action(best)
 
 
-def select_action(
-    q: QTable, state: StateIndex | int, epsilon: float, rng: random.Random
-) -> Action:
+def select_action(q: QTable, state: int, epsilon: float, rng: random.Random) -> Action:
     """Epsilon-greedy selection: one uniform draw decides exploration, and an
     exploring step picks uniformly among all three actions."""
     if not 0 <= epsilon <= 1:
@@ -126,10 +120,10 @@ def select_action(
 
 def td_update(
     q: QTable,
-    state: StateIndex | int,
+    state: int,
     action: Action,
     reward: float,
-    next_state: StateIndex | int,
+    next_state: int,
     alpha: float,
     discount: float,
 ) -> float:
@@ -141,11 +135,10 @@ def td_update(
         raise ValueError(f"reward must be finite, got {reward}")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    s = _flat(state)
     a = int(action)
-    bootstrap = float(max(q.values[_flat(next_state)]))
-    updated = q.values[s, a] + alpha * (reward + discount * bootstrap - q.values[s, a])
-    q.values[s, a] = updated
+    bootstrap = float(max(q.values[next_state]))
+    updated = q.values[state, a] + alpha * (reward + discount * bootstrap - q.values[state, a])
+    q.values[state, a] = updated
     return float(updated)
 
 
@@ -273,34 +266,12 @@ def train(
     return table, log
 
 
-def _encoder_to_json(encoder: StateEncoder) -> dict:
-    def bins(spec: BinSpec | None):
-        if spec is None:
-            return None
-        return {"bin_count": spec.bin_count, "max_value": spec.max_value}
-
-    return {
-        "kind": encoder.kind.value,
-        "soc_levels": encoder.soc_levels,
-        "load_bins": bins(encoder.load_bins),
-        "pv_bins": bins(encoder.pv_bins),
-        "wind_bins": bins(encoder.wind_bins),
-    }
-
-
 def _encoder_from_json(data: dict) -> StateEncoder:
-    def bins(entry):
-        if entry is None:
-            return None
-        return BinSpec(bin_count=entry["bin_count"], max_value=entry["max_value"])
-
-    return StateEncoder(
-        kind=EncodingKind(data["kind"]),
-        soc_levels=data["soc_levels"],
-        load_bins=bins(data["load_bins"]),
-        pv_bins=bins(data["pv_bins"]),
-        wind_bins=bins(data["wind_bins"]),
-    )
+    bins = {
+        name: None if data[name] is None else BinSpec(**data[name])
+        for name in ("load_bins", "pv_bins", "wind_bins")
+    }
+    return StateEncoder(kind=EncodingKind(data["kind"]), soc_levels=data["soc_levels"], **bins)
 
 
 def save_qtable(q: QTable, path: str | Path) -> None:
@@ -310,7 +281,7 @@ def save_qtable(q: QTable, path: str | Path) -> None:
     header = {
         "format": QTABLE_MAGIC,
         "format_version": QTABLE_FORMAT_VERSION,
-        "encoding": _encoder_to_json(q.encoder),
+        "encoding": {**asdict(q.encoder), "kind": q.encoder.kind.value},
         "dims": [list(d) for d in q.encoder.dims()],
         "shape": list(q.values.shape),
         "dtype": "<f8",
@@ -336,7 +307,7 @@ def load_qtable(path: str | Path, expected_encoder: StateEncoder | None = None) 
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise QTableFormatError(f"{path}: not a q-table file (bad header)") from None
-    if header.get("format") != QTABLE_MAGIC:
+    if not isinstance(header, dict) or header.get("format") != QTABLE_MAGIC:
         raise QTableFormatError(f"{path}: not a q-table file")
     version = header.get("format_version")
     if version != QTABLE_FORMAT_VERSION:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .battery import Action, BatterySpec, BatteryState
+from .battery import Action, BatterySpec
 from .timeseries import HourlyRecord, TariffSchedule, Tier
 
 
@@ -15,77 +15,35 @@ class BaselineKind(Enum):
     TOU = "tou"
 
 
-def msc_action(record: HourlyRecord, battery: BatteryState, spec: BatterySpec) -> Action:
-    """Maximise self-consumption: store renewable surplus, discharge into any
-    deficit, never touch the grid to charge."""
-    renewables = record.renewables_kwh
-    if renewables > record.load_kwh and battery.energy_kwh < spec.capacity_kwh:
-        return Action.CHARGE
-    if renewables < record.load_kwh and battery.energy_kwh > spec.soc_min_kwh:
-        return Action.DISCHARGE
-    return Action.IDLE
-
-
-def tou_action(
-    record: HourlyRecord,
-    battery: BatteryState,
-    spec: BatterySpec,
-    tariff: TariffSchedule,
-) -> Action:
-    """Tariff-driven dispatch: grid-charge at full rate off-peak, store any
-    renewable surplus, discharge into peak-hour deficits, otherwise hold."""
-    tier = tariff.tier_of(record.hour_of_day)
-    not_full = battery.energy_kwh < spec.capacity_kwh
-    if tier is Tier.OFF_PEAK and not_full:
-        return Action.CHARGE
-    if record.renewables_kwh > record.load_kwh and not_full:
-        return Action.CHARGE
-    if (
-        tier is Tier.PEAK
-        and record.load_kwh > record.renewables_kwh
-        and battery.energy_kwh > spec.soc_min_kwh
-    ):
-        return Action.DISCHARGE
-    return Action.IDLE
-
-
-def no_battery_action(*_args, **_kwargs) -> Action:
-    """Pass-through controller: the battery is never used."""
-    return Action.IDLE
-
-
-def charge_cap_kwh(
-    kind: BaselineKind, record: HourlyRecord, tariff: TariffSchedule
-) -> float | None:
-    """How much the baseline allows the battery to accept this hour.
-
-    MSC charges from renewable surplus only. TOU charges at the full rate
-    during off-peak hours (surplus first, remainder from the grid) and from
-    surplus only otherwise. None means no cap beyond the battery's own rate.
-    """
-    surplus = max(0.0, record.renewables_kwh - record.load_kwh)
-    if kind is BaselineKind.MSC:
-        return surplus
-    if kind is BaselineKind.TOU:
-        if tariff.tier_of(record.hour_of_day) is Tier.OFF_PEAK:
-            return None
-        return surplus
-    return None
-
-
 def baseline_decision(
     kind: BaselineKind,
     record: HourlyRecord,
-    battery: BatteryState,
+    energy_kwh: float,
     spec: BatterySpec,
     tariff: TariffSchedule,
 ) -> tuple[Action, float | None]:
-    """Action plus charge cap for one hour of a baseline rollout."""
+    """Action plus charge cap for one hour of a baseline rollout.
+
+    No battery always idles. MSC maximises self-consumption: it stores
+    renewable surplus (capped at the surplus, never charging from the grid)
+    and discharges into any deficit. TOU grid-charges at the full rate
+    off-peak (no cap), stores surplus otherwise, and discharges only into
+    peak-hour deficits. A cap of None means no limit beyond the battery's
+    own rate.
+    """
     if kind is BaselineKind.NO_BATTERY:
-        return no_battery_action(), None
-    if kind is BaselineKind.MSC:
-        action = msc_action(record, battery, spec)
-    else:
-        action = tou_action(record, battery, spec, tariff)
-    cap = charge_cap_kwh(kind, record, tariff) if action is Action.CHARGE else None
-    return action, cap
+        return Action.IDLE, None
+    load, renewables = record.load_kwh, record.renewables_kwh
+    tier = tariff.tier_of(record.hour_of_day) if kind is BaselineKind.TOU else None
+    not_full = energy_kwh < spec.capacity_kwh
+    if tier is Tier.OFF_PEAK and not_full:
+        return Action.CHARGE, None
+    if renewables > load and not_full:
+        return Action.CHARGE, renewables - load
+    if (
+        load > renewables
+        and energy_kwh > spec.soc_min_kwh
+        and (tier is None or tier is Tier.PEAK)
+    ):
+        return Action.DISCHARGE, None
+    return Action.IDLE, None

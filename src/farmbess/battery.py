@@ -66,13 +66,6 @@ class BatterySpec:
 
 
 @dataclass(frozen=True)
-class BatteryState:
-    """Current stored energy."""
-
-    energy_kwh: float
-
-
-@dataclass(frozen=True)
 class PenaltyTable:
     """Signed shaping terms added to the cost-based reward.
 
@@ -108,7 +101,7 @@ class EnergyFlows:
     battery_discharge_out_kwh: float
     grid_import_kwh: float
     curtailed_kwh: float
-    next_battery: BatteryState
+    next_energy_kwh: float
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ class StepOutcome:
     cost: float
     battery_delta_kwh: float
     curtailed_kwh: float
-    next_battery: BatteryState
+    next_energy_kwh: float
     penalty_applied: float
 
 
@@ -234,27 +227,27 @@ def transition(
 
 def apply_action(
     spec: BatterySpec,
-    battery: BatteryState,
+    energy_kwh: float,
     record: HourlyRecord,
     action: Action,
-    charge_cap_kwh: float | None = None,
+    charge_cap: float | None = None,
 ) -> EnergyFlows:
     """Energy flows for one hour under the given action.
 
     All actions are legal; futile ones (charging a full battery, discharging
-    into no deficit) move no energy. `charge_cap_kwh` limits how much the
+    into no deficit) move no energy. `charge_cap` limits how much the
     battery may accept this hour, used by controllers that charge from
     renewable surplus only.
     """
     used, charged, discharged, grid_import, curtailed, next_energy, *_ = transition(
         spec.limits,
-        battery.energy_kwh,
+        energy_kwh,
         record.load_kwh,
         record.renewables_kwh,
         record.price_per_kwh,
         Tier.STANDARD,
         action,
-        charge_cap_kwh,
+        charge_cap,
         _NO_SHAPING,
     )
     return EnergyFlows(
@@ -263,16 +256,17 @@ def apply_action(
         battery_discharge_out_kwh=discharged,
         grid_import_kwh=grid_import,
         curtailed_kwh=curtailed,
-        next_battery=BatteryState(energy_kwh=next_energy),
+        next_energy_kwh=next_energy,
     )
 
 
 class BatteryEnv:
     """Mutable episode cursor over a series: reset to a day, step hour by hour.
 
-    The observation returned after the final hour of the series wraps to the
-    series start, so bootstrap targets are always defined. A single instance
-    is not thread-safe; independent instances are.
+    `energy_kwh` holds the stored energy. The observation returned after the
+    final hour of the series wraps to the series start, so bootstrap targets
+    are always defined. A single instance is not thread-safe; independent
+    instances are.
     """
 
     def __init__(
@@ -292,17 +286,13 @@ class BatteryEnv:
         self.steps_per_episode = steps_per_episode
         self._cursor = 0
         self._steps_taken = 0
-        self._battery = BatteryState(energy_kwh=0.0)
-
-    @property
-    def battery(self) -> BatteryState:
-        return self._battery
+        self.energy_kwh = 0.0
 
     def _observation_at(self, position: int) -> EnvObservation:
         record = self.series[position % len(self.series)]
         return EnvObservation(
             hour_of_day=record.hour_of_day,
-            soc_level=soc_bin(self.spec, self._battery.energy_kwh),
+            soc_level=soc_bin(self.spec, self.energy_kwh),
             load_kwh=record.load_kwh,
             pv_kwh=record.pv_kwh,
             wind_kwh=record.wind_kwh,
@@ -314,15 +304,13 @@ class BatteryEnv:
             raise ValueError(
                 f"day_index must be in 0..{self.series.n_days - 1}, got {day_index}"
             )
-        self._battery = BatteryState(
-            energy_kwh=soc_level_energy(self.spec, initial_soc_level)
-        )
+        self.energy_kwh = soc_level_energy(self.spec, initial_soc_level)
         self._cursor = day_index * 24
         self._steps_taken = 0
         return self._observation_at(self._cursor)
 
     def step(
-        self, action: Action, charge_cap_kwh: float | None = None
+        self, action: Action, charge_cap: float | None = None
     ) -> tuple[StepOutcome, EnvObservation]:
         """Apply an action to the current hour and advance the cursor."""
         if self._steps_taken >= self.steps_per_episode:
@@ -330,7 +318,7 @@ class BatteryEnv:
                 f"episode horizon of {self.steps_per_episode} steps exhausted"
             )
         record = self.series[self._cursor % len(self.series)]
-        before = self._battery.energy_kwh
+        before = self.energy_kwh
         _, _, _, grid_import, curtailed, after, cost, penalty, reward = transition(
             self.spec.limits,
             before,
@@ -339,17 +327,17 @@ class BatteryEnv:
             record.price_per_kwh,
             self.tariff.tier_of(record.hour_of_day),
             action,
-            charge_cap_kwh,
+            charge_cap,
             self.penalties,
         )
-        self._battery = BatteryState(energy_kwh=after)
+        self.energy_kwh = after
         outcome = StepOutcome(
             reward=reward,
             grid_import_kwh=grid_import,
             cost=cost,
             battery_delta_kwh=after - before,
             curtailed_kwh=curtailed,
-            next_battery=self._battery,
+            next_energy_kwh=after,
             penalty_applied=penalty,
         )
         self._cursor += 1

@@ -31,7 +31,7 @@ from .evaluation import (
     qtable_controller,
     rollout,
 )
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_text
 from .timeseries import (
     DataValidationError,
     SyntheticProfileConfig,
@@ -182,7 +182,6 @@ def _evaluate_ref(ref: str, config: RunConfig, series) -> EvalReport:
         controller,
         series,
         config.battery,
-        config.tariff,
         initial_soc_level=config.initial_soc_level,
         label=ref,
     )
@@ -238,25 +237,19 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.ablation:
-        encodings = list(EncodingKind)
         rows = ablation_run(
             series,
             config.battery,
             config.tariff,
-            encodings,
+            [replace(config, encoding_kind=kind).encoder_for(series) for kind in EncodingKind],
             replace(config.hyperparams, rng_seed=config.seeds[0]),
             penalties=config.penalties,
-            encoder_factory=lambda kind: replace(config, encoding_kind=kind).encoder_for(series),
             initial_soc_level=config.initial_soc_level,
         )
     else:
-        refs = args.refs
-        if len(refs) < 2 and args.base is None:
+        if len(args.refs) < 2:
             raise CliError("compare needs at least two controller references")
-        base_ref = args.base if args.base is not None else refs[0]
-        candidate_refs = [r for r in refs if r != base_ref] if args.base is None else refs
-        if not candidate_refs:
-            raise CliError("compare needs at least one candidate besides the base")
+        base_ref, *candidate_refs = args.refs
         base_report = _evaluate_ref(base_ref, config, series)
         rows = [
             compare(base_report, _evaluate_ref(ref, config, series))
@@ -313,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compare", help="compare controllers or run the encoding ablation")
     cp.add_argument("--config", required=True)
     cp.add_argument("refs", nargs="*", help="controller references; first is the base")
-    cp.add_argument("--base", help="explicit base reference")
     cp.add_argument("--ablation", action="store_true", help="train and compare all three encodings")
     cp.add_argument("--episodes", type=int, help="override hyperparams.total_episodes")
     cp.add_argument("--out", help="output directory override")
@@ -331,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         ConfigError,
         DataValidationError,
         QTableFormatError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -236,11 +236,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     return _validate(_with_overrides(raw, overrides or {}), str(path))
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    """Validate an already-parsed config mapping."""
-    return _validate(raw, "config")
-
-
 def _validate(raw: dict, where: str) -> RunConfig:
     _check_keys(raw, _SECTIONS, where)
     dataset = _build(_Dataset, raw.get("dataset"), "dataset")

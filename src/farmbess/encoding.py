@@ -75,14 +75,6 @@ def value_bin(spec: BinSpec, value: float) -> int:
 
 
 @dataclass(frozen=True)
-class StateIndex:
-    """A flat table index plus the named dimensions it was composed from."""
-
-    flat_index: int
-    dims: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
 class StateEncoder:
     """Row-major composition of observation coordinates into a flat index."""
 
@@ -154,21 +146,20 @@ class StateEncoder:
             wind_bin,
         )
 
-    def encode(self, observation) -> StateIndex:
-        """Encode an environment observation (hour_of_day, soc_level and the
-        load/pv/wind fields the kind requires) into a StateIndex."""
+    def encode(self, observation) -> int:
+        """Flat index of an environment observation (hour_of_day, soc_level
+        and the load/pv/wind fields the kind requires), range-checked."""
         if not 0 <= observation.hour_of_day <= 23:
             raise ValueError(f"hour_of_day out of range: {observation.hour_of_day}")
         if not 0 <= observation.soc_level < self.soc_levels:
             raise ValueError(f"soc_level out of range: {observation.soc_level}")
-        flat = self.state_index(
+        return self.state_index(
             observation.hour_of_day,
             observation.soc_level,
             observation.load_kwh,
             observation.pv_kwh,
             observation.wind_kwh,
         )
-        return StateIndex(flat_index=flat, dims=self.dims())
 
     def decode(self, flat_index: int) -> tuple[int, ...]:
         """Coordinates (hour, soc[, load, pv[, wind]]) for a flat index."""

@@ -10,19 +10,20 @@ the oracle score the shaped or the cost-only reward (`penalty_mode`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .agent import Hyperparams, QTable, greedy_action, train
 from .baselines import BaselineKind, baseline_decision
-from .battery import Action, BatteryEnv, BatterySpec, BatteryState, PenaltyTable, transition
-from .encoding import EncodingKind, StateEncoder, soc_bin, soc_level_energy
+from .battery import Action, BatteryEnv, BatterySpec, PenaltyTable, transition
+from .encoding import StateEncoder, soc_bin, soc_level_energy
 from .ioutil import atomic_write_text
 from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier
 
-# A controller maps (record, battery state) to (action, optional charge cap).
-Controller = Callable[[HourlyRecord, BatteryState], "tuple[Action, float | None]"]
+# A controller maps (record, stored energy in kWh) to (action, optional
+# charge cap).
+Controller = Callable[[HourlyRecord, float], "tuple[Action, float | None]"]
 
 PENALTY_MODES = ("shaped", "cost-only")
 
@@ -59,15 +60,7 @@ class EvalReport:
             "label": self.label,
             "total_import_kwh": self.total_import_kwh,
             "total_cost": self.total_cost,
-            "monthly": [
-                {
-                    "month": m.month,
-                    "import_kwh": m.import_kwh,
-                    "cost": m.cost,
-                    "peak_import_kwh": m.peak_import_kwh,
-                }
-                for m in self.monthly
-            ],
+            "monthly": [asdict(m) for m in self.monthly],
         }
 
     def write_json(self, path: str | Path) -> None:
@@ -109,17 +102,13 @@ class ComparisonReport:
         }
 
 
-def no_battery_controller() -> Controller:
-    return lambda record, battery: (Action.IDLE, None)
-
-
 def baseline_controller(
     kind: BaselineKind, spec: BatterySpec, tariff: TariffSchedule
 ) -> Controller:
     """Wrap a rule-based policy as a rollout controller."""
 
-    def decide(record: HourlyRecord, battery: BatteryState):
-        return baseline_decision(kind, record, battery, spec, tariff)
+    def decide(record: HourlyRecord, energy_kwh: float):
+        return baseline_decision(kind, record, energy_kwh, spec, tariff)
 
     return decide
 
@@ -133,10 +122,10 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
         )
     encoder = q.encoder
 
-    def decide(record: HourlyRecord, battery: BatteryState):
+    def decide(record: HourlyRecord, energy_kwh: float):
         state = encoder.state_index(
             record.hour_of_day,
-            soc_bin(spec, battery.energy_kwh),
+            soc_bin(spec, energy_kwh),
             record.load_kwh,
             record.pv_kwh,
             record.wind_kwh,
@@ -158,7 +147,6 @@ def rollout(
     controller: Controller,
     series: HourlySeries | Sequence[HourlyRecord],
     spec: BatterySpec,
-    tariff: TariffSchedule,
     initial_soc_level: int = 1,
     label: str = "controller",
 ) -> EvalReport:
@@ -178,7 +166,7 @@ def rollout(
     monthly_cost: dict[int, float] = {}
     monthly_peak: dict[int, float] = {}
     for record in series:
-        action, cap = controller(record, BatteryState(energy_kwh=energy))
+        action, cap = controller(record, energy)
         _, _, _, grid_import, _, energy, cost, _, _ = transition(
             limits,
             energy,
@@ -233,7 +221,7 @@ def day_return(
     total = 0.0
     weight = 1.0
     for record in day:
-        action, cap = controller(record, BatteryState(energy_kwh=energy))
+        action, cap = controller(record, energy)
         _, _, _, _, _, energy, _, _, reward = transition(
             limits,
             energy,
@@ -300,6 +288,7 @@ def dp_oracle(
     sequence, ties broken by action order.
     """
     table = _resolve_penalties(penalty_mode, penalties)
+    soc_level_energy(spec, initial_soc_level)  # rejects a level off the lattice
     if len(day) == 0:
         raise ValueError("day must contain at least one record")
     limits = spec.limits
@@ -351,36 +340,31 @@ def ablation_run(
     series: HourlySeries,
     spec: BatterySpec,
     tariff: TariffSchedule,
-    encodings: Sequence[EncodingKind],
+    encoders: Sequence[StateEncoder],
     hyperparams: Hyperparams,
     penalties: PenaltyTable | None = None,
-    encoder_factory: Callable[[EncodingKind], StateEncoder] | None = None,
     initial_soc_level: int = 1,
 ) -> list[ComparisonReport]:
-    """Train one agent per state-space design with identical seeds and report
-    each one's import/cost/peak reductions against the no-battery rollout."""
-    if encoder_factory is None:
-        encoder_factory = lambda kind: StateEncoder.for_series(kind, series, spec)
+    """Train one agent per state encoder (state-space design) with identical
+    seeds and report each one's import/cost/peak reductions against the
+    no-battery rollout."""
     base = rollout(
-        no_battery_controller(),
+        baseline_controller(BaselineKind.NO_BATTERY, spec, tariff),
         series,
         spec,
-        tariff,
         initial_soc_level=initial_soc_level,
         label="baseline:no-battery",
     )
     rows = []
-    for kind in encodings:
-        encoder = encoder_factory(kind)
+    for encoder in encoders:
         env = BatteryEnv(series, spec, tariff, penalties)
         table, _ = train(env, hyperparams, encoder)
         report = rollout(
             qtable_controller(table, spec),
             series,
             spec,
-            tariff,
             initial_soc_level=initial_soc_level,
-            label=f"qlearning:{kind.value}",
+            label=f"qlearning:{encoder.kind.value}",
         )
         rows.append(compare(base, report))
     return rows

@@ -10,6 +10,7 @@ them once, on first use.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -343,59 +344,64 @@ def load_csv(path: str | Path, tariff: TariffSchedule | None = None) -> HourlySe
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        known = set(REQUIRED_COLUMNS) | set(OPTIONAL_COLUMNS)
-        unknown = [h for h in header if h not in known]
-        if unknown:
-            raise DataValidationError(f"unexpected column(s): {', '.join(unknown)}")
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise DataValidationError(f"missing required column(s): {', '.join(missing)}")
-        if len(set(header)) != len(header):
-            raise DataValidationError("duplicate column names in header")
-        col = {name: header.index(name) for name in header}
-        has_wind = "wind_kwh" in col
-        has_price = "price_per_kwh" in col
-        if not has_price and tariff is None:
-            raise DataValidationError(
-                "dataset has no price_per_kwh column and no tariff was provided"
-            )
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataValidationError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    known = set(REQUIRED_COLUMNS) | set(OPTIONAL_COLUMNS)
+    unknown = [h for h in header if h not in known]
+    if unknown:
+        raise DataValidationError(f"unexpected column(s): {', '.join(unknown)}")
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise DataValidationError(f"missing required column(s): {', '.join(missing)}")
+    if len(set(header)) != len(header):
+        raise DataValidationError("duplicate column names in header")
+    col = {name: header.index(name) for name in header}
+    has_wind = "wind_kwh" in col
+    has_price = "price_per_kwh" in col
+    if not has_price and tariff is None:
+        raise DataValidationError(
+            "dataset has no price_per_kwh column and no tariff was provided"
+        )
 
-        loads, pvs, winds, prices = [], [], [], []
-        for row_number, raw in enumerate(reader, start=1):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != len(header):
-                raise DataValidationError(
-                    f"row {row_number} has {len(raw)} fields, expected {len(header)}"
-                )
-            hour_raw = raw[col["hour"]].strip()
-            try:
-                hour_index = int(hour_raw)
-            except ValueError:
-                raise DataValidationError(
-                    f"malformed hour {hour_raw!r} at row {row_number}"
-                ) from None
-            if hour_index != row_number - 1:
-                raise DataValidationError(
-                    f"non-contiguous hour at row {row_number}: expected {row_number - 1}, got {hour_index}"
-                )
-            loads.append(_parse_value(raw[col["load_kwh"]], "load_kwh", row_number))
-            pvs.append(_parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number))
-            if has_wind:
-                winds.append(_parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number))
-            if has_price:
-                prices.append(
-                    _parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
-                )
-            else:
-                prices.append(tariff.price_at(hour_index % 24))
+    loads, pvs, winds, prices = [], [], [], []
+    for row_number, raw in enumerate(reader, start=1):
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        if len(raw) != len(header):
+            raise DataValidationError(
+                f"row {row_number} has {len(raw)} fields, expected {len(header)}"
+            )
+        hour_raw = raw[col["hour"]].strip()
+        try:
+            hour_index = int(hour_raw)
+        except ValueError:
+            raise DataValidationError(
+                f"malformed hour {hour_raw!r} at row {row_number}"
+            ) from None
+        if hour_index != row_number - 1:
+            raise DataValidationError(
+                f"non-contiguous hour at row {row_number}: expected {row_number - 1}, got {hour_index}"
+            )
+        loads.append(_parse_value(raw[col["load_kwh"]], "load_kwh", row_number))
+        pvs.append(_parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number))
+        if has_wind:
+            winds.append(_parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number))
+        if has_price:
+            prices.append(
+                _parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
+            )
+        else:
+            prices.append(tariff.price_at(hour_index % 24))
     return HourlySeries(loads, pvs, winds if has_wind else None, prices)
 
 

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from farmbess import (
     Action,
@@ -364,6 +366,50 @@ def test_load_rejects_non_finite_values(tmp_path, toy_env, toy_encoder):
     path.write_bytes(header + b"\n" + nan + payload[8:])
     with pytest.raises(QTableFormatError, match=f"{path.name}.*non-finite"):
         load_qtable(path)
+
+
+@pytest.mark.parametrize("header", [b"[1]", b'"x"', b"5", b"null"])
+def test_load_rejects_header_that_is_not_an_object(tmp_path, header):
+    path = tmp_path / "t.qt"
+    path.write_bytes(header + b"\n" + b"\x00" * 24)
+    with pytest.raises(QTableFormatError, match=f"{path.name}.*not a q-table"):
+        load_qtable(path)
+
+
+@st.composite
+def _tables(draw):
+    """A Q-table of any encoding kind, with random bin counts and maxes and
+    arbitrary finite values."""
+    kind = draw(st.sampled_from(EncodingKind))
+    bins = lambda: BinSpec(
+        draw(st.integers(1, 3)),
+        draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    )
+    encoder = StateEncoder(
+        kind=kind,
+        soc_levels=draw(st.integers(2, 4)),
+        load_bins=None if kind is EncodingKind.HOUR_SOC else bins(),
+        pv_bins=None if kind is EncodingKind.HOUR_SOC else bins(),
+        wind_bins=bins() if kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND else None,
+    )
+    values = draw(arrays(np.float64, (encoder.size(), 3),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    hyperparams = draw(st.none() | st.builds(Hyperparams, rng_seed=st.integers(0, 2**31)))
+    return QTable(values=values, encoder=encoder, hyperparams=hyperparams)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_tables())
+def test_qtable_save_load_round_trip_property(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("qt") / "t.qt"
+    save_qtable(table, path)
+    back = load_qtable(path, expected_encoder=table.encoder)
+    assert np.array_equal(back.values, table.values)
+    assert back.encoder == table.encoder
+    assert back.hyperparams == table.hyperparams
+    again = path.with_name("again.qt")
+    save_qtable(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_training_log_csv(tmp_path, toy_env, toy_encoder):

@@ -2,23 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
-
 from farmbess import (
     Action,
     BaselineKind,
     BatterySpec,
-    BatteryState,
     HourlyRecord,
+    baseline_decision,
     month_of_hour,
-    msc_action,
-    no_battery_action,
-    tou_action,
 )
-from farmbess.baselines import baseline_decision, charge_cap_kwh
-from farmbess.evaluation import baseline_controller, no_battery_controller, rollout
+from farmbess.evaluation import baseline_controller, rollout
 
 POWERWALL = BatterySpec()
+MSC, TOU, NO_BATTERY = BaselineKind.MSC, BaselineKind.TOU, BaselineKind.NO_BATTERY
 
 
 def _record(load, pv, hour=0, wind=None, price=0.1):
@@ -33,85 +28,81 @@ def _record(load, pv, hour=0, wind=None, price=0.1):
     )
 
 
+def _decide(kind, record, energy, tariff):
+    return baseline_decision(kind, record, energy, POWERWALL, tariff)
+
+
 # ---------------------------------------------------------------- msc
 
 
-def test_msc_stores_surplus():
-    assert msc_action(_record(5, 8), BatteryState(10.0), POWERWALL) is Action.CHARGE
+def test_msc_stores_surplus(tariff):
+    assert _decide(MSC, _record(5, 8), 10.0, tariff) == (Action.CHARGE, 3.0)
 
 
-def test_msc_discharges_into_deficit():
-    assert msc_action(_record(5, 2), BatteryState(6.75), POWERWALL) is Action.DISCHARGE
+def test_msc_discharges_into_deficit(tariff):
+    assert _decide(MSC, _record(5, 2), 6.75, tariff) == (Action.DISCHARGE, None)
 
 
-def test_msc_idles_on_exact_balance():
-    assert msc_action(_record(4, 4), BatteryState(6.75), POWERWALL) is Action.IDLE
+def test_msc_idles_on_exact_balance(tariff):
+    assert _decide(MSC, _record(4, 4), 6.75, tariff) == (Action.IDLE, None)
 
 
-def test_msc_idles_when_full():
-    assert msc_action(_record(2, 8), BatteryState(13.5), POWERWALL) is Action.IDLE
+def test_msc_idles_when_full(tariff):
+    assert _decide(MSC, _record(2, 8), 13.5, tariff) == (Action.IDLE, None)
 
 
-def test_msc_idles_at_reserve():
-    assert msc_action(_record(8, 1), BatteryState(1.35), POWERWALL) is Action.IDLE
+def test_msc_idles_at_reserve(tariff):
+    assert _decide(MSC, _record(8, 1), 1.35, tariff) == (Action.IDLE, None)
 
 
-def test_msc_counts_wind_in_renewables():
-    assert msc_action(_record(5, 2, wind=4.0), BatteryState(5.0), POWERWALL) is Action.CHARGE
+def test_msc_counts_wind_in_renewables(tariff):
+    assert _decide(MSC, _record(5, 2, wind=4.0), 5.0, tariff) == (Action.CHARGE, 1.0)
 
 
 def test_msc_cap_is_surplus(tariff):
-    assert charge_cap_kwh(BaselineKind.MSC, _record(5, 8), tariff) == 3.0
-    assert charge_cap_kwh(BaselineKind.MSC, _record(5, 2), tariff) == 0.0
+    # the cap is the surplus when MSC charges; no cap when it does not
+    assert _decide(MSC, _record(5, 8), 10.0, tariff) == (Action.CHARGE, 3.0)
+    assert _decide(MSC, _record(5, 2), 10.0, tariff) == (Action.DISCHARGE, None)
 
 
 # ---------------------------------------------------------------- tou
 
 
 def test_tou_grid_charges_off_peak(tariff):
-    action = tou_action(_record(5, 0, hour=2), BatteryState(6.75), POWERWALL, tariff)
-    assert action is Action.CHARGE
-    assert charge_cap_kwh(BaselineKind.TOU, _record(5, 0, hour=2), tariff) is None
+    assert _decide(TOU, _record(5, 0, hour=2), 6.75, tariff) == (Action.CHARGE, None)
 
 
 def test_tou_discharges_at_peak_deficit(tariff):
-    action = tou_action(_record(8, 1, hour=18), BatteryState(6.75), POWERWALL, tariff)
-    assert action is Action.DISCHARGE
+    assert _decide(TOU, _record(8, 1, hour=18), 6.75, tariff) == (Action.DISCHARGE, None)
 
 
 def test_tou_stores_surplus_during_standard_hours(tariff):
-    record = _record(4, 6, hour=12)
-    action = tou_action(record, BatteryState(10.0), POWERWALL, tariff)
-    assert action is Action.CHARGE
-    assert charge_cap_kwh(BaselineKind.TOU, record, tariff) == 2.0
+    assert _decide(TOU, _record(4, 6, hour=12), 10.0, tariff) == (Action.CHARGE, 2.0)
 
 
 def test_tou_holds_on_standard_deficit(tariff):
-    action = tou_action(_record(8, 1, hour=12), BatteryState(10.0), POWERWALL, tariff)
-    assert action is Action.IDLE
+    assert _decide(TOU, _record(8, 1, hour=12), 10.0, tariff) == (Action.IDLE, None)
 
 
 def test_tou_idles_when_full_off_peak(tariff):
-    action = tou_action(_record(5, 0, hour=1), BatteryState(13.5), POWERWALL, tariff)
-    assert action is Action.IDLE
+    assert _decide(TOU, _record(5, 0, hour=1), 13.5, tariff) == (Action.IDLE, None)
 
 
 def test_tou_idles_at_peak_without_charge(tariff):
-    action = tou_action(_record(8, 0, hour=17), BatteryState(1.35), POWERWALL, tariff)
-    assert action is Action.IDLE
+    assert _decide(TOU, _record(8, 0, hour=17), 1.35, tariff) == (Action.IDLE, None)
 
 
 # ---------------------------------------------------------------- no battery
 
 
-def test_no_battery_always_idle():
-    assert no_battery_action() is Action.IDLE
-    assert no_battery_action(_record(99, 0), BatteryState(13.5), POWERWALL) is Action.IDLE
+def test_no_battery_always_idle(tariff):
+    assert _decide(NO_BATTERY, _record(99, 0), 13.5, tariff) == (Action.IDLE, None)
+    assert _decide(NO_BATTERY, _record(2, 8, hour=2), 0.0, tariff) == (Action.IDLE, None)
 
 
 def test_no_battery_rollout_constant_energy(synthetic_week, tariff):
     report = rollout(
-        no_battery_controller(), synthetic_week, POWERWALL, tariff,
+        baseline_controller(NO_BATTERY, POWERWALL, tariff), synthetic_week, POWERWALL,
         initial_soc_level=5, label="nb",
     )
     assert all(row.soc_after == 6.75 for row in report.trace)
@@ -119,7 +110,7 @@ def test_no_battery_rollout_constant_energy(synthetic_week, tariff):
 
 def test_no_battery_cost_closed_form(synthetic_week, tariff):
     report = rollout(
-        no_battery_controller(), synthetic_week, POWERWALL, tariff,
+        baseline_controller(NO_BATTERY, POWERWALL, tariff), synthetic_week, POWERWALL,
         initial_soc_level=1, label="nb",
     )
     expected = sum(
@@ -134,8 +125,8 @@ def test_no_battery_cost_closed_form(synthetic_week, tariff):
 
 def test_msc_never_grid_charges_over_a_year(synthetic_year, tariff):
     report = rollout(
-        baseline_controller(BaselineKind.MSC, POWERWALL, tariff),
-        synthetic_year, POWERWALL, tariff, initial_soc_level=1, label="msc",
+        baseline_controller(MSC, POWERWALL, tariff),
+        synthetic_year, POWERWALL, initial_soc_level=1, label="msc",
     )
     for row, record in zip(report.trace, synthetic_year):
         deficit = max(0.0, record.load_kwh - record.renewables_kwh)
@@ -144,8 +135,8 @@ def test_msc_never_grid_charges_over_a_year(synthetic_year, tariff):
 
 def test_tou_grid_charges_only_off_peak(synthetic_year, tariff):
     report = rollout(
-        baseline_controller(BaselineKind.TOU, POWERWALL, tariff),
-        synthetic_year, POWERWALL, tariff, initial_soc_level=1, label="tou",
+        baseline_controller(TOU, POWERWALL, tariff),
+        synthetic_year, POWERWALL, initial_soc_level=1, label="tou",
     )
     for row, record in zip(report.trace, synthetic_year):
         deficit = max(0.0, record.load_kwh - record.renewables_kwh)
@@ -155,12 +146,5 @@ def test_tou_grid_charges_only_off_peak(synthetic_year, tariff):
 
 def test_baseline_decision_bundles_action_and_cap(tariff):
     record = _record(2, 8, hour=12)
-    action, cap = baseline_decision(
-        BaselineKind.MSC, record, BatteryState(5.0), POWERWALL, tariff
-    )
-    assert action is Action.CHARGE
-    assert cap == 6.0
-    action, cap = baseline_decision(
-        BaselineKind.NO_BATTERY, record, BatteryState(5.0), POWERWALL, tariff
-    )
-    assert action is Action.IDLE and cap is None
+    assert _decide(MSC, record, 5.0, tariff) == (Action.CHARGE, 6.0)
+    assert _decide(NO_BATTERY, record, 5.0, tariff) == (Action.IDLE, None)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from farmbess.agent import load_qtable
 from farmbess.cli import main
 from farmbess.config import ConfigError, load_config
+from farmbess.evaluation import qtable_controller, rollout
 
 
 def _config(tmp_path, text, name="run.yaml") -> Path:
@@ -236,6 +238,28 @@ def test_evaluate_encoding_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_evaluate_uses_the_tables_own_bin_maxes(tmp_path):
+    # evaluate checks the encoding kind and bin counts only: a table binned
+    # on one series is applied to another series with its stored bin maxes
+    out = tmp_path / "out"
+    trained = SMALL_SYNTH.format(out=out) + "encoding:\n  kind: hour-soc-load-pv\n"
+    assert main(["train", "--config", str(_config(tmp_path, trained))]) == 0
+    path = out / "qtable_seed7.qt"
+    other = _config(tmp_path, trained.replace("rng_seed: 3", "rng_seed: 4"), name="other.yaml")
+    config = load_config(other)
+    series = config.load_series()
+    table = load_qtable(path)
+    assert table.encoder != config.encoder_for(series)
+    assert table.encoder.dims() == config.encoder_for(series).dims()
+
+    ref = f"qtable:{path}"
+    assert main(["evaluate", "--config", str(other), ref]) == 0
+    expected = rollout(qtable_controller(table, config.battery), series, config.battery,
+                       initial_soc_level=config.initial_soc_level, label=ref)
+    written = json.loads((out / "eval_qtable-qtable_seed7.json").read_text())
+    assert written == json.loads(json.dumps(expected.to_json_dict()))
+
+
 def test_evaluate_unknown_baseline(tmp_path, capsys):
     config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "o"))
     assert main(["evaluate", "--config", str(config), "baseline:mppt"]) != 0
@@ -267,7 +291,7 @@ def test_compare_with_itself_is_zero(tmp_path):
     config = _config(tmp_path, SMALL_SYNTH.format(out=out))
     code = main([
         "compare", "--config", str(config),
-        "--base", "baseline:msc", "baseline:msc",
+        "baseline:msc", "baseline:msc",
     ])
     assert code == 0
     rows = json.loads((out / "comparison.json").read_text())
@@ -323,3 +347,35 @@ def test_bad_config_value_is_one_line_naming_the_key(tmp_path, capsys, section, 
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{section}.{key}" in err
+
+
+def _not_utf8_csv(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("hour,load_kwh,pv_kwh,price_per_kwh\n0,1.0,0.5,0.1 \u00a3\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["qtable-dir", "config-dir", "dataset-dir", "gen-data-out-dir", "csv-not-utf8"],
+)
+def test_unreadable_path_is_one_line_error(tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "o"))
+    named = folder
+    if case == "qtable-dir":
+        argv = ["evaluate", "--config", str(config), f"qtable:{folder}"]
+    elif case == "config-dir":
+        argv = ["evaluate", "--config", str(folder), "baseline:no-battery"]
+    elif case == "gen-data-out-dir":
+        argv = ["gen-data", "--days", "1", "--out", str(folder)]
+    else:
+        named = folder if case == "dataset-dir" else _not_utf8_csv(tmp_path)
+        config = _config(tmp_path, f"dataset:\n  path: {named}\nrun:\n  output_dir: {tmp_path}\n")
+        argv = ["evaluate", "--config", str(config), "baseline:no-battery"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(named) in err

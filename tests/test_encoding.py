@@ -101,12 +101,20 @@ def _obs(hour, soc, load=0.0, pv=0.0, wind=None):
 
 def test_encode_hour_soc_origin():
     encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
-    assert encoder.encode(_obs(0, 0)).flat_index == 0
+    assert encoder.encode(_obs(0, 0)) == 0
 
 
 def test_encode_hour_soc_last_state():
     encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
-    assert encoder.encode(_obs(23, 10)).flat_index == 23 * 11 + 10 == 263
+    assert encoder.encode(_obs(23, 10)) == 23 * 11 + 10 == 263
+
+
+def test_encode_rejects_out_of_range_coordinates():
+    encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
+    with pytest.raises(ValueError, match="hour_of_day"):
+        encoder.encode(_obs(24, 0))
+    with pytest.raises(ValueError, match="soc_level"):
+        encoder.encode(_obs(0, 11))
 
 
 def test_encode_hour_soc_exhaustive_bijection():
@@ -114,7 +122,7 @@ def test_encode_hour_soc_exhaustive_bijection():
     seen = set()
     for hour in range(24):
         for soc in range(11):
-            flat = encoder.encode(_obs(hour, soc)).flat_index
+            flat = encoder.encode(_obs(hour, soc))
             assert 0 <= flat < encoder.size()
             seen.add(flat)
             assert encoder.decode(flat) == (hour, soc)
@@ -128,7 +136,7 @@ def test_encode_load_pv_row_major():
         pv_bins=BinSpec(5, 20.0),
     )
     # hour 5, soc 3, load bin 2 (value 8), pv bin 1 (value 4)
-    flat = encoder.encode(_obs(5, 3, load=8.0, pv=4.0)).flat_index
+    flat = encoder.encode(_obs(5, 3, load=8.0, pv=4.0))
     assert flat == ((5 * 11 + 3) * 5 + 2) * 5 + 1 == 1461
 
 
@@ -141,7 +149,7 @@ def test_encode_wind_requires_wind_value():
     )
     with pytest.raises(ValueError, match="wind"):
         encoder.encode(_obs(1, 1, load=1.0, pv=1.0, wind=None))
-    flat = encoder.encode(_obs(1, 1, load=1.0, pv=1.0, wind=1.0)).flat_index
+    flat = encoder.encode(_obs(1, 1, load=1.0, pv=1.0, wind=1.0))
     assert 0 <= flat < encoder.size()
 
 

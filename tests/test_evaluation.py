@@ -13,7 +13,6 @@ from farmbess import (
     Action,
     BaselineKind,
     BatterySpec,
-    BatteryState,
     ComparisonReport,
     EvalReport,
     HourlyRecord,
@@ -29,11 +28,7 @@ from farmbess import (
     transition,
 )
 from farmbess.encoding import soc_bin, soc_level_energy
-from farmbess.evaluation import (
-    baseline_controller,
-    no_battery_controller,
-    qtable_controller,
-)
+from farmbess.evaluation import baseline_controller, qtable_controller
 
 POWERWALL = BatterySpec()
 
@@ -48,6 +43,10 @@ def _record(load, pv, hour=0, price=0.1):
         wind_kwh=None,
         price_per_kwh=price,
     )
+
+
+def _no_battery():
+    return baseline_controller(BaselineKind.NO_BATTERY, POWERWALL, default_tariff())
 
 
 def _report(label, total_import, total_cost, peaks=()):
@@ -71,8 +70,7 @@ def _report(label, total_import, total_cost, peaks=()):
 
 def test_rollout_self_sufficient_day_zero_cost(tariff):
     records = [_record(1.0, 4.0, hour=i) for i in range(24)]
-    report = rollout(no_battery_controller(), records, POWERWALL, tariff,
-                     initial_soc_level=1, label="nb")
+    report = rollout(_no_battery(), records, POWERWALL, initial_soc_level=1, label="nb")
     assert report.total_import_kwh == 0.0
     assert report.total_cost == 0.0
 
@@ -83,15 +81,14 @@ def test_rollout_hand_accumulated_cost(tariff):
         _record(3.0, 0.0, hour=1),
         _record(1.0, 0.0, hour=2),
     ]
-    report = rollout(no_battery_controller(), records, POWERWALL, tariff,
-                     initial_soc_level=1, label="nb")
+    report = rollout(_no_battery(), records, POWERWALL, initial_soc_level=1, label="nb")
     assert report.total_cost == pytest.approx(0.6, abs=1e-12)
 
 
 def test_rollout_totals_match_trace(synthetic_week, tariff):
     report = rollout(
         baseline_controller(BaselineKind.TOU, POWERWALL, tariff),
-        synthetic_week, POWERWALL, tariff, initial_soc_level=1, label="tou",
+        synthetic_week, POWERWALL, initial_soc_level=1, label="tou",
     )
     assert report.total_import_kwh == pytest.approx(
         sum(r.grid_import_kwh for r in report.trace), rel=1e-12
@@ -112,7 +109,7 @@ def test_rollout_totals_match_trace(synthetic_week, tariff):
 def test_rollout_battery_carries_across_days(tariff, synthetic_week):
     report = rollout(
         baseline_controller(BaselineKind.TOU, POWERWALL, tariff),
-        synthetic_week, POWERWALL, tariff, initial_soc_level=1, label="tou",
+        synthetic_week, POWERWALL, initial_soc_level=1, label="tou",
     )
     # at 23:00 the TOU controller grid-charges; the next day must start from
     # the carried (non-reset) battery level
@@ -133,11 +130,11 @@ def test_rollout_greedy_trace_matches_oracle_actions(toy_day, toy_spec, toy_tari
         penalty_mode="shaped",
     )
     controller = qtable_controller(table, toy_spec)
-    battery = BatteryState(soc_level_energy(toy_spec, 0))
+    energy = soc_level_energy(toy_spec, 0)
     for record, expected in zip(toy_day, optimal_actions):
-        action, cap = controller(record, battery)
+        action, cap = controller(record, energy)
         assert action is expected
-        battery = apply_action(toy_spec, battery, record, action, cap).next_battery
+        energy = apply_action(toy_spec, energy, record, action, cap).next_energy_kwh
 
 
 # ---------------------------------------------------------------- compare
@@ -151,7 +148,7 @@ def test_compare_paper_percentage_formula():
 def test_compare_identity_is_zero(synthetic_week, tariff):
     report = rollout(
         baseline_controller(BaselineKind.MSC, POWERWALL, tariff),
-        synthetic_week, POWERWALL, tariff, initial_soc_level=1, label="msc",
+        synthetic_week, POWERWALL, initial_soc_level=1, label="msc",
     )
     result = compare(report, report)
     assert result.import_reduction_pct == 0.0
@@ -212,8 +209,17 @@ def test_oracle_single_peak_hour_prefers_discharge(tariff):
     assert best == 0.0
     # exhaustive check over the three single-step alternatives
     for action in Action:
-        flows = apply_action(POWERWALL, BatteryState(13.5), record, action)
+        flows = apply_action(POWERWALL, 13.5, record, action)
         assert -(flows.grid_import_kwh * record.price_per_kwh) <= best
+
+
+@pytest.mark.parametrize("level", [-1, POWERWALL.soc_levels])
+def test_oracle_rejects_level_off_the_lattice(tariff, level):
+    day = [_record(5.0, 0.0, hour=h) for h in range(24)]
+    with pytest.raises(ValueError, match="soc level"):
+        dp_oracle(day, POWERWALL, tariff, level)
+    with pytest.raises(ValueError, match="soc level"):
+        day_return(_no_battery(), day, POWERWALL, tariff, level)
 
 
 def _enumerate_best(day, spec, tariff, penalties, level):
@@ -254,17 +260,13 @@ def test_oracle_dominates_controllers_and_random_policies(toy_day, toy_spec, toy
     best, _ = dp_oracle(toy_day.records, toy_spec, toy_tariff,
                         initial_soc_level=2, penalty_mode="shaped")
     for kind in BaselineKind:
-        controller = (
-            no_battery_controller()
-            if kind is BaselineKind.NO_BATTERY
-            else baseline_controller(kind, toy_spec, toy_tariff)
-        )
+        controller = baseline_controller(kind, toy_spec, toy_tariff)
         value = day_return(controller, toy_day.records, toy_spec, toy_tariff,
                            initial_soc_level=2, penalty_mode="shaped")
         assert value <= best + 1e-9
     rng = random.Random(1)
     for _ in range(50):
-        controller = lambda record, battery: (Action(rng.randrange(3)), None)
+        controller = lambda record, energy: (Action(rng.randrange(3)), None)
         value = day_return(controller, toy_day.records, toy_spec, toy_tariff,
                            initial_soc_level=2, penalty_mode="shaped")
         assert value <= best + 1e-9
@@ -279,7 +281,7 @@ def test_oracle_discounted_flag(toy_day, toy_spec, toy_tariff):
     assert discounted != undiscounted
     # the discounted optimum must match the discounted return of its own plan
     plan = iter(actions)
-    controller = lambda record, battery: (next(plan), None)
+    controller = lambda record, energy: (next(plan), None)
     replay = day_return(controller, toy_day.records, toy_spec, toy_tariff,
                         initial_soc_level=0, penalty_mode="shaped", discount=0.9)
     assert replay == pytest.approx(discounted, abs=1e-12)
@@ -288,7 +290,7 @@ def test_oracle_discounted_flag(toy_day, toy_spec, toy_tariff):
 def test_rollout_report_files(tmp_path, synthetic_week, tariff):
     report = rollout(
         baseline_controller(BaselineKind.MSC, POWERWALL, tariff),
-        synthetic_week, POWERWALL, tariff, initial_soc_level=1, label="msc",
+        synthetic_week, POWERWALL, initial_soc_level=1, label="msc",
     )
     csv_path = tmp_path / "r.csv"
     json_path = tmp_path / "r.json"
@@ -343,7 +345,7 @@ def test_oracle_plan_replays_to_its_return(case, mode, discount):
     spec, tariff, day, level = case
     best, actions = dp_oracle(day, spec, tariff, level, penalty_mode=mode, discount=discount)
     plan = iter(actions)
-    replay = day_return(lambda record, battery: (next(plan), None), day, spec, tariff,
+    replay = day_return(lambda record, energy: (next(plan), None), day, spec, tariff,
                         level, penalty_mode=mode, discount=discount)
     assert replay == pytest.approx(best, abs=1e-9)
 
@@ -358,9 +360,8 @@ def test_no_controller_beats_the_oracle(case, mode, discount, seed):
     spec, tariff, day, level = case
     best, _ = dp_oracle(day, spec, tariff, level, penalty_mode=mode, discount=discount)
     rng = random.Random(seed)
-    controllers = [no_battery_controller(), lambda record, battery: (Action(rng.randrange(3)), None)]
-    controllers += [baseline_controller(kind, spec, tariff)
-                    for kind in (BaselineKind.MSC, BaselineKind.TOU)]
+    controllers = [lambda record, energy: (Action(rng.randrange(3)), None)]
+    controllers += [baseline_controller(kind, spec, tariff) for kind in BaselineKind]
     for controller in controllers:
         value = day_return(controller, day, spec, tariff, level,
                            penalty_mode=mode, discount=discount)
