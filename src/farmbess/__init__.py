@@ -25,10 +25,7 @@ from .battery import (
     BatteryEnv,
     BatterySpec,
     EnergyFlows,
-    EnvObservation,
-    EpisodeHorizonError,
     PenaltyTable,
-    StepOutcome,
     apply_action,
     transition,
 )

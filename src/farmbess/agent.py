@@ -151,11 +151,12 @@ def decayed(initial: float, decay: float, floor: float, steps: int) -> float:
 def train(
     env: BatteryEnv, hyperparams: Hyperparams, encoder: StateEncoder
 ) -> tuple[QTable, TrainingLog]:
-    """Run day-long training episodes against the environment.
+    """Run day-long training episodes on the env's series.
 
-    Each episode resets the environment to a uniformly sampled day and
-    initial charge level, runs steps_per_episode epsilon-greedy steps with
-    TD updates, then decays alpha and epsilon once. A single seeded
+    Each episode starts at hour 0 of a uniformly sampled day at a sampled
+    charge level's energy, runs steps_per_episode epsilon-greedy steps with
+    TD updates (the state after the series' last hour is read at its first
+    hour), then decays alpha and epsilon once. A single seeded
     generator drives day sampling, charge sampling, and exploration, in that
     order, so runs are bit-reproducible.
     """
@@ -186,9 +187,7 @@ def train(
     # The state of series hour i at charge level s is bases[i] + s * stride.
     pvs = series.pv.tolist()
     winds = series.wind.tolist() if series.has_wind else [None] * n_hours
-    bases = [
-        encoder.state_index(i % 24, 0, loads[i], pvs[i], winds[i]) for i in range(n_hours)
-    ]
+    bases = [encoder.encode(i % 24, 0, loads[i], pvs[i], winds[i]) for i in range(n_hours)]
     size = encoder.size()
     stride = size // (24 * levels)
 

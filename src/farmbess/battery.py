@@ -3,8 +3,8 @@ controller interacts with.
 
 `transition` is the single step kernel: it turns one hour's charge, demand,
 supply, price and tariff tier plus an action into the energy flows, the next
-charge, the shaping penalty and the reward. `apply_action`, `BatteryEnv.step`,
-the training loop, rollouts, `day_return` and the DP oracle all call it.
+charge, the shaping penalty and the reward. `apply_action`, the training
+loop, rollouts, `day_return` and the DP oracle all call it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .encoding import soc_bin, soc_level_energy
 from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier, default_tariff
 
 
@@ -20,10 +19,6 @@ class Action(IntEnum):
     CHARGE = 0
     DISCHARGE = 1
     IDLE = 2
-
-
-class EpisodeHorizonError(RuntimeError):
-    """Raised by step() after the configured episode horizon is exhausted."""
 
 
 @dataclass(frozen=True)
@@ -102,31 +97,6 @@ class EnergyFlows:
     grid_import_kwh: float
     curtailed_kwh: float
     next_energy_kwh: float
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one environment step."""
-
-    reward: float
-    grid_import_kwh: float
-    cost: float
-    battery_delta_kwh: float
-    curtailed_kwh: float
-    next_energy_kwh: float
-    penalty_applied: float
-
-
-@dataclass(frozen=True)
-class EnvObservation:
-    """What a controller sees before acting: the hour, the discrete charge
-    level, and the hour's (not yet consumed) series values."""
-
-    hour_of_day: int
-    soc_level: int
-    load_kwh: float
-    pv_kwh: float
-    wind_kwh: float | None
 
 
 # Module-level aliases keep each tier test in the kernel to one global lookup.
@@ -261,13 +231,8 @@ def apply_action(
 
 
 class BatteryEnv:
-    """Mutable episode cursor over a series: reset to a day, step hour by hour.
-
-    `energy_kwh` holds the stored energy. The observation returned after the
-    final hour of the series wraps to the series start, so bootstrap targets
-    are always defined. A single instance is not thread-safe; independent
-    instances are.
-    """
+    """The training problem: an hourly series with the battery spec, tariff
+    and shaping penalties it is scored under (defaults where omitted)."""
 
     def __init__(
         self,
@@ -275,71 +240,8 @@ class BatteryEnv:
         spec: BatterySpec | None = None,
         tariff: TariffSchedule | None = None,
         penalties: PenaltyTable | None = None,
-        steps_per_episode: int = 24,
     ) -> None:
-        if steps_per_episode <= 0:
-            raise ValueError("steps_per_episode must be > 0")
         self.series = series
         self.spec = spec if spec is not None else BatterySpec()
         self.tariff = tariff if tariff is not None else default_tariff()
         self.penalties = penalties if penalties is not None else PenaltyTable()
-        self.steps_per_episode = steps_per_episode
-        self._cursor = 0
-        self._steps_taken = 0
-        self.energy_kwh = 0.0
-
-    def _observation_at(self, position: int) -> EnvObservation:
-        record = self.series[position % len(self.series)]
-        return EnvObservation(
-            hour_of_day=record.hour_of_day,
-            soc_level=soc_bin(self.spec, self.energy_kwh),
-            load_kwh=record.load_kwh,
-            pv_kwh=record.pv_kwh,
-            wind_kwh=record.wind_kwh,
-        )
-
-    def reset(self, day_index: int, initial_soc_level: int) -> EnvObservation:
-        """Position the cursor at hour 0 of a day with a discrete charge level."""
-        if not 0 <= day_index < self.series.n_days:
-            raise ValueError(
-                f"day_index must be in 0..{self.series.n_days - 1}, got {day_index}"
-            )
-        self.energy_kwh = soc_level_energy(self.spec, initial_soc_level)
-        self._cursor = day_index * 24
-        self._steps_taken = 0
-        return self._observation_at(self._cursor)
-
-    def step(
-        self, action: Action, charge_cap: float | None = None
-    ) -> tuple[StepOutcome, EnvObservation]:
-        """Apply an action to the current hour and advance the cursor."""
-        if self._steps_taken >= self.steps_per_episode:
-            raise EpisodeHorizonError(
-                f"episode horizon of {self.steps_per_episode} steps exhausted"
-            )
-        record = self.series[self._cursor % len(self.series)]
-        before = self.energy_kwh
-        _, _, _, grid_import, curtailed, after, cost, penalty, reward = transition(
-            self.spec.limits,
-            before,
-            record.load_kwh,
-            record.renewables_kwh,
-            record.price_per_kwh,
-            self.tariff.tier_of(record.hour_of_day),
-            action,
-            charge_cap,
-            self.penalties,
-        )
-        self.energy_kwh = after
-        outcome = StepOutcome(
-            reward=reward,
-            grid_import_kwh=grid_import,
-            cost=cost,
-            battery_delta_kwh=after - before,
-            curtailed_kwh=curtailed,
-            next_energy_kwh=after,
-            penalty_applied=penalty,
-        )
-        self._cursor += 1
-        self._steps_taken += 1
-        return outcome, self._observation_at(self._cursor)

@@ -104,24 +104,7 @@ class StateEncoder:
         """Product of the dimension cardinalities."""
         return math.prod(cardinality for _, cardinality in self.dims())
 
-    def flat(
-        self,
-        hour_of_day: int,
-        soc_level: int,
-        load_bin: int = 0,
-        pv_bin: int = 0,
-        wind_bin: int = 0,
-    ) -> int:
-        """Flat index from pre-binned coordinates (hot path, unchecked)."""
-        index = hour_of_day * self.soc_levels + soc_level
-        if self.kind is EncodingKind.HOUR_SOC:
-            return index
-        index = (index * self.load_bins.bin_count + load_bin) * self.pv_bins.bin_count + pv_bin
-        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV:
-            return index
-        return index * self.wind_bins.bin_count + wind_bin
-
-    def state_index(
+    def encode(
         self,
         hour_of_day: int,
         soc_level: int,
@@ -130,36 +113,21 @@ class StateEncoder:
         wind_kwh: float | None = None,
     ) -> int:
         """Flat index of one hour's state from the hour, the charge level and
-        the hour's raw series values (hot path, ranges unchecked)."""
+        the hour's raw series values (the ones the kind uses), range-checked."""
+        if not 0 <= hour_of_day <= 23:
+            raise ValueError(f"hour_of_day out of range: {hour_of_day}")
+        if not 0 <= soc_level < self.soc_levels:
+            raise ValueError(f"soc_level out of range: {soc_level}")
+        index = hour_of_day * self.soc_levels + soc_level
         if self.kind is EncodingKind.HOUR_SOC:
-            return self.flat(hour_of_day, soc_level)
-        wind_bin = 0
-        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND:
-            if wind_kwh is None:
-                raise ValueError("observation has no wind value but the encoding requires one")
-            wind_bin = value_bin(self.wind_bins, wind_kwh)
-        return self.flat(
-            hour_of_day,
-            soc_level,
-            value_bin(self.load_bins, load_kwh),
-            value_bin(self.pv_bins, pv_kwh),
-            wind_bin,
-        )
-
-    def encode(self, observation) -> int:
-        """Flat index of an environment observation (hour_of_day, soc_level
-        and the load/pv/wind fields the kind requires), range-checked."""
-        if not 0 <= observation.hour_of_day <= 23:
-            raise ValueError(f"hour_of_day out of range: {observation.hour_of_day}")
-        if not 0 <= observation.soc_level < self.soc_levels:
-            raise ValueError(f"soc_level out of range: {observation.soc_level}")
-        return self.state_index(
-            observation.hour_of_day,
-            observation.soc_level,
-            observation.load_kwh,
-            observation.pv_kwh,
-            observation.wind_kwh,
-        )
+            return index
+        index = index * self.load_bins.bin_count + value_bin(self.load_bins, load_kwh)
+        index = index * self.pv_bins.bin_count + value_bin(self.pv_bins, pv_kwh)
+        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV:
+            return index
+        if wind_kwh is None:
+            raise ValueError("wind_kwh is None but the encoding requires a wind value")
+        return index * self.wind_bins.bin_count + value_bin(self.wind_bins, wind_kwh)
 
     def decode(self, flat_index: int) -> tuple[int, ...]:
         """Coordinates (hour, soc[, load, pv[, wind]]) for a flat index."""

@@ -123,7 +123,7 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
     encoder = q.encoder
 
     def decide(record: HourlyRecord, energy_kwh: float):
-        state = encoder.state_index(
+        state = encoder.encode(
             record.hour_of_day,
             soc_bin(spec, energy_kwh),
             record.load_kwh,
@@ -281,11 +281,16 @@ def dp_oracle(
 ) -> tuple[float, list[Action]]:
     """Exact backward induction over the day's (hour, charge level) lattice.
 
-    States take the discrete levels' energies (the same lattice env resets
-    to); transitions and rewards use the exact dispatch physics, with the
-    continuous next energy re-binned to a level. Returns the maximal episode
-    return (undiscounted unless a discount is given) and one optimal action
-    sequence, ties broken by action order.
+    States take the discrete levels' energies (the same lattice training
+    episodes start from); transitions and rewards use the exact dispatch
+    physics, with the continuous next energy re-binned to a level. Returns
+    the maximal episode return (undiscounted unless a discount is given) and
+    one optimal action sequence, ties broken by action order.
+
+    The oracle charges at the full rate only, so its return bounds, from
+    above, every controller that stays on the lattice and never caps a
+    charge. MSC and TOU charge under a surplus cap; they are covered only
+    when the charge rate is one lattice step, where the cap cannot bind.
     """
     table = _resolve_penalties(penalty_mode, penalties)
     soc_level_energy(spec, initial_soc_level)  # rejects a level off the lattice

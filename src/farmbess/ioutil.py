@@ -3,6 +3,7 @@ rename into place."""
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 from pathlib import Path
@@ -14,6 +15,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
+    if path.is_dir():
+        # Refused up front, so the error names the target, not the temp file.
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:

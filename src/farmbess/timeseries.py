@@ -339,7 +339,7 @@ def load_csv(path: str | Path, tariff: TariffSchedule | None = None) -> HourlySe
     The header must name `hour,load_kwh,pv_kwh` with optional `wind_kwh`
     and `price_per_kwh` columns; anything else is rejected. When the price
     column is absent a tariff must be supplied to fill prices per hour of
-    day. Row numbers in errors are 1-based over data rows.
+    day. Every error names the file; row numbers are 1-based over data rows.
     """
     path = Path(path)
     if not path.exists():
@@ -350,11 +350,18 @@ def load_csv(path: str | Path, tariff: TariffSchedule | None = None) -> HourlySe
         raise DataValidationError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+    try:
+        return _parse_csv(text, tariff)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
+
+
+def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
-        raise DataValidationError(f"{path}: empty file") from None
+        raise DataValidationError("empty file") from None
     header = [h.strip() for h in header]
     known = set(REQUIRED_COLUMNS) | set(OPTIONAL_COLUMNS)
     unknown = [h for h in header if h not in known]

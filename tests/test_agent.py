@@ -23,8 +23,11 @@ from farmbess import (
     load_qtable,
     save_qtable,
     select_action,
+    soc_bin,
+    soc_level_energy,
     td_update,
     train,
+    transition,
 )
 from farmbess.agent import QTableFormatError
 from farmbess.encoding import BinSpec
@@ -215,31 +218,61 @@ def test_train_seeds_differ(toy_env, toy_encoder, toy_day, toy_spec, toy_tariff)
     assert not np.array_equal(a.values, b.values)
 
 
-def test_train_matches_public_op_composition(toy_day, toy_spec, toy_tariff, toy_encoder):
-    """The optimized loop and the public ops are the same algorithm: replaying
-    episodes with select_action + env.step + td_update reproduces train()'s
-    table bit for bit."""
-    hp = Hyperparams(total_episodes=300, rng_seed=13)
-    trained, log = train(BatteryEnv(toy_day, toy_spec, toy_tariff), hp, toy_encoder)
-
-    q = QTable.zeros(toy_encoder)
-    env = BatteryEnv(toy_day, toy_spec, toy_tariff, steps_per_episode=hp.steps_per_episode)
+def _reference_train(env, hp, encoder):
+    """train() spelled out with the public ops: transition steps the battery,
+    soc_bin and encode index the state, select_action and td_update learn.
+    The state after the series' last hour is read at the series' first hour."""
+    spec, records = env.spec, env.series.records
+    q = QTable.zeros(encoder)
     rng = random.Random(hp.rng_seed)
+
+    def state(position, energy):
+        record = records[position % len(records)]
+        return encoder.encode(record.hour_of_day, soc_bin(spec, energy),
+                              record.load_kwh, record.pv_kwh, record.wind_kwh)
+
     for episode in range(hp.total_episodes):
         alpha = decayed(hp.learning_rate_init, hp.decay, hp.floor, episode)
         epsilon = decayed(hp.epsilon_init, hp.decay, hp.floor, episode)
-        day = rng.randrange(toy_day.n_days)
-        level = rng.randrange(hp.soc_reset_low, toy_spec.soc_levels)
-        obs = env.reset(day, level)
-        state = toy_encoder.encode(obs)
+        position = rng.randrange(env.series.n_days) * 24
+        energy = soc_level_energy(spec, rng.randrange(hp.soc_reset_low, spec.soc_levels))
+        current = state(position, energy)
         for _ in range(hp.steps_per_episode):
-            action = select_action(q, state, epsilon, rng)
-            outcome, obs = env.step(action)
-            next_state = toy_encoder.encode(obs)
-            td_update(q, state, action, outcome.reward, next_state,
+            action = select_action(q, current, epsilon, rng)
+            record = records[position % len(records)]
+            *_, energy, _, _, reward = transition(
+                spec.limits, energy, record.load_kwh, record.renewables_kwh,
+                record.price_per_kwh, env.tariff.tier_of(record.hour_of_day),
+                action, None, env.penalties,
+            )
+            position += 1
+            following = state(position, energy)
+            td_update(q, current, action, reward, following,
                       alpha=alpha, discount=hp.discount_factor)
-            state = next_state
-    assert np.array_equal(trained.values, q.values)
+            current = following
+    return q
+
+
+def test_train_matches_public_op_composition(toy_env, toy_encoder):
+    """The optimized loop and the public ops are the same algorithm on the
+    one-day toy series, where every episode's last step wraps to hour 0:
+    the reference reproduces train()'s table bit for bit."""
+    hp = Hyperparams(total_episodes=300, rng_seed=13)
+    trained, _ = train(toy_env, hp, toy_encoder)
+    assert np.array_equal(trained.values, _reference_train(toy_env, hp, toy_encoder).values)
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind), ids=lambda kind: kind.value)
+def test_train_matches_public_op_composition_per_encoding(kind, synthetic_week, tariff):
+    """train()'s per-hour bases plus charge-level stride index the same
+    states as encode, for every encoding, on a week with wind."""
+    env = BatteryEnv(synthetic_week, BatterySpec(), tariff)
+    # The synthetic wind stays within 5 % of its mean: with 5 bins every hour
+    # lands in the top one, with 20 the hours split between the top two.
+    encoder = StateEncoder.for_series(kind, synthetic_week, env.spec, bin_counts=(5, 5, 20))
+    hp = Hyperparams(total_episodes=400, rng_seed=13)
+    trained, _ = train(env, hp, encoder)
+    assert np.array_equal(trained.values, _reference_train(env, hp, encoder).values)
 
 
 def test_train_q_values_bounded(toy_env, toy_encoder, toy_day, toy_spec, toy_tariff):

@@ -1,4 +1,4 @@
-"""Battery physics, the penalty-shaped reward, and the episode environment."""
+"""Battery physics, the penalty-shaped reward, and episode-start charge levels."""
 
 from __future__ import annotations
 
@@ -11,16 +11,20 @@ from farmbess import (
     Action,
     BatteryEnv,
     BatterySpec,
-    EpisodeHorizonError,
+    EncodingKind,
+    Hyperparams,
     HourlyRecord,
     HourlySeries,
     PenaltyTable,
+    StateEncoder,
     SyntheticProfileConfig,
     Tier,
     apply_action,
-    default_tariff,
     generate_synthetic,
     month_of_hour,
+    soc_bin,
+    soc_level_energy,
+    train,
     transition,
 )
 
@@ -253,105 +257,67 @@ def test_custom_penalty_table_is_honored():
     assert penalty == 2.5
 
 
-# ---------------------------------------------------------------- environment
+# ---------------------------------------------------------------- episode start
 
 
-@pytest.fixture()
-def one_day_env(tariff):
-    config = SyntheticProfileConfig(days=2, rng_seed=1)
-    series = generate_synthetic(config, tariff)
-    return BatteryEnv(series, POWERWALL, tariff)
+def test_env_reset_full_level_maps_to_capacity():
+    # a training episode starts at a level's energy, which bins back to it
+    assert soc_level_energy(POWERWALL, 10) == 13.5
+    assert soc_bin(POWERWALL, 13.5) == 10
 
 
-def test_env_reset_full_level_maps_to_capacity(one_day_env):
-    obs = one_day_env.reset(day_index=0, initial_soc_level=10)
-    assert one_day_env.energy_kwh == 13.5
-    assert obs.soc_level == 10
-    assert obs.hour_of_day == 0
+def test_env_reset_empty_level():
+    assert soc_level_energy(POWERWALL, 0) == 0.0
 
 
-def test_env_reset_empty_level(one_day_env):
-    one_day_env.reset(day_index=0, initial_soc_level=0)
-    assert one_day_env.energy_kwh == 0.0
+def test_env_reset_mid_level_rebins():
+    assert soc_level_energy(POWERWALL, 5) == 6.75
+    assert soc_bin(POWERWALL, 6.75) == 5
 
 
-def test_env_reset_mid_level_rebins(one_day_env):
-    obs = one_day_env.reset(day_index=1, initial_soc_level=5)
-    assert one_day_env.energy_kwh == 6.75
-    assert obs.hour_of_day == 0
-    assert obs.soc_level == 5
-
-
-def test_env_reset_rejects_bad_args(one_day_env):
+def test_env_reset_rejects_bad_args():
     with pytest.raises(ValueError):
-        one_day_env.reset(day_index=2, initial_soc_level=0)
+        soc_level_energy(POWERWALL, 11)
     with pytest.raises(ValueError):
-        one_day_env.reset(day_index=0, initial_soc_level=11)
+        soc_level_energy(POWERWALL, -1)
 
 
-def test_env_step_horizon_error(one_day_env):
-    one_day_env.reset(day_index=0, initial_soc_level=5)
-    for _ in range(24):
-        outcome, obs = one_day_env.step(Action.IDLE)
-    with pytest.raises(EpisodeHorizonError):
-        one_day_env.step(Action.IDLE)
-
-
-def test_env_deterministic_trajectory(one_day_env, tariff):
-    def run():
-        env = BatteryEnv(one_day_env.series, POWERWALL, tariff)
-        env.reset(day_index=0, initial_soc_level=5)
-        rng = random.Random(4)
-        outcomes = []
-        for _ in range(24):
-            outcome, _ = env.step(Action(rng.randrange(3)))
-            outcomes.append(outcome)
-        return outcomes
-
-    assert run() == run()
-
-
-def test_env_self_sufficient_day_imports_nothing(tariff):
+def test_env_self_sufficient_day_imports_nothing():
     series = HourlySeries(load=[1.0] * 24, pv=[5.0] * 24, wind=None, price=[0.1] * 24)
-    env = BatteryEnv(series, POWERWALL, tariff)
-    env.reset(day_index=0, initial_soc_level=3)
+    energy = soc_level_energy(POWERWALL, 3)
     total = 0.0
-    for _ in range(24):
-        outcome, _ = env.step(Action.IDLE)
-        total += outcome.grid_import_kwh
+    for record in series:
+        flows = apply_action(POWERWALL, energy, record, Action.IDLE)
+        total += flows.grid_import_kwh
+        energy = flows.next_energy_kwh
     assert total == 0.0
 
 
-def test_env_step_reward_matches_transition(one_day_env, tariff):
-    env = one_day_env
-    obs = env.reset(day_index=0, initial_soc_level=4)
-    rng = random.Random(9)
-    for _ in range(24):
-        record = env.series[env._cursor]
-        before = env.energy_kwh
-        action = Action(rng.randrange(3))
-        expected_reward, expected_penalty = _reward(
-            action,
-            tariff.tier_of(record.hour_of_day),
-            record.price_per_kwh,
-            record.load_kwh,
-            record.renewables_kwh,
-            before,
-            POWERWALL,
-            env.penalties,
-        )
-        outcome, obs = env.step(action)
-        assert outcome.reward == expected_reward
-        assert outcome.penalty_applied == expected_penalty
-        assert outcome.cost == outcome.grid_import_kwh * record.price_per_kwh
-
-
 def test_env_observation_wraps_at_series_end(tariff):
-    config = SyntheticProfileConfig(days=1, rng_seed=2)
-    series = generate_synthetic(config, tariff)
+    # A two-day episode on a one-day series: the hour after the series' last
+    # reads the series' first. With exploration at 1 every action comes from
+    # the rng, so the episode's return can be replayed hour by hour.
+    series = generate_synthetic(SyntheticProfileConfig(days=1, rng_seed=2), tariff)
     env = BatteryEnv(series, POWERWALL, tariff)
-    env.reset(day_index=0, initial_soc_level=5)
-    for _ in range(23):
-        env.step(Action.IDLE)
-    _, obs = env.step(Action.IDLE)
-    assert obs.hour_of_day == 0  # wrapped to the series start
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, series, POWERWALL)
+    hp = Hyperparams(epsilon_init=1.0, total_episodes=1, steps_per_episode=48, rng_seed=7)
+    _, log = train(env, hp, encoder)
+
+    rng = random.Random(hp.rng_seed)
+    assert rng.randrange(series.n_days) == log.day_indices[0] == 0
+    level = rng.randrange(hp.soc_reset_low, POWERWALL.soc_levels)
+    assert level == log.soc_levels[0]
+    energy = soc_level_energy(POWERWALL, level)
+    records = series.records
+    expected = 0.0
+    for position in range(hp.steps_per_episode):
+        rng.random()
+        action = rng.randrange(3)
+        record = records[position % len(records)]
+        *_, energy, _, _, reward = transition(
+            POWERWALL.limits, energy, record.load_kwh, record.renewables_kwh,
+            record.price_per_kwh, tariff.tier_of(record.hour_of_day),
+            action, None, env.penalties,
+        )
+        expected += reward
+    assert log.episode_returns[0] == expected

@@ -379,3 +379,4 @@ def test_unreadable_path_is_one_line_error(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(named) in err
+    assert ".tmp" not in err

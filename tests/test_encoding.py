@@ -9,7 +9,6 @@ from farmbess import (
     BatterySpec,
     BinSpec,
     EncodingKind,
-    EnvObservation,
     StateEncoder,
     soc_bin,
     soc_level_energy,
@@ -94,27 +93,22 @@ def test_bin_spec_validation():
 # ---------------------------------------------------------------- encode
 
 
-def _obs(hour, soc, load=0.0, pv=0.0, wind=None):
-    return EnvObservation(hour_of_day=hour, soc_level=soc, load_kwh=load,
-                          pv_kwh=pv, wind_kwh=wind)
-
-
 def test_encode_hour_soc_origin():
     encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
-    assert encoder.encode(_obs(0, 0)) == 0
+    assert encoder.encode(0, 0) == 0
 
 
 def test_encode_hour_soc_last_state():
     encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
-    assert encoder.encode(_obs(23, 10)) == 23 * 11 + 10 == 263
+    assert encoder.encode(23, 10) == 23 * 11 + 10 == 263
 
 
 def test_encode_rejects_out_of_range_coordinates():
     encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
     with pytest.raises(ValueError, match="hour_of_day"):
-        encoder.encode(_obs(24, 0))
+        encoder.encode(24, 0)
     with pytest.raises(ValueError, match="soc_level"):
-        encoder.encode(_obs(0, 11))
+        encoder.encode(0, 11)
 
 
 def test_encode_hour_soc_exhaustive_bijection():
@@ -122,7 +116,7 @@ def test_encode_hour_soc_exhaustive_bijection():
     seen = set()
     for hour in range(24):
         for soc in range(11):
-            flat = encoder.encode(_obs(hour, soc))
+            flat = encoder.encode(hour, soc)
             assert 0 <= flat < encoder.size()
             seen.add(flat)
             assert encoder.decode(flat) == (hour, soc)
@@ -136,7 +130,7 @@ def test_encode_load_pv_row_major():
         pv_bins=BinSpec(5, 20.0),
     )
     # hour 5, soc 3, load bin 2 (value 8), pv bin 1 (value 4)
-    flat = encoder.encode(_obs(5, 3, load=8.0, pv=4.0))
+    flat = encoder.encode(5, 3, load_kwh=8.0, pv_kwh=4.0)
     assert flat == ((5 * 11 + 3) * 5 + 2) * 5 + 1 == 1461
 
 
@@ -148,8 +142,8 @@ def test_encode_wind_requires_wind_value():
         wind_bins=BinSpec(5, 20.0),
     )
     with pytest.raises(ValueError, match="wind"):
-        encoder.encode(_obs(1, 1, load=1.0, pv=1.0, wind=None))
-    flat = encoder.encode(_obs(1, 1, load=1.0, pv=1.0, wind=1.0))
+        encoder.encode(1, 1, load_kwh=1.0, pv_kwh=1.0, wind_kwh=None)
+    flat = encoder.encode(1, 1, load_kwh=1.0, pv_kwh=1.0, wind_kwh=1.0)
     assert 0 <= flat < encoder.size()
 
 
@@ -196,7 +190,9 @@ def test_flat_decode_round_trip(hour, soc, load_bin, pv_bin, wind_bin):
         pv_bins=BinSpec(5, 1.0),
         wind_bins=BinSpec(5, 1.0),
     )
-    flat = encoder.flat(hour, soc, load_bin, pv_bin, wind_bin)
+    # values at bin centres of the 5 bins over [0, 1)
+    load, pv, wind = ((b + 0.5) / 5 for b in (load_bin, pv_bin, wind_bin))
+    flat = encoder.encode(hour, soc, load, pv, wind)
     assert encoder.decode(flat) == (hour, soc, load_bin, pv_bin, wind_bin)
 
 

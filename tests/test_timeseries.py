@@ -165,6 +165,30 @@ def test_load_csv_malformed_cell(tmp_path, tariff):
         load_csv(path, tariff=tariff)
 
 
+_DAY = "".join(f"{i},1.0,0.0\n" for i in range(24))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("hour,load_kwh,pv_kwh\n0,1.0,x\n", "malformed value 'x' in column pv_kwh at row 1"),
+        ("hour,load_kwh,pv_kwh,foo\n0,1.0,0.0,1.0\n", "unexpected column(s): foo"),
+        ("hour,load_kwh\n0,1.0\n", "missing required column(s): pv_kwh"),
+        ("hour,load_kwh,pv_kwh\n0,1.0\n", "row 1 has 2 fields, expected 3"),
+        ("hour,load_kwh,pv_kwh\n1,1.0,0.0\n", "non-contiguous hour at row 1"),
+        ("hour,load_kwh,pv_kwh\n" + _DAY + "24,1.0,0.0\n", "multiple of 24"),
+    ],
+    ids=["malformed-cell", "unknown-column", "missing-column", "field-count",
+         "non-contiguous-hour", "partial-day"],
+)
+def test_load_csv_error_names_the_file(tmp_path, tariff, text, message):
+    path = _write(tmp_path / "bad.csv", text)
+    with pytest.raises(DataValidationError) as info:
+        load_csv(path, tariff=tariff)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
 def test_csv_round_trip(tmp_path, synthetic_week):
     path = tmp_path / "week.csv"
     write_csv(synthetic_week, path)
