@@ -27,6 +27,7 @@ from .battery import (
     EnergyFlows,
     PenaltyTable,
     apply_action,
+    lattice_transition,
     transition,
 )
 from .encoding import (

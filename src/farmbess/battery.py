@@ -4,14 +4,20 @@ controller interacts with.
 `transition` is the single step kernel: it turns one hour's charge, demand,
 supply, price and tariff tier plus an action into the energy flows, the next
 charge, the shaping penalty and the reward. `apply_action`, the training
-loop, rollouts, `day_return` and the DP oracle all call it.
+loop, rollouts and `day_return` call it. `lattice_transition` is its
+uncapped array form over a day's whole charge lattice, which the DP oracle
+calls once per day.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Sequence
 
+import numpy as np
+
+from .encoding import _soc_bins, soc_level_energy
 from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier, default_tariff
 
 
@@ -128,6 +134,8 @@ def transition(
 
     cost is grid_import * price; penalty is the first matching shaping row
     for (action, tier, charge before the action); reward = -cost + penalty.
+    `lattice_transition` repeats these rules on arrays; a change here goes
+    there too, and a property test checks that the two agree bit for bit.
     """
     capacity, soc_min, charge_rate, discharge_rate = limits
     surplus = renewables - load if renewables > load else 0.0
@@ -193,6 +201,70 @@ def transition(
         penalty,
         -cost + penalty,
     )
+
+
+def lattice_transition(
+    spec: BatterySpec,
+    load: Sequence[float],
+    renewables: Sequence[float],
+    price: Sequence[float],
+    tiers: Sequence[Tier],
+    penalties: PenaltyTable,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`transition` without a charge cap, then `soc_bin`, for every hour,
+    charge level and action of a day in one array pass.
+
+    The inputs hold one entry per hour. Returns (next_level, reward), each of
+    shape (hours, soc_levels, 3): the charge level the action leads to from
+    the level's energy (`soc_level_energy`), and its reward. Every entry is
+    bit for bit what the scalar kernel and `soc_bin` give, because each one
+    is the same IEEE operation in the same order.
+    """
+    capacity, soc_min, charge_rate, discharge_rate = spec.limits
+    p = penalties
+    energy = np.array([soc_level_energy(spec, level) for level in range(spec.soc_levels)])
+    load = np.asarray(load, dtype=float)[:, None]
+    renewables = np.asarray(renewables, dtype=float)[:, None]
+    peak = np.array([tier is _PEAK for tier in tiers])[:, None]
+    off_peak = np.array([tier is _OFF_PEAK for tier in tiers])[:, None]
+    surplus = np.where(renewables > load, renewables - load, 0.0)
+    deficit = np.where(load > renewables, load - renewables, 0.0)
+    shape = (len(load), len(energy), 3)
+    grid_import = np.empty(shape)
+    next_energy = np.empty(shape)
+    penalty = np.empty(shape)
+
+    headroom = capacity - energy
+    charged = np.where(charge_rate < headroom, charge_rate, headroom)
+    charged[charged < 0.0] = 0.0
+    stored = np.where(surplus < charged, surplus, charged)
+    grid_import[..., 0] = deficit + (charged - stored)
+    next_energy[..., 0] = np.where(charged == headroom, capacity, energy + charged)
+    penalty[..., 0] = np.where(
+        energy >= capacity,
+        np.where(peak, p.charge_full_peak, p.charge_full),
+        np.where(peak, p.charge_peak, np.where(off_peak, p.charge_off_peak_bonus, 0.0)),
+    )
+
+    available = np.where(energy > soc_min, energy - soc_min, 0.0)
+    discharged = np.where(discharge_rate < available, discharge_rate, available)
+    discharged = np.where(deficit < discharged, deficit, discharged)
+    grid_import[..., 1] = deficit - discharged
+    next_energy[..., 1] = np.where(
+        (discharged == available) & (available > 0.0), soc_min, energy - discharged
+    )
+    penalty[..., 1] = np.where(
+        energy <= soc_min,
+        p.discharge_empty,
+        np.where(off_peak, p.discharge_off_peak, np.where(peak, p.discharge_peak_bonus, 0.0)),
+    )
+
+    grid_import[..., 2] = deficit
+    next_energy[..., 2] = energy
+    penalty[..., 2] = np.where(peak & (energy >= soc_min), p.idle_peak_with_charge, 0.0)
+
+    cost = grid_import * np.asarray(price, dtype=float)[:, None, None]
+    return _soc_bins(spec, next_energy), -cost + penalty
 
 
 def apply_action(

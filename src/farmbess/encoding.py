@@ -56,6 +56,16 @@ def soc_bin(spec, energy_kwh: float) -> int:
     return min(_floor_bin(energy_kwh / spec.capacity_kwh * top), top)
 
 
+def _soc_bins(spec, energies: np.ndarray) -> np.ndarray:
+    """`soc_bin` of every element of an array of in-range energies, bit for
+    bit the same formula (no range check)."""
+    top = spec.soc_levels - 1
+    x = energies / spec.capacity_kwh * top
+    b = np.floor(x)
+    b[x - b > 1.0 - _EDGE_SNAP] += 1.0
+    return np.minimum(b, top).astype(np.intp)
+
+
 def soc_level_energy(spec, level: int) -> float:
     """Stored energy assigned to a discrete charge level (the inverse lattice
     of soc_bin): level 0 is empty, the top level is full capacity."""

@@ -2,8 +2,9 @@
 controller comparisons, the exact finite-horizon oracle, and the state-space
 ablation harness.
 
-Rollouts, `day_return` and `dp_oracle` step the battery with the shared
-kernel `battery.transition`. Rollouts score grid cost only; `day_return` and
+Rollouts and `day_return` step the battery with the shared kernel
+`battery.transition`, and `dp_oracle` with its array form
+`battery.lattice_transition`. Rollouts score grid cost only; `day_return` and
 the oracle score the shaped or the cost-only reward (`penalty_mode`).
 """
 
@@ -14,9 +15,18 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .agent import Hyperparams, QTable, greedy_action, train
 from .baselines import BaselineKind, baseline_decision
-from .battery import Action, BatteryEnv, BatterySpec, PenaltyTable, transition
+from .battery import (
+    Action,
+    BatteryEnv,
+    BatterySpec,
+    PenaltyTable,
+    lattice_transition,
+    transition,
+)
 from .encoding import StateEncoder, soc_bin, soc_level_energy
 from .ioutil import atomic_write_text
 from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier
@@ -143,6 +153,13 @@ def _resolve_penalties(penalty_mode: str, penalties: PenaltyTable | None) -> Pen
     return penalties if penalties is not None else PenaltyTable()
 
 
+def _check_day(day: Sequence[HourlyRecord], discount: float | None) -> None:
+    if len(day) == 0:
+        raise ValueError("day must contain at least one record")
+    if discount is not None and not 0 <= discount <= 1:
+        raise ValueError(f"discount must be in [0, 1], got {discount}")
+
+
 def rollout(
     controller: Controller,
     series: HourlySeries | Sequence[HourlyRecord],
@@ -218,6 +235,7 @@ def day_return(
     table = _resolve_penalties(penalty_mode, penalties)
     limits = spec.limits
     energy = soc_level_energy(spec, initial_soc_level)
+    _check_day(day, discount)
     total = 0.0
     weight = 1.0
     for record in day:
@@ -283,7 +301,9 @@ def dp_oracle(
 
     States take the discrete levels' energies (the same lattice training
     episodes start from); transitions and rewards use the exact dispatch
-    physics, with the continuous next energy re-binned to a level. Returns
+    physics, with the continuous next energy re-binned to a level. The whole
+    (hour, level, action) table comes from one array pass
+    (`lattice_transition`) before the backward pass over the hours. Returns
     the maximal episode return (undiscounted unless a discount is given) and
     one optimal action sequence, ties broken by action order.
 
@@ -294,51 +314,35 @@ def dp_oracle(
     """
     table = _resolve_penalties(penalty_mode, penalties)
     soc_level_energy(spec, initial_soc_level)  # rejects a level off the lattice
-    if len(day) == 0:
-        raise ValueError("day must contain at least one record")
-    limits = spec.limits
+    _check_day(day, discount)
     gamma = 1.0 if discount is None else discount
-    energies = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
+    next_level, returns = lattice_transition(
+        spec,
+        [record.load_kwh for record in day],
+        [record.renewables_kwh for record in day],
+        [record.price_per_kwh for record in day],
+        [tariff.tier_of(record.hour_of_day) for record in day],
+        table,
+    )
 
-    # value[level] holds V_{h+1}; plan[h][level] is the (action, next level)
-    # that attains V_h, ties going to the lowest action index
-    value = [0.0] * len(energies)
-    plan: list[list[tuple[int, int]]] = []
-    for record in reversed(day):
-        tier = tariff.tier_of(record.hour_of_day)
-        new_value = []
-        choices = []
-        for energy in energies:
-            best = None
-            for action in range(3):
-                out = transition(
-                    limits,
-                    energy,
-                    record.load_kwh,
-                    record.renewables_kwh,
-                    record.price_per_kwh,
-                    tier,
-                    action,
-                    None,
-                    table,
-                )
-                next_level = soc_bin(spec, out[5])
-                candidate = out[8] + gamma * value[next_level]
-                if best is None or candidate > best:
-                    best = candidate
-                    choice = (action, next_level)
-            new_value.append(best)
-            choices.append(choice)
-        value = new_value
-        plan.append(choices)
-    plan.reverse()
+    # value holds V_{h+1}; returns[h, level, action] gains gamma * V_{h+1}
+    # on top of the reward, and choice[h][level] is the action attaining V_h,
+    # ties going to the lowest action index (argmax takes the first maximum)
+    levels = np.arange(spec.soc_levels)
+    value = np.zeros(spec.soc_levels)
+    choice = np.empty(returns.shape[:2], dtype=np.intp)
+    for h in range(len(day) - 1, -1, -1):
+        returns[h] += gamma * value[next_level[h]]
+        choice[h] = returns[h].argmax(axis=1)
+        value = returns[h][levels, choice[h]]
 
     actions: list[Action] = []
     level = initial_soc_level
-    for choices in plan:
-        action, level = choices[level]
+    for choices, next_levels in zip(choice.tolist(), next_level.tolist()):
+        action = choices[level]
         actions.append(Action(action))
-    return value[initial_soc_level], actions
+        level = next_levels[level][action]
+    return float(value[initial_soc_level]), actions
 
 
 def ablation_run(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,9 @@ from farmbess import (
     SyntheticProfileConfig,
     Tier,
     apply_action,
+    default_tariff,
     generate_synthetic,
+    lattice_transition,
     month_of_hour,
     soc_bin,
     soc_level_energy,
@@ -153,6 +156,62 @@ def test_energy_balance_and_bounds_random_triples(case):
     assert flows.curtailed_kwh >= 0.0
     if action is Action.DISCHARGE and energy >= spec.soc_min_kwh:
         assert flows.next_energy_kwh >= spec.soc_min_kwh
+
+
+@st.composite
+def _lattice_cases(draw):
+    """A spec off the power-of-two lattice (the default one, or random
+    limits with reserve 0 or drawn, 2 to 17 charge levels) and a 24-hour day,
+    so every tariff tier comes up. Level 0 sits on a zero reserve, the top
+    level on capacity, and the default spec's level 1 on its reserve."""
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    spec = draw(st.just(POWERWALL) | st.builds(
+        BatterySpec,
+        capacity_kwh=floats(1.0, 50.0),
+        charge_rate_kw=floats(0.5, 20.0),
+        discharge_rate_kw=floats(0.5, 20.0),
+        reserve_fraction=st.just(0.0) | floats(0.0, 0.5),
+        soc_levels=st.integers(2, 17),
+    ))
+    has_wind = draw(st.booleans())
+    amounts = st.just(0.0) | st.integers(0, 20).map(float) | floats(0.0, 20.0)
+    records = []
+    for hour in range(24):
+        pv = draw(amounts)
+        wind = draw(amounts) if has_wind else None
+        renewables = pv + (0.0 if wind is None else wind)
+        load = draw(st.just(renewables) | amounts)
+        records.append(_record(load, pv, hour=hour, wind=wind, price=draw(floats(0.0, 1.0))))
+    return spec, records, draw(st.sampled_from([PEN, PenaltyTable.zero()]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_lattice_cases())
+def test_lattice_transition_is_transition_then_soc_bin(case):
+    spec, records, penalties = case
+    tiers = [default_tariff().tier_of(r.hour_of_day) for r in records]
+    next_level, reward = lattice_transition(
+        spec,
+        [r.load_kwh for r in records],
+        [r.renewables_kwh for r in records],
+        [r.price_per_kwh for r in records],
+        tiers,
+        penalties,
+    )
+    expected_level, expected_reward = [], []
+    for record, tier in zip(records, tiers):
+        for level in range(spec.soc_levels):
+            for action in Action:
+                out = transition(
+                    spec.limits, soc_level_energy(spec, level), record.load_kwh,
+                    record.renewables_kwh, record.price_per_kwh, tier, action,
+                    None, penalties,
+                )
+                expected_level.append(soc_bin(spec, out[5]))
+                expected_reward.append(out[8])
+    assert next_level.ravel().tolist() == expected_level
+    # bit for bit, signed zeros included
+    assert reward.tobytes() == np.array(expected_reward).tobytes()
 
 
 def test_more_pv_never_increases_import():

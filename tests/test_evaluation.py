@@ -18,17 +18,19 @@ from farmbess import (
     HourlyRecord,
     HourlySeries,
     PenaltyTable,
+    SyntheticProfileConfig,
     apply_action,
     compare,
     day_return,
     default_tariff,
     dp_oracle,
+    generate_synthetic,
     month_of_hour,
     rollout,
     transition,
 )
 from farmbess.encoding import soc_bin, soc_level_energy
-from farmbess.evaluation import baseline_controller, qtable_controller
+from farmbess.evaluation import _resolve_penalties, baseline_controller, qtable_controller
 
 POWERWALL = BatterySpec()
 
@@ -198,7 +200,10 @@ def test_oracle_self_sufficient_day_is_zero(tariff):
     best, actions = dp_oracle(records, POWERWALL, tariff, initial_soc_level=5,
                               penalty_mode="cost-only")
     assert best == 0.0
-    assert len(actions) == 24
+    # Charging at 5 kW draws the 2 kWh the 3 kWh surplus lacks from the grid;
+    # discharge and idle both cost nothing, and the tie goes to the lower
+    # action index.
+    assert actions == [Action.DISCHARGE] * 24
 
 
 def test_oracle_single_peak_hour_prefers_discharge(tariff):
@@ -220,6 +225,88 @@ def test_oracle_rejects_level_off_the_lattice(tariff, level):
         dp_oracle(day, POWERWALL, tariff, level)
     with pytest.raises(ValueError, match="soc level"):
         day_return(_no_battery(), day, POWERWALL, tariff, level)
+
+
+@pytest.mark.parametrize("discount", [1.5, -0.5, float("nan"), float("inf")])
+def test_oracle_and_day_return_reject_a_bad_discount(tariff, discount):
+    day = [_record(5.0, 0.0, hour=h) for h in range(24)]
+    with pytest.raises(ValueError, match="^discount must be in"):
+        dp_oracle(day, POWERWALL, tariff, 1, discount=discount)
+    with pytest.raises(ValueError, match="^discount must be in"):
+        day_return(_no_battery(), day, POWERWALL, tariff, 1, discount=discount)
+
+
+def test_oracle_and_day_return_reject_an_empty_day(tariff):
+    with pytest.raises(ValueError, match="at least one record"):
+        dp_oracle([], POWERWALL, tariff, 1)
+    with pytest.raises(ValueError, match="at least one record"):
+        day_return(_no_battery(), [], POWERWALL, tariff, 1)
+
+
+def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="shaped",
+                         penalties=None, discount=None):
+    """The oracle as a scalar backward pass: `transition` and `soc_bin` for
+    each (hour, level, action), ties going to the lowest action index."""
+    table = _resolve_penalties(penalty_mode, penalties)
+    limits = spec.limits
+    gamma = 1.0 if discount is None else discount
+    energies = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
+
+    # value[level] holds V_{h+1}; plan[h][level] is the (action, next level)
+    # that attains V_h, ties going to the lowest action index
+    value = [0.0] * len(energies)
+    plan = []
+    for record in reversed(day):
+        tier = tariff.tier_of(record.hour_of_day)
+        new_value = []
+        choices = []
+        for energy in energies:
+            best = None
+            for action in range(3):
+                out = transition(
+                    limits,
+                    energy,
+                    record.load_kwh,
+                    record.renewables_kwh,
+                    record.price_per_kwh,
+                    tier,
+                    action,
+                    None,
+                    table,
+                )
+                next_level = soc_bin(spec, out[5])
+                candidate = out[8] + gamma * value[next_level]
+                if best is None or candidate > best:
+                    best = candidate
+                    choice = (action, next_level)
+            new_value.append(best)
+            choices.append(choice)
+        value = new_value
+        plan.append(choices)
+    plan.reverse()
+
+    actions = []
+    level = initial_soc_level
+    for choices in plan:
+        action, level = choices[level]
+        actions.append(Action(action))
+    return value[initial_soc_level], actions
+
+
+@pytest.fixture(scope="module")
+def synthetic_quarter(tariff):
+    return generate_synthetic(SyntheticProfileConfig(days=91, rng_seed=3), tariff)
+
+
+@pytest.mark.parametrize("mode", ["shaped", "cost-only"])
+@pytest.mark.parametrize("discount", [None, 0.9])
+def test_oracle_matches_the_scalar_reference_on_a_quarter(synthetic_quarter, tariff,
+                                                          mode, discount):
+    for d in range(synthetic_quarter.n_days):
+        day = synthetic_quarter.day(d)
+        for level in (0, 1, 5, 10):
+            args = (day, POWERWALL, tariff, level, mode, None, discount)
+            assert dp_oracle(*args) == _reference_dp_oracle(*args)
 
 
 def _enumerate_best(day, spec, tariff, penalties, level):
@@ -335,6 +422,29 @@ def lattice_days(draw, charge_steps=None):
     return spec, tariff, series.day(0), draw(st.integers(0, top))
 
 
+@st.composite
+def off_lattice_days(draw):
+    """A battery with random limits and charge levels and a 24-hour day of
+    random load, PV and wind: trajectories leave the lattice and are re-binned."""
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    spec = BatterySpec(
+        capacity_kwh=draw(floats(1.0, 50.0)),
+        charge_rate_kw=draw(floats(0.5, 20.0)),
+        discharge_rate_kw=draw(floats(0.5, 20.0)),
+        reserve_fraction=draw(st.just(0.0) | floats(0.0, 0.5)),
+        soc_levels=draw(st.integers(2, 17)),
+    )
+    hourly = st.lists(floats(0.0, 20.0), min_size=24, max_size=24)
+    tariff = default_tariff()
+    series = HourlySeries(
+        load=draw(hourly),
+        pv=draw(hourly),
+        wind=draw(st.none() | hourly),
+        price=[tariff.price_at(h) for h in range(24)],
+    )
+    return spec, tariff, series.day(0), draw(st.integers(0, spec.soc_levels - 1))
+
+
 REWARDS = st.sampled_from(["shaped", "cost-only"])
 DISCOUNTS = st.sampled_from([None, 0.9])
 
@@ -366,3 +476,11 @@ def test_no_controller_beats_the_oracle(case, mode, discount, seed):
         value = day_return(controller, day, spec, tariff, level,
                            penalty_mode=mode, discount=discount)
         assert value <= best + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lattice_days() | off_lattice_days(), mode=REWARDS, discount=DISCOUNTS)
+def test_oracle_matches_the_scalar_reference(case, mode, discount):
+    spec, tariff, day, level = case
+    args = (day, spec, tariff, level, mode, None, discount)
+    assert dp_oracle(*args) == _reference_dp_oracle(*args)
