@@ -184,14 +184,18 @@ def train(
     prices = series.price.tolist()
     tier_of_hour = [env.tariff.tier_of(h) for h in range(24)]
     tiers = [tier_of_hour[i % 24] for i in range(n_hours)]
-    # The state of series hour i at charge level s is bases[i] + s * stride.
+    # Only the states the series can reach get a row: each distinct per-hour
+    # base (its flat index at level 0) owns soc_levels contiguous rows, so
+    # series hour i at charge level s is row rows[i] + s, and flat state
+    # bases[i] + s * stride of the dense table.
     pvs = series.pv.tolist()
     winds = series.wind.tolist() if series.has_wind else [None] * n_hours
     bases = [encoder.encode(i % 24, 0, loads[i], pvs[i], winds[i]) for i in range(n_hours)]
-    size = encoder.size()
-    stride = size // (24 * levels)
-
-    q = [[0.0, 0.0, 0.0] for _ in range(size)]
+    block = {base: k * levels for k, base in enumerate(dict.fromkeys(bases))}
+    rows = [block[base] for base in bases]
+    q = [[0.0, 0.0, 0.0] for _ in range(len(block) * levels)]
+    energies = [soc_level_energy(spec, s) for s in range(levels)]
+    n_days = series.n_days
     limits = spec.limits
     pen = env.penalties
     gamma = hp.discount_factor
@@ -211,12 +215,12 @@ def train(
     for episode in range(hp.total_episodes):
         alpha = decayed(hp.learning_rate_init, hp.decay, hp.floor, episode)
         epsilon = decayed(hp.epsilon_init, hp.decay, hp.floor, episode)
-        day = rng_randrange(series.n_days)
+        day = rng_randrange(n_days)
         level = rng_randrange(reset_low, levels)
-        energy = soc_level_energy(spec, level)
+        energy = energies[level]
         episode_return = 0.0
         position = day * 24
-        row = q[bases[position] + level * stride]
+        row = q[rows[position] + level]
         for _ in range(steps):
             if rng_random() < epsilon:
                 action = rng_randrange(3)
@@ -237,7 +241,7 @@ def train(
             if soc > top:
                 soc = top
             position += 1
-            nrow = q[bases[position % n_hours] + soc * stride]
+            nrow = q[rows[position % n_hours] + soc]
             bootstrap = nrow[0]
             if nrow[1] > bootstrap:
                 bootstrap = nrow[1]
@@ -252,9 +256,11 @@ def train(
         log_epsilons[episode] = epsilon
         log_returns[episode] = episode_return
 
-    table = QTable(values=np.array(q, dtype=np.float64), encoder=encoder, hyperparams=hp)
-    if size and table.values.shape != (size, 3):
-        raise AssertionError("q-table shape drifted from the encoder size")
+    values = np.zeros((encoder.size(), len(Action)))
+    stride = len(values) // (24 * levels)
+    reached = np.fromiter(block, dtype=np.intp, count=len(block))
+    values[(reached[:, None] + np.arange(levels) * stride).ravel()] = q
+    table = QTable(values=values, encoder=encoder, hyperparams=hp)
     log = TrainingLog(
         day_indices=log_days,
         soc_levels=log_levels,

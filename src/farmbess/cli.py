@@ -123,6 +123,8 @@ def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, st
 
 
 def cmd_train(args) -> int:
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config, overrides=_hyperparam_overrides(args))
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,6 +233,10 @@ def _comparison_text(rows) -> str:
 
 
 def cmd_compare(args) -> int:
+    if args.ablation and args.refs:
+        raise CliError(
+            f"compare --ablation takes no controller references, got {' '.join(args.refs)}"
+        )
     config = load_config(args.config, overrides=_hyperparam_overrides(args))
     series = config.load_series()
     out_dir = _output_dir(config, args.out)
@@ -306,7 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("compare", help="compare controllers or run the encoding ablation")
     cp.add_argument("--config", required=True)
     cp.add_argument("refs", nargs="*", help="controller references; first is the base")
-    cp.add_argument("--ablation", action="store_true", help="train and compare all three encodings")
+    cp.add_argument(
+        "--ablation",
+        action="store_true",
+        help="train and compare all three encodings (first seed of run.seeds; no references)",
+    )
     cp.add_argument("--episodes", type=int, help="override hyperparams.total_episodes")
     cp.add_argument("--out", help="output directory override")
     cp.set_defaults(func=cmd_compare)

@@ -4,6 +4,7 @@ loop, and Q-table persistence."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,11 +194,31 @@ def toy_encoder(toy_day, toy_spec):
     return StateEncoder.for_series(EncodingKind.HOUR_SOC, toy_day, toy_spec)
 
 
-def test_train_zero_episodes_returns_zero_table(toy_env, toy_encoder):
-    table, log = train(toy_env, Hyperparams(total_episodes=0, rng_seed=0), toy_encoder)
-    assert table.values.shape == (264, 3)
+@pytest.mark.parametrize("kind", list(EncodingKind), ids=lambda kind: kind.value)
+def test_train_zero_episodes_returns_zero_table(kind, synthetic_week, tariff):
+    env = BatteryEnv(synthetic_week, BatterySpec(), tariff)
+    encoder = StateEncoder.for_series(kind, synthetic_week, env.spec)
+    table, log = train(env, Hyperparams(total_episodes=0, rng_seed=0), encoder)
+    assert table.values.shape == (encoder.size(), 3)
+    assert table.values.dtype == np.float64
     assert np.all(table.values == 0.0)
     assert len(log) == 0
+
+
+def test_train_memory_stays_near_the_table(synthetic_week, tariff):
+    """train holds rows only for the states its series reaches: with no
+    episodes its traced peak stays within twice the dense table it returns,
+    although the wind encoding has 33,000 states and the week reaches fewer
+    than 500 of them."""
+    env = BatteryEnv(synthetic_week, BatterySpec(), tariff)
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV_WIND, synthetic_week, env.spec)
+    tracemalloc.start()
+    try:
+        table, _ = train(env, Hyperparams(total_episodes=0), encoder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.values.nbytes
 
 
 def test_train_deterministic_bit_identical(toy_env, toy_encoder, toy_day, toy_spec, toy_tariff):
@@ -264,8 +285,8 @@ def test_train_matches_public_op_composition(toy_env, toy_encoder):
 
 @pytest.mark.parametrize("kind", list(EncodingKind), ids=lambda kind: kind.value)
 def test_train_matches_public_op_composition_per_encoding(kind, synthetic_week, tariff):
-    """train()'s per-hour bases plus charge-level stride index the same
-    states as encode, for every encoding, on a week with wind."""
+    """train()'s reachable-row layout indexes the same states as encode, for
+    every encoding, on a week with wind."""
     env = BatteryEnv(synthetic_week, BatterySpec(), tariff)
     # The synthetic wind stays within 5 % of its mean: with 5 bins every hour
     # lands in the top one, with 20 the hours split between the top two.

@@ -162,6 +162,35 @@ def test_train_wind_encoding_on_windless_data(tmp_path, capsys):
     assert "wind_kwh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_train_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    config = _config(tmp_path, SMALL_SYNTH.format(out=out))
+    assert main(["train", "--config", str(config), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--workers" in err
+    assert "\n" not in err.strip()
+    assert not out.exists()
+
+
+def test_train_worker_pool_matches_sequential(tmp_path):
+    """Two seeds trained in a two-process pool write the same bytes as the
+    same seeds trained one after the other."""
+    text = SMALL_SYNTH.replace("days: 4", "days: 2").replace("seeds: [7]", "seeds: [7, 8]")
+    config = _config(tmp_path, text.format(out=tmp_path / "unused"))
+    out_seq, out_pool = tmp_path / "seq", tmp_path / "pool"
+    assert main(["train", "--config", str(config), "--out", str(out_seq), "--workers", "1"]) == 0
+    assert main(["train", "--config", str(config), "--out", str(out_pool), "--workers", "2"]) == 0
+    names = [
+        f"{stem}_seed{seed}.{ext}"
+        for seed in (7, 8)
+        for stem, ext in (("qtable", "qt"), ("training_log", "csv"), ("manifest", "json"))
+    ]
+    assert sorted(p.name for p in out_pool.iterdir()) == sorted(names)
+    for name in names:
+        assert (out_pool / name).read_bytes() == (out_seq / name).read_bytes(), name
+
+
 def test_train_episodes_override_flag(tmp_path):
     out = tmp_path / "out"
     config = _config(tmp_path, SMALL_SYNTH.format(out=out))
@@ -322,6 +351,19 @@ def test_compare_ablation_three_rows(tmp_path):
         "qlearning:hour-soc-load-pv",
         "qlearning:hour-soc-load-pv-wind",
     ]
+
+
+def test_compare_ablation_rejects_references(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = _config(tmp_path, SMALL_SYNTH.format(out=out))
+    code = main(
+        ["compare", "--config", str(config), "--ablation", "baseline:msc", "qtable:/nonexistent"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--ablation" in err
+    assert "\n" not in err.strip()
+    assert not (out / "comparison.json").exists()
 
 
 @pytest.mark.parametrize(
