@@ -15,14 +15,11 @@ from .agent import (
     greedy_action,
     load_qtable,
     save_qtable,
-    select_action,
-    td_update,
     train,
 )
 from .baselines import BaselineKind, baseline_decision
 from .battery import (
     Action,
-    BatteryEnv,
     BatterySpec,
     EnergyFlows,
     PenaltyTable,

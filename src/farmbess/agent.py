@@ -1,19 +1,19 @@
-"""Tabular Q-learning: action selection, the TD update, linear decay
-schedules, the day-episode training loop, and Q-table persistence."""
+"""Tabular Q-learning: greedy action selection, linear decay schedules, the
+day-episode training loop, and Q-table persistence."""
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .battery import Action, BatteryEnv, transition
+from .battery import Action, BatterySpec, PenaltyTable, transition
 from .encoding import BinSpec, EncodingKind, StateEncoder, soc_level_energy
 from .ioutil import atomic_write_bytes, atomic_write_text
+from .timeseries import HourlySeries, TariffSchedule
 
 QTABLE_MAGIC = "farmbess-qtable"
 QTABLE_FORMAT_VERSION = 1
@@ -64,14 +64,6 @@ class QTable:
     encoder: StateEncoder
     hyperparams: Hyperparams | None = None
 
-    @classmethod
-    def zeros(cls, encoder: StateEncoder, hyperparams: Hyperparams | None = None) -> "QTable":
-        return cls(
-            values=np.zeros((encoder.size(), len(Action))),
-            encoder=encoder,
-            hyperparams=hyperparams,
-        )
-
 
 @dataclass
 class TrainingLog:
@@ -108,40 +100,6 @@ def greedy_action(q: QTable, state: int) -> Action:
     return Action(best)
 
 
-def select_action(q: QTable, state: int, epsilon: float, rng: random.Random) -> Action:
-    """Epsilon-greedy selection: one uniform draw decides exploration, and an
-    exploring step picks uniformly among all three actions."""
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if rng.random() < epsilon:
-        return Action(rng.randrange(len(Action)))
-    return greedy_action(q, state)
-
-
-def td_update(
-    q: QTable,
-    state: int,
-    action: Action,
-    reward: float,
-    next_state: int,
-    alpha: float,
-    discount: float,
-) -> float:
-    """One temporal-difference update; returns the value written.
-
-    Q(s,a) += alpha * (reward + discount * max_a' Q(s',a') - Q(s,a))
-    """
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    a = int(action)
-    bootstrap = float(max(q.values[next_state]))
-    updated = q.values[state, a] + alpha * (reward + discount * bootstrap - q.values[state, a])
-    q.values[state, a] = updated
-    return float(updated)
-
-
 def decayed(initial: float, decay: float, floor: float, steps: int) -> float:
     """Schedule value after the given number of decay steps, in closed form
     so repeated application cannot accumulate rounding drift."""
@@ -149,9 +107,15 @@ def decayed(initial: float, decay: float, floor: float, steps: int) -> float:
 
 
 def train(
-    env: BatteryEnv, hyperparams: Hyperparams, encoder: StateEncoder
+    series: HourlySeries,
+    spec: BatterySpec,
+    tariff: TariffSchedule,
+    penalties: PenaltyTable,
+    hyperparams: Hyperparams,
+    encoder: StateEncoder,
 ) -> tuple[QTable, TrainingLog]:
-    """Run day-long training episodes on the env's series.
+    """Run day-long training episodes on the series, scored under the
+    battery spec, the tariff and the shaping penalties.
 
     Each episode starts at hour 0 of a uniformly sampled day at a sampled
     charge level's energy, runs steps_per_episode epsilon-greedy steps with
@@ -160,12 +124,10 @@ def train(
     generator drives day sampling, charge sampling, and exploration, in that
     order, so runs are bit-reproducible.
     """
-    spec = env.spec
     if encoder.soc_levels != spec.soc_levels:
         raise ValueError(
             f"encoder has {encoder.soc_levels} charge levels but the battery spec has {spec.soc_levels}"
         )
-    series = env.series
     if encoder.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND and not series.has_wind:
         raise ValueError("wind encoding requires a series with wind data")
 
@@ -182,7 +144,7 @@ def train(
     loads = series.load.tolist()
     renews = series.renewables.tolist()
     prices = series.price.tolist()
-    tier_of_hour = [env.tariff.tier_of(h) for h in range(24)]
+    tier_of_hour = [tariff.tier_of(h) for h in range(24)]
     tiers = [tier_of_hour[i % 24] for i in range(n_hours)]
     # Only the states the series can reach get a row: each distinct per-hour
     # base (its flat index at level 0) owns soc_levels contiguous rows, so
@@ -197,7 +159,6 @@ def train(
     energies = [soc_level_energy(spec, s) for s in range(levels)]
     n_days = series.n_days
     limits = spec.limits
-    pen = env.penalties
     gamma = hp.discount_factor
     steps = hp.steps_per_episode
     bin_scale = top / spec.capacity_kwh
@@ -232,7 +193,8 @@ def train(
                     action = 2
             idx = position % n_hours
             _, _, _, _, _, energy, _, _, reward = transition(
-                limits, energy, loads[idx], renews[idx], prices[idx], tiers[idx], action, None, pen
+                limits, energy, loads[idx], renews[idx], prices[idx], tiers[idx], action, None,
+                penalties,
             )
             x = energy * bin_scale
             soc = int(x)
@@ -298,12 +260,9 @@ def save_qtable(q: QTable, path: str | Path) -> None:
     )
 
 
-def load_qtable(path: str | Path, expected_encoder: StateEncoder | None = None) -> QTable:
-    """Read a Q-table written by save_qtable.
-
-    When expected_encoder is given, the stored encoding must match it
-    exactly; a mismatch (different kind, levels, or bins) is an error.
-    """
+def load_qtable(path: str | Path) -> QTable:
+    """Read a Q-table written by save_qtable, with the encoding it was
+    trained under."""
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
@@ -343,10 +302,4 @@ def load_qtable(path: str | Path, expected_encoder: StateEncoder | None = None) 
     values = np.frombuffer(raw, dtype="<f8", offset=newline + 1).reshape(shape)
     if not np.isfinite(values).all():
         raise QTableFormatError(f"{path}: payload holds non-finite values")
-    if expected_encoder is not None and encoder != expected_encoder:
-        raise QTableFormatError(
-            f"{path}: stored encoding {encoder.kind.value} with dims "
-            f"{encoder.dims()} does not match the configured encoding "
-            f"{expected_encoder.kind.value} with dims {expected_encoder.dims()}"
-        )
     return QTable(values=values.copy(), encoder=encoder, hyperparams=hyperparams)

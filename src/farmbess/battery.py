@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import _soc_bins, soc_level_energy
-from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier, default_tariff
+from .timeseries import HourlyRecord, Tier
 
 
 class Action(IntEnum):
@@ -301,19 +301,3 @@ def apply_action(
         next_energy_kwh=next_energy,
     )
 
-
-class BatteryEnv:
-    """The training problem: an hourly series with the battery spec, tariff
-    and shaping penalties it is scored under (defaults where omitted)."""
-
-    def __init__(
-        self,
-        series: HourlySeries,
-        spec: BatterySpec | None = None,
-        tariff: TariffSchedule | None = None,
-        penalties: PenaltyTable | None = None,
-    ) -> None:
-        self.series = series
-        self.spec = spec if spec is not None else BatterySpec()
-        self.tariff = tariff if tariff is not None else default_tariff()
-        self.penalties = penalties if penalties is not None else PenaltyTable()

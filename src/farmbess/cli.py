@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .agent import QTableFormatError, load_qtable, save_qtable, train
 from .baselines import BaselineKind
-from .battery import BatteryEnv
 from .config import ConfigError, RunConfig, load_config
 from .encoding import EncodingKind
 from .evaluation import (
@@ -76,9 +75,11 @@ def cmd_gen_data(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             overrides[f"dataset.synthetic.{key}"] = value
+    if args.no_wind:
+        overrides["dataset.include_wind"] = False
     config = load_config(args.config, overrides)
     series = generate_synthetic(config.synthetic or SyntheticProfileConfig(), config.tariff)
-    if args.no_wind:
+    if not config.include_wind:
         series = series.without_wind()
     out = Path(args.out) if args.out else _output_dir(None, None) / "synthetic.csv"
     write_csv(series, out)
@@ -96,9 +97,10 @@ def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, st
     """Train one seed and write its three output files (worker-safe)."""
     series = config.load_series()
     encoder = config.encoder_for(series)
-    env = BatteryEnv(series, config.battery, config.tariff, config.penalties)
     hp = replace(config.hyperparams, rng_seed=seed)
-    table, log = train(env, hp, encoder)
+    table, log = train(
+        series, config.battery, config.tariff, config.penalties, hyperparams=hp, encoder=encoder
+    )
 
     out = Path(out_dir)
     qtable_path = out / f"qtable_seed{seed}.qt"
@@ -247,7 +249,11 @@ def cmd_compare(args) -> int:
             series,
             config.battery,
             config.tariff,
-            [replace(config, encoding_kind=kind).encoder_for(series) for kind in EncodingKind],
+            [
+                replace(config, encoding_kind=kind).encoder_for(series)
+                for kind in EncodingKind
+                if series.has_wind or kind is not EncodingKind.HOUR_SOC_LOAD_PV_WIND
+            ],
             replace(config.hyperparams, rng_seed=config.seeds[0]),
             penalties=config.penalties,
             initial_soc_level=config.initial_soc_level,
@@ -315,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument(
         "--ablation",
         action="store_true",
-        help="train and compare all three encodings (first seed of run.seeds; no references)",
+        help="train and compare every encoding the series supports, the wind one only with "
+        "wind data (first seed of run.seeds; no references)",
     )
     cp.add_argument("--episodes", type=int, help="override hyperparams.total_episodes")
     cp.add_argument("--out", help="output directory override")

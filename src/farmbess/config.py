@@ -257,6 +257,13 @@ def _validate(raw: dict, where: str) -> RunConfig:
         raise ConfigError(f"encoding.kind must be one of: {valid}") from None
     if not 0 <= encoding.percentile <= 100:
         raise ConfigError(f"encoding.percentile must be in [0, 100], got {encoding.percentile}")
+    for column in ("load", "pv", "wind"):
+        count = getattr(encoding, f"{column}_bins")
+        if count < 1:
+            raise ConfigError(f"encoding.{column}_bins must be >= 1, got {count}")
+        bin_max = getattr(encoding, f"{column}_bin_max")
+        if bin_max is not None and not bin_max > 0:
+            raise ConfigError(f"encoding.{column}_bin_max must be > 0, got {bin_max}")
 
     pen_section = _section(PenaltyTable, raw.get("penalties"), "penalties")
     penalties = PenaltyTable(**{k: float(v) for k, v in pen_section.items()})

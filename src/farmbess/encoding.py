@@ -139,16 +139,6 @@ class StateEncoder:
             raise ValueError("wind_kwh is None but the encoding requires a wind value")
         return index * self.wind_bins.bin_count + value_bin(self.wind_bins, wind_kwh)
 
-    def decode(self, flat_index: int) -> tuple[int, ...]:
-        """Coordinates (hour, soc[, load, pv[, wind]]) for a flat index."""
-        if not 0 <= flat_index < self.size():
-            raise ValueError(f"flat index {flat_index} outside [0, {self.size()})")
-        coords = []
-        for _, cardinality in reversed(self.dims()):
-            coords.append(flat_index % cardinality)
-            flat_index //= cardinality
-        return tuple(reversed(coords))
-
     @classmethod
     def for_series(
         cls,

@@ -19,14 +19,7 @@ import numpy as np
 
 from .agent import Hyperparams, QTable, greedy_action, train
 from .baselines import BaselineKind, baseline_decision
-from .battery import (
-    Action,
-    BatteryEnv,
-    BatterySpec,
-    PenaltyTable,
-    lattice_transition,
-    transition,
-)
+from .battery import Action, BatterySpec, PenaltyTable, lattice_transition, transition
 from .encoding import StateEncoder, soc_bin, soc_level_energy
 from .ioutil import atomic_write_text
 from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier
@@ -153,11 +146,9 @@ def _resolve_penalties(penalty_mode: str, penalties: PenaltyTable | None) -> Pen
     return penalties if penalties is not None else PenaltyTable()
 
 
-def _check_day(day: Sequence[HourlyRecord], discount: float | None) -> None:
+def _check_day(day: Sequence[HourlyRecord]) -> None:
     if len(day) == 0:
         raise ValueError("day must contain at least one record")
-    if discount is not None and not 0 <= discount <= 1:
-        raise ValueError(f"discount must be in [0, 1], got {discount}")
 
 
 def rollout(
@@ -228,16 +219,14 @@ def day_return(
     initial_soc_level: int,
     penalty_mode: str = "shaped",
     penalties: PenaltyTable | None = None,
-    discount: float | None = None,
 ) -> float:
     """Episode return of a controller over one day, under the same reward the
-    oracle scores (shaped or cost-only, optionally discounted)."""
+    oracle scores (shaped or cost-only)."""
     table = _resolve_penalties(penalty_mode, penalties)
     limits = spec.limits
     energy = soc_level_energy(spec, initial_soc_level)
-    _check_day(day, discount)
+    _check_day(day)
     total = 0.0
-    weight = 1.0
     for record in day:
         action, cap = controller(record, energy)
         _, _, _, _, _, energy, _, _, reward = transition(
@@ -251,9 +240,7 @@ def day_return(
             cap,
             table,
         )
-        total += weight * reward
-        if discount is not None:
-            weight *= discount
+        total += reward
     return total
 
 
@@ -295,7 +282,6 @@ def dp_oracle(
     initial_soc_level: int,
     penalty_mode: str = "shaped",
     penalties: PenaltyTable | None = None,
-    discount: float | None = None,
 ) -> tuple[float, list[Action]]:
     """Exact backward induction over the day's (hour, charge level) lattice.
 
@@ -304,8 +290,8 @@ def dp_oracle(
     physics, with the continuous next energy re-binned to a level. The whole
     (hour, level, action) table comes from one array pass
     (`lattice_transition`) before the backward pass over the hours. Returns
-    the maximal episode return (undiscounted unless a discount is given) and
-    one optimal action sequence, ties broken by action order.
+    the maximal episode return and one optimal action sequence, ties broken
+    by action order.
 
     The oracle charges at the full rate only, so its return bounds, from
     above, every controller that stays on the lattice and never caps a
@@ -314,8 +300,7 @@ def dp_oracle(
     """
     table = _resolve_penalties(penalty_mode, penalties)
     soc_level_energy(spec, initial_soc_level)  # rejects a level off the lattice
-    _check_day(day, discount)
-    gamma = 1.0 if discount is None else discount
+    _check_day(day)
     next_level, returns = lattice_transition(
         spec,
         [record.load_kwh for record in day],
@@ -325,14 +310,14 @@ def dp_oracle(
         table,
     )
 
-    # value holds V_{h+1}; returns[h, level, action] gains gamma * V_{h+1}
-    # on top of the reward, and choice[h][level] is the action attaining V_h,
-    # ties going to the lowest action index (argmax takes the first maximum)
+    # value holds V_{h+1}; returns[h, level, action] gains V_{h+1} on top of
+    # the reward, and choice[h][level] is the action attaining V_h, ties
+    # going to the lowest action index (argmax takes the first maximum)
     levels = np.arange(spec.soc_levels)
     value = np.zeros(spec.soc_levels)
     choice = np.empty(returns.shape[:2], dtype=np.intp)
     for h in range(len(day) - 1, -1, -1):
-        returns[h] += gamma * value[next_level[h]]
+        returns[h] += value[next_level[h]]
         choice[h] = returns[h].argmax(axis=1)
         value = returns[h][levels, choice[h]]
 
@@ -351,7 +336,7 @@ def ablation_run(
     tariff: TariffSchedule,
     encoders: Sequence[StateEncoder],
     hyperparams: Hyperparams,
-    penalties: PenaltyTable | None = None,
+    penalties: PenaltyTable,
     initial_soc_level: int = 1,
 ) -> list[ComparisonReport]:
     """Train one agent per state encoder (state-space design) with identical
@@ -366,8 +351,9 @@ def ablation_run(
     )
     rows = []
     for encoder in encoders:
-        env = BatteryEnv(series, spec, tariff, penalties)
-        table, _ = train(env, hyperparams, encoder)
+        table, _ = train(
+            series, spec, tariff, penalties, hyperparams=hyperparams, encoder=encoder
+        )
         report = rollout(
             qtable_controller(table, spec),
             series,

@@ -153,8 +153,8 @@ class HourlySeries:
     read-only float64 columns: load, pv, wind (None when the dataset has no
     wind) and price. Row i is hour i of the series.
 
-    `records`, iteration, indexing and `day()` give per-hour `HourlyRecord`
-    views, built once on first use.
+    `records`, iteration and `day()` give per-hour `HourlyRecord` views,
+    built once on first use.
     """
 
     def __init__(self, load, pv, wind, price) -> None:
@@ -192,9 +192,6 @@ class HourlySeries:
 
     def __iter__(self):
         return iter(self.records)
-
-    def __getitem__(self, index: int) -> HourlyRecord:
-        return self.records[index]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HourlySeries):

@@ -1,8 +1,14 @@
 """Q-learning mechanics: selection, TD updates, decay schedules, the training
-loop, and Q-table persistence."""
+loop, and Q-table persistence.
+
+`train` inlines epsilon-greedy selection and the TD update; `select_action`
+and `td_update` below spell them out for `_reference_train`, which checks the
+loop against them bit for bit.
+"""
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 
@@ -13,20 +19,18 @@ from hypothesis.extra.numpy import arrays
 
 from farmbess import (
     Action,
-    BatteryEnv,
     BatterySpec,
     EncodingKind,
     Hyperparams,
+    PenaltyTable,
     QTable,
     StateEncoder,
     decayed,
     greedy_action,
     load_qtable,
     save_qtable,
-    select_action,
     soc_bin,
     soc_level_energy,
-    td_update,
     train,
     transition,
 )
@@ -34,9 +38,43 @@ from farmbess.agent import QTableFormatError
 from farmbess.encoding import BinSpec
 
 
+def select_action(q: QTable, state: int, epsilon: float, rng: random.Random) -> Action:
+    """Epsilon-greedy selection: one uniform draw decides exploration, and an
+    exploring step picks uniformly among all three actions."""
+    if not 0 <= epsilon <= 1:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if rng.random() < epsilon:
+        return Action(rng.randrange(len(Action)))
+    return greedy_action(q, state)
+
+
+def td_update(
+    q: QTable,
+    state: int,
+    action: Action,
+    reward: float,
+    next_state: int,
+    alpha: float,
+    discount: float,
+) -> float:
+    """One temporal-difference update; returns the value written.
+
+    Q(s,a) += alpha * (reward + discount * max_a' Q(s',a') - Q(s,a))
+    """
+    if not math.isfinite(reward):
+        raise ValueError(f"reward must be finite, got {reward}")
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    a = int(action)
+    bootstrap = float(max(q.values[next_state]))
+    updated = q.values[state, a] + alpha * (reward + discount * bootstrap - q.values[state, a])
+    q.values[state, a] = updated
+    return float(updated)
+
+
 def _table(values_row=None) -> QTable:
     encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
-    q = QTable.zeros(encoder)
+    q = QTable(np.zeros((encoder.size(), 3)), encoder)
     if values_row is not None:
         q.values[0] = values_row
     return q
@@ -185,8 +223,10 @@ def test_decayed_matches_single_step():
 
 
 @pytest.fixture()
-def toy_env(toy_day, toy_spec, toy_tariff):
-    return BatteryEnv(toy_day, toy_spec, toy_tariff)
+def toy_problem(toy_day, toy_spec, toy_tariff):
+    """`train`'s first four arguments for the one-day toy series: the series,
+    the spec, the tariff and the default penalties."""
+    return toy_day, toy_spec, toy_tariff, PenaltyTable()
 
 
 @pytest.fixture()
@@ -196,9 +236,9 @@ def toy_encoder(toy_day, toy_spec):
 
 @pytest.mark.parametrize("kind", list(EncodingKind), ids=lambda kind: kind.value)
 def test_train_zero_episodes_returns_zero_table(kind, synthetic_week, tariff):
-    env = BatteryEnv(synthetic_week, BatterySpec(), tariff)
-    encoder = StateEncoder.for_series(kind, synthetic_week, env.spec)
-    table, log = train(env, Hyperparams(total_episodes=0, rng_seed=0), encoder)
+    problem = (synthetic_week, BatterySpec(), tariff, PenaltyTable())
+    encoder = StateEncoder.for_series(kind, synthetic_week, BatterySpec())
+    table, log = train(*problem, Hyperparams(total_episodes=0, rng_seed=0), encoder)
     assert table.values.shape == (encoder.size(), 3)
     assert table.values.dtype == np.float64
     assert np.all(table.values == 0.0)
@@ -210,41 +250,39 @@ def test_train_memory_stays_near_the_table(synthetic_week, tariff):
     episodes its traced peak stays within twice the dense table it returns,
     although the wind encoding has 33,000 states and the week reaches fewer
     than 500 of them."""
-    env = BatteryEnv(synthetic_week, BatterySpec(), tariff)
-    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV_WIND, synthetic_week, env.spec)
+    problem = (synthetic_week, BatterySpec(), tariff, PenaltyTable())
+    encoder = StateEncoder.for_series(
+        EncodingKind.HOUR_SOC_LOAD_PV_WIND, synthetic_week, BatterySpec()
+    )
     tracemalloc.start()
     try:
-        table, _ = train(env, Hyperparams(total_episodes=0), encoder)
+        table, _ = train(*problem, Hyperparams(total_episodes=0), encoder)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * table.values.nbytes
 
 
-def test_train_deterministic_bit_identical(toy_env, toy_encoder, toy_day, toy_spec, toy_tariff):
+def test_train_deterministic_bit_identical(toy_problem, toy_encoder):
     hp = Hyperparams(total_episodes=2_000, rng_seed=31)
-    a, log_a = train(toy_env, hp, toy_encoder)
-    b, log_b = train(BatteryEnv(toy_day, toy_spec, toy_tariff), hp, toy_encoder)
+    a, log_a = train(*toy_problem, hp, toy_encoder)
+    b, log_b = train(*toy_problem, hp, toy_encoder)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(log_a.episode_returns, log_b.episode_returns)
 
 
-def test_train_seeds_differ(toy_env, toy_encoder, toy_day, toy_spec, toy_tariff):
-    a, _ = train(toy_env, Hyperparams(total_episodes=2_000, rng_seed=1), toy_encoder)
-    b, _ = train(
-        BatteryEnv(toy_day, toy_spec, toy_tariff),
-        Hyperparams(total_episodes=2_000, rng_seed=2),
-        toy_encoder,
-    )
+def test_train_seeds_differ(toy_problem, toy_encoder):
+    a, _ = train(*toy_problem, Hyperparams(total_episodes=2_000, rng_seed=1), toy_encoder)
+    b, _ = train(*toy_problem, Hyperparams(total_episodes=2_000, rng_seed=2), toy_encoder)
     assert not np.array_equal(a.values, b.values)
 
 
-def _reference_train(env, hp, encoder):
+def _reference_train(series, spec, tariff, penalties, hp, encoder):
     """train() spelled out with the public ops: transition steps the battery,
     soc_bin and encode index the state, select_action and td_update learn.
     The state after the series' last hour is read at the series' first hour."""
-    spec, records = env.spec, env.series.records
-    q = QTable.zeros(encoder)
+    records = series.records
+    q = QTable(np.zeros((encoder.size(), 3)), encoder)
     rng = random.Random(hp.rng_seed)
 
     def state(position, energy):
@@ -255,7 +293,7 @@ def _reference_train(env, hp, encoder):
     for episode in range(hp.total_episodes):
         alpha = decayed(hp.learning_rate_init, hp.decay, hp.floor, episode)
         epsilon = decayed(hp.epsilon_init, hp.decay, hp.floor, episode)
-        position = rng.randrange(env.series.n_days) * 24
+        position = rng.randrange(series.n_days) * 24
         energy = soc_level_energy(spec, rng.randrange(hp.soc_reset_low, spec.soc_levels))
         current = state(position, energy)
         for _ in range(hp.steps_per_episode):
@@ -263,8 +301,8 @@ def _reference_train(env, hp, encoder):
             record = records[position % len(records)]
             *_, energy, _, _, reward = transition(
                 spec.limits, energy, record.load_kwh, record.renewables_kwh,
-                record.price_per_kwh, env.tariff.tier_of(record.hour_of_day),
-                action, None, env.penalties,
+                record.price_per_kwh, tariff.tier_of(record.hour_of_day),
+                action, None, penalties,
             )
             position += 1
             following = state(position, energy)
@@ -274,31 +312,31 @@ def _reference_train(env, hp, encoder):
     return q
 
 
-def test_train_matches_public_op_composition(toy_env, toy_encoder):
+def test_train_matches_public_op_composition(toy_problem, toy_encoder):
     """The optimized loop and the public ops are the same algorithm on the
     one-day toy series, where every episode's last step wraps to hour 0:
     the reference reproduces train()'s table bit for bit."""
     hp = Hyperparams(total_episodes=300, rng_seed=13)
-    trained, _ = train(toy_env, hp, toy_encoder)
-    assert np.array_equal(trained.values, _reference_train(toy_env, hp, toy_encoder).values)
+    trained, _ = train(*toy_problem, hp, toy_encoder)
+    assert np.array_equal(trained.values, _reference_train(*toy_problem, hp, toy_encoder).values)
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind), ids=lambda kind: kind.value)
 def test_train_matches_public_op_composition_per_encoding(kind, synthetic_week, tariff):
     """train()'s reachable-row layout indexes the same states as encode, for
     every encoding, on a week with wind."""
-    env = BatteryEnv(synthetic_week, BatterySpec(), tariff)
+    problem = (synthetic_week, BatterySpec(), tariff, PenaltyTable())
     # The synthetic wind stays within 5 % of its mean: with 5 bins every hour
     # lands in the top one, with 20 the hours split between the top two.
-    encoder = StateEncoder.for_series(kind, synthetic_week, env.spec, bin_counts=(5, 5, 20))
+    encoder = StateEncoder.for_series(kind, synthetic_week, BatterySpec(), bin_counts=(5, 5, 20))
     hp = Hyperparams(total_episodes=400, rng_seed=13)
-    trained, _ = train(env, hp, encoder)
-    assert np.array_equal(trained.values, _reference_train(env, hp, encoder).values)
+    trained, _ = train(*problem, hp, encoder)
+    assert np.array_equal(trained.values, _reference_train(*problem, hp, encoder).values)
 
 
-def test_train_q_values_bounded(toy_env, toy_encoder, toy_day, toy_spec, toy_tariff):
+def test_train_q_values_bounded(toy_problem, toy_encoder, toy_day, toy_spec):
     hp = Hyperparams(total_episodes=5_000, rng_seed=5)
-    table, _ = train(toy_env, hp, toy_encoder)
+    table, _ = train(*toy_problem, hp, toy_encoder)
     assert np.all(np.isfinite(table.values))
     # |reward| <= max penalty + max hourly cost on the toy day
     max_cost = max(r.load_kwh * r.price_per_kwh for r in toy_day) + \
@@ -307,24 +345,24 @@ def test_train_q_values_bounded(toy_env, toy_encoder, toy_day, toy_spec, toy_tar
     assert np.max(np.abs(table.values)) <= bound
 
 
-def test_train_log_schedules_per_episode(toy_env, toy_encoder):
+def test_train_log_schedules_per_episode(toy_problem, toy_encoder, toy_day):
     hp = Hyperparams(total_episodes=50, rng_seed=3)
-    _, log = train(toy_env, hp, toy_encoder)
+    _, log = train(*toy_problem, hp, toy_encoder)
     assert len(log) == 50
     assert log.alphas[0] == 0.8
     assert log.alphas[1] == 0.7999
-    assert all(0 <= d < toy_env.series.n_days for d in log.day_indices)
+    assert all(0 <= d < toy_day.n_days for d in log.day_indices)
     assert all(0 <= lvl <= 10 for lvl in log.soc_levels)
 
 
-def test_train_soc_reset_low_switch(toy_env, toy_encoder):
+def test_train_soc_reset_low_switch(toy_problem, toy_encoder):
     hp = Hyperparams(total_episodes=500, rng_seed=3, soc_reset_low=1)
-    _, log = train(toy_env, hp, toy_encoder)
+    _, log = train(*toy_problem, hp, toy_encoder)
     assert min(log.soc_levels) >= 1
 
 
-def test_greedy_policy_invariant_under_affine_rescale(toy_env, toy_encoder):
-    table, _ = train(toy_env, Hyperparams(total_episodes=3_000, rng_seed=8), toy_encoder)
+def test_greedy_policy_invariant_under_affine_rescale(toy_problem, toy_encoder):
+    table, _ = train(*toy_problem, Hyperparams(total_episodes=3_000, rng_seed=8), toy_encoder)
     scaled = QTable(values=table.values * 3.0 + 7.0, encoder=table.encoder)
     for s in range(table.values.shape[0]):
         assert greedy_action(table, s) is greedy_action(scaled, s)
@@ -332,17 +370,17 @@ def test_greedy_policy_invariant_under_affine_rescale(toy_env, toy_encoder):
 
 def test_train_rejects_mismatched_levels(toy_day, toy_tariff, toy_encoder):
     other_spec = BatterySpec(capacity_kwh=10.0, soc_levels=6)
-    env = BatteryEnv(toy_day, other_spec, toy_tariff)
     with pytest.raises(ValueError, match="levels"):
-        train(env, Hyperparams(total_episodes=1), toy_encoder)
+        train(toy_day, other_spec, toy_tariff, PenaltyTable(), Hyperparams(total_episodes=1),
+              toy_encoder)
 
 
 # ---------------------------------------------------------------- persistence
 
 
-def test_qtable_round_trip(tmp_path, toy_env, toy_encoder):
+def test_qtable_round_trip(tmp_path, toy_problem, toy_encoder):
     hp = Hyperparams(total_episodes=1_000, rng_seed=17)
-    table, _ = train(toy_env, hp, toy_encoder)
+    table, _ = train(*toy_problem, hp, toy_encoder)
     path = tmp_path / "table.qt"
     save_qtable(table, path)
     back = load_qtable(path)
@@ -351,27 +389,14 @@ def test_qtable_round_trip(tmp_path, toy_env, toy_encoder):
     assert back.hyperparams == hp
 
 
-def test_qtable_file_deterministic(tmp_path, toy_env, toy_encoder, toy_day, toy_spec, toy_tariff):
+def test_qtable_file_deterministic(tmp_path, toy_problem, toy_encoder):
     hp = Hyperparams(total_episodes=500, rng_seed=17)
-    table_a, _ = train(toy_env, hp, toy_encoder)
-    table_b, _ = train(BatteryEnv(toy_day, toy_spec, toy_tariff), hp, toy_encoder)
+    table_a, _ = train(*toy_problem, hp, toy_encoder)
+    table_b, _ = train(*toy_problem, hp, toy_encoder)
     a, b = tmp_path / "a.qt", tmp_path / "b.qt"
     save_qtable(table_a, a)
     save_qtable(table_b, b)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_load_rejects_wrong_encoding(tmp_path, toy_env, toy_encoder):
-    table, _ = train(toy_env, Hyperparams(total_episodes=10, rng_seed=1), toy_encoder)
-    path = tmp_path / "t.qt"
-    save_qtable(table, path)
-    other = StateEncoder(
-        kind=EncodingKind.HOUR_SOC_LOAD_PV,
-        load_bins=BinSpec(5, 10.0),
-        pv_bins=BinSpec(5, 10.0),
-    )
-    with pytest.raises(QTableFormatError, match="does not match"):
-        load_qtable(path, expected_encoder=other)
 
 
 def test_load_rejects_newer_format_version(tmp_path):
@@ -392,30 +417,30 @@ def test_load_rejects_garbage(tmp_path):
         load_qtable(path)
 
 
-def _saved_table(tmp_path, toy_env, toy_encoder):
-    table, _ = train(toy_env, Hyperparams(total_episodes=10, rng_seed=1), toy_encoder)
+def _saved_table(tmp_path, toy_problem, toy_encoder):
+    table, _ = train(*toy_problem, Hyperparams(total_episodes=10, rng_seed=1), toy_encoder)
     path = tmp_path / "t.qt"
     save_qtable(table, path)
     header, _, payload = path.read_bytes().partition(b"\n")
     return path, header, payload
 
 
-def test_load_rejects_object_dtype(tmp_path, toy_env, toy_encoder):
-    path, header, payload = _saved_table(tmp_path, toy_env, toy_encoder)
+def test_load_rejects_object_dtype(tmp_path, toy_problem, toy_encoder):
+    path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)
     path.write_bytes(header.replace(b'"<f8"', b'"|O"') + b"\n" + payload)
     with pytest.raises(QTableFormatError, match=f"{path.name}.*dtype"):
         load_qtable(path)
 
 
-def test_load_rejects_short_payload(tmp_path, toy_env, toy_encoder):
-    path, header, payload = _saved_table(tmp_path, toy_env, toy_encoder)
+def test_load_rejects_short_payload(tmp_path, toy_problem, toy_encoder):
+    path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)
     path.write_bytes(header + b"\n" + payload[:-8])
     with pytest.raises(QTableFormatError, match=f"{path.name}.*bytes"):
         load_qtable(path)
 
 
-def test_load_rejects_non_finite_values(tmp_path, toy_env, toy_encoder):
-    path, header, payload = _saved_table(tmp_path, toy_env, toy_encoder)
+def test_load_rejects_non_finite_values(tmp_path, toy_problem, toy_encoder):
+    path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)
     nan = np.array([np.nan], dtype="<f8").tobytes()
     path.write_bytes(header + b"\n" + nan + payload[8:])
     with pytest.raises(QTableFormatError, match=f"{path.name}.*non-finite"):
@@ -457,7 +482,7 @@ def _tables(draw):
 def test_qtable_save_load_round_trip_property(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("qt") / "t.qt"
     save_qtable(table, path)
-    back = load_qtable(path, expected_encoder=table.encoder)
+    back = load_qtable(path)
     assert np.array_equal(back.values, table.values)
     assert back.encoder == table.encoder
     assert back.hyperparams == table.hyperparams
@@ -466,8 +491,8 @@ def test_qtable_save_load_round_trip_property(tmp_path_factory, table):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_training_log_csv(tmp_path, toy_env, toy_encoder):
-    _, log = train(toy_env, Hyperparams(total_episodes=20, rng_seed=2), toy_encoder)
+def test_training_log_csv(tmp_path, toy_problem, toy_encoder):
+    _, log = train(*toy_problem, Hyperparams(total_episodes=20, rng_seed=2), toy_encoder)
     path = tmp_path / "log.csv"
     log.write_csv(path)
     lines = path.read_text().splitlines()

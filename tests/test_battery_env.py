@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from farmbess import (
     Action,
-    BatteryEnv,
     BatterySpec,
     EncodingKind,
     Hyperparams,
@@ -357,10 +356,9 @@ def test_env_observation_wraps_at_series_end(tariff):
     # reads the series' first. With exploration at 1 every action comes from
     # the rng, so the episode's return can be replayed hour by hour.
     series = generate_synthetic(SyntheticProfileConfig(days=1, rng_seed=2), tariff)
-    env = BatteryEnv(series, POWERWALL, tariff)
     encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, series, POWERWALL)
     hp = Hyperparams(epsilon_init=1.0, total_episodes=1, steps_per_episode=48, rng_seed=7)
-    _, log = train(env, hp, encoder)
+    _, log = train(series, POWERWALL, tariff, PenaltyTable(), hp, encoder)
 
     rng = random.Random(hp.rng_seed)
     assert rng.randrange(series.n_days) == log.day_indices[0] == 0
@@ -376,7 +374,7 @@ def test_env_observation_wraps_at_series_end(tariff):
         *_, energy, _, _, reward = transition(
             POWERWALL.limits, energy, record.load_kwh, record.renewables_kwh,
             record.price_per_kwh, tariff.tier_of(record.hour_of_day),
-            action, None, env.penalties,
+            action, None, PenaltyTable(),
         )
         expected += reward
     assert log.episode_returns[0] == expected

@@ -114,6 +114,17 @@ def test_gen_data_no_wind_flag(tmp_path):
     assert out.read_text().splitlines()[0] == "hour,load_kwh,pv_kwh,price_per_kwh"
 
 
+def test_gen_data_honours_include_wind_false(tmp_path):
+    config = _config(
+        tmp_path, "dataset:\n  synthetic:\n    days: 7\n  include_wind: false\n"
+    )
+    out = tmp_path / "dry.csv"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "hour,load_kwh,pv_kwh,price_per_kwh"
+    assert len(lines) == 7 * 24 + 1
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -353,6 +364,23 @@ def test_compare_ablation_three_rows(tmp_path):
     ]
 
 
+def test_compare_ablation_without_wind_two_rows(tmp_path):
+    # the paper's no-wind case: the wind encoding is skipped, not an error
+    out = tmp_path / "out"
+    config = _config(
+        tmp_path,
+        "dataset:\n  synthetic:\n    days: 3\n    rng_seed: 2\n  include_wind: false\n"
+        "hyperparams:\n  total_episodes: 200\n"
+        f"run:\n  output_dir: {out}\n  seeds: [4]\n",
+    )
+    assert main(["compare", "--config", str(config), "--ablation"]) == 0
+    rows = json.loads((out / "comparison.json").read_text())
+    assert [r["candidate"] for r in rows] == [
+        "qlearning:hour-soc",
+        "qlearning:hour-soc-load-pv",
+    ]
+
+
 def test_compare_ablation_rejects_references(tmp_path, capsys):
     out = tmp_path / "out"
     config = _config(tmp_path, SMALL_SYNTH.format(out=out))
@@ -373,6 +401,8 @@ def test_compare_ablation_rejects_references(tmp_path, capsys):
         ("hyperparams", "total_episodes", "1.5"),
         ("encoding", "load_bin_max", "abc"),
         ("encoding", "load_bins", "2.7"),
+        ("encoding", "load_bin_max", "-1"),
+        ("encoding", "pv_bins", "0"),
         ("battery", "capacity_kwh", ".nan"),
         ("encoding", "percentile", "150"),
         ("penalties", "charge_full", "abc"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,15 +114,11 @@ def test_encode_rejects_out_of_range_coordinates():
 
 
 def test_encode_hour_soc_exhaustive_bijection():
+    # row-major: h·S + s, every index of the table hit exactly once
     encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)
-    seen = set()
-    for hour in range(24):
-        for soc in range(11):
-            flat = encoder.encode(hour, soc)
-            assert 0 <= flat < encoder.size()
-            seen.add(flat)
-            assert encoder.decode(flat) == (hour, soc)
-    assert len(seen) == 264
+    flats = [encoder.encode(hour, soc) for hour in range(24) for soc in range(11)]
+    assert flats == [hour * 11 + soc for hour in range(24) for soc in range(11)]
+    assert sorted(flats) == list(range(encoder.size())) == list(range(264))
 
 
 def test_encode_load_pv_row_major():
@@ -176,24 +174,25 @@ def test_encoder_requires_bins_for_extended_kinds():
         )
 
 
-@given(
-    hour=st.integers(0, 23),
-    soc=st.integers(0, 10),
-    load_bin=st.integers(0, 4),
-    pv_bin=st.integers(0, 4),
-    wind_bin=st.integers(0, 4),
-)
-def test_flat_decode_round_trip(hour, soc, load_bin, pv_bin, wind_bin):
+def test_flat_index_is_row_major_bijection():
+    # (((h·S + s)·L + l)·P + p)·W + w over every coordinate of the wind
+    # encoding (S = 11 levels, L = 5, P = 3 and W = 2 bins), each index of
+    # the table hit exactly once
     encoder = StateEncoder(
         kind=EncodingKind.HOUR_SOC_LOAD_PV_WIND,
         load_bins=BinSpec(5, 1.0),
-        pv_bins=BinSpec(5, 1.0),
-        wind_bins=BinSpec(5, 1.0),
+        pv_bins=BinSpec(3, 1.0),
+        wind_bins=BinSpec(2, 1.0),
     )
-    # values at bin centres of the 5 bins over [0, 1)
-    load, pv, wind = ((b + 0.5) / 5 for b in (load_bin, pv_bin, wind_bin))
-    flat = encoder.encode(hour, soc, load, pv, wind)
-    assert encoder.decode(flat) == (hour, soc, load_bin, pv_bin, wind_bin)
+    seen = []
+    for hour, soc, load, pv, wind in itertools.product(
+        range(24), range(11), range(5), range(3), range(2)
+    ):
+        # values at the bin centres over [0, 1)
+        flat = encoder.encode(hour, soc, (load + 0.5) / 5, (pv + 0.5) / 3, (wind + 0.5) / 2)
+        assert flat == (((hour * 11 + soc) * 5 + load) * 3 + pv) * 2 + wind
+        seen.append(flat)
+    assert sorted(seen) == list(range(encoder.size())) == list(range(24 * 11 * 5 * 3 * 2))
 
 
 def test_for_series_uses_percentile(synthetic_week):

@@ -119,11 +119,14 @@ def test_rollout_battery_carries_across_days(tariff, synthetic_week):
 
 
 def test_rollout_greedy_trace_matches_oracle_actions(toy_day, toy_spec, toy_tariff):
-    from farmbess import BatteryEnv, EncodingKind, Hyperparams, StateEncoder, train
+    from farmbess import EncodingKind, Hyperparams, StateEncoder, train
 
     encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, toy_day, toy_spec)
     table, _ = train(
-        BatteryEnv(toy_day, toy_spec, toy_tariff),
+        toy_day,
+        toy_spec,
+        toy_tariff,
+        PenaltyTable(),
         Hyperparams(total_episodes=60_000, rng_seed=7),
         encoder,
     )
@@ -227,15 +230,6 @@ def test_oracle_rejects_level_off_the_lattice(tariff, level):
         day_return(_no_battery(), day, POWERWALL, tariff, level)
 
 
-@pytest.mark.parametrize("discount", [1.5, -0.5, float("nan"), float("inf")])
-def test_oracle_and_day_return_reject_a_bad_discount(tariff, discount):
-    day = [_record(5.0, 0.0, hour=h) for h in range(24)]
-    with pytest.raises(ValueError, match="^discount must be in"):
-        dp_oracle(day, POWERWALL, tariff, 1, discount=discount)
-    with pytest.raises(ValueError, match="^discount must be in"):
-        day_return(_no_battery(), day, POWERWALL, tariff, 1, discount=discount)
-
-
 def test_oracle_and_day_return_reject_an_empty_day(tariff):
     with pytest.raises(ValueError, match="at least one record"):
         dp_oracle([], POWERWALL, tariff, 1)
@@ -244,12 +238,11 @@ def test_oracle_and_day_return_reject_an_empty_day(tariff):
 
 
 def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="shaped",
-                         penalties=None, discount=None):
+                         penalties=None):
     """The oracle as a scalar backward pass: `transition` and `soc_bin` for
     each (hour, level, action), ties going to the lowest action index."""
     table = _resolve_penalties(penalty_mode, penalties)
     limits = spec.limits
-    gamma = 1.0 if discount is None else discount
     energies = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
 
     # value[level] holds V_{h+1}; plan[h][level] is the (action, next level)
@@ -275,7 +268,7 @@ def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="sha
                     table,
                 )
                 next_level = soc_bin(spec, out[5])
-                candidate = out[8] + gamma * value[next_level]
+                candidate = out[8] + value[next_level]
                 if best is None or candidate > best:
                     best = candidate
                     choice = (action, next_level)
@@ -299,13 +292,11 @@ def synthetic_quarter(tariff):
 
 
 @pytest.mark.parametrize("mode", ["shaped", "cost-only"])
-@pytest.mark.parametrize("discount", [None, 0.9])
-def test_oracle_matches_the_scalar_reference_on_a_quarter(synthetic_quarter, tariff,
-                                                          mode, discount):
+def test_oracle_matches_the_scalar_reference_on_a_quarter(synthetic_quarter, tariff, mode):
     for d in range(synthetic_quarter.n_days):
         day = synthetic_quarter.day(d)
         for level in (0, 1, 5, 10):
-            args = (day, POWERWALL, tariff, level, mode, None, discount)
+            args = (day, POWERWALL, tariff, level, mode)
             assert dp_oracle(*args) == _reference_dp_oracle(*args)
 
 
@@ -357,21 +348,6 @@ def test_oracle_dominates_controllers_and_random_policies(toy_day, toy_spec, toy
         value = day_return(controller, toy_day.records, toy_spec, toy_tariff,
                            initial_soc_level=2, penalty_mode="shaped")
         assert value <= best + 1e-9
-
-
-def test_oracle_discounted_flag(toy_day, toy_spec, toy_tariff):
-    undiscounted, _ = dp_oracle(toy_day.records, toy_spec, toy_tariff,
-                                initial_soc_level=0, penalty_mode="shaped")
-    discounted, actions = dp_oracle(toy_day.records, toy_spec, toy_tariff,
-                                    initial_soc_level=0, penalty_mode="shaped",
-                                    discount=0.9)
-    assert discounted != undiscounted
-    # the discounted optimum must match the discounted return of its own plan
-    plan = iter(actions)
-    controller = lambda record, energy: (next(plan), None)
-    replay = day_return(controller, toy_day.records, toy_spec, toy_tariff,
-                        initial_soc_level=0, penalty_mode="shaped", discount=0.9)
-    assert replay == pytest.approx(discounted, abs=1e-12)
 
 
 def test_rollout_report_files(tmp_path, synthetic_week, tariff):
@@ -446,41 +422,38 @@ def off_lattice_days(draw):
 
 
 REWARDS = st.sampled_from(["shaped", "cost-only"])
-DISCOUNTS = st.sampled_from([None, 0.9])
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=lattice_days(), mode=REWARDS, discount=DISCOUNTS)
-def test_oracle_plan_replays_to_its_return(case, mode, discount):
+@given(case=lattice_days(), mode=REWARDS)
+def test_oracle_plan_replays_to_its_return(case, mode):
     spec, tariff, day, level = case
-    best, actions = dp_oracle(day, spec, tariff, level, penalty_mode=mode, discount=discount)
+    best, actions = dp_oracle(day, spec, tariff, level, penalty_mode=mode)
     plan = iter(actions)
     replay = day_return(lambda record, energy: (next(plan), None), day, spec, tariff,
-                        level, penalty_mode=mode, discount=discount)
+                        level, penalty_mode=mode)
     assert replay == pytest.approx(best, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=lattice_days(charge_steps=1), mode=REWARDS, discount=DISCOUNTS,
-       seed=st.integers(0, 2**16))
-def test_no_controller_beats_the_oracle(case, mode, discount, seed):
+@given(case=lattice_days(charge_steps=1), mode=REWARDS, seed=st.integers(0, 2**16))
+def test_no_controller_beats_the_oracle(case, mode, seed):
     # The oracle charges at the full rate only. MSC and TOU may charge from
     # the renewable surplus alone, an action outside the oracle's set; at a
     # one-step charge rate that surplus cap never binds, so the bound holds.
     spec, tariff, day, level = case
-    best, _ = dp_oracle(day, spec, tariff, level, penalty_mode=mode, discount=discount)
+    best, _ = dp_oracle(day, spec, tariff, level, penalty_mode=mode)
     rng = random.Random(seed)
     controllers = [lambda record, energy: (Action(rng.randrange(3)), None)]
     controllers += [baseline_controller(kind, spec, tariff) for kind in BaselineKind]
     for controller in controllers:
-        value = day_return(controller, day, spec, tariff, level,
-                           penalty_mode=mode, discount=discount)
+        value = day_return(controller, day, spec, tariff, level, penalty_mode=mode)
         assert value <= best + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=lattice_days() | off_lattice_days(), mode=REWARDS, discount=DISCOUNTS)
-def test_oracle_matches_the_scalar_reference(case, mode, discount):
+@given(case=lattice_days() | off_lattice_days(), mode=REWARDS)
+def test_oracle_matches_the_scalar_reference(case, mode):
     spec, tariff, day, level = case
-    args = (day, spec, tariff, level, mode, None, discount)
+    args = (day, spec, tariff, level, mode)
     assert dp_oracle(*args) == _reference_dp_oracle(*args)

@@ -98,8 +98,8 @@ def test_load_csv_year_schema_passthrough(tmp_path, tariff):
     series = load_csv(path)
     assert len(series) == 8760
     assert not series.has_wind
-    assert series[25].hour_of_day == 1
-    assert series[25].load_kwh == 1.0
+    assert series.records[25].hour_of_day == 1
+    assert series.records[25].load_kwh == 1.0
 
 
 def test_load_csv_reports_negative_value_with_row(tmp_path):
@@ -209,7 +209,7 @@ def test_series_rejects_non_multiple_of_24(tariff):
 
 def test_series_records_follow_row_position():
     series = HourlySeries(load=[1.0] * 48, pv=[0.0] * 48, wind=None, price=[0.1] * 48)
-    record = series[25]
+    record = series.records[25]
     assert (record.hour_index, record.hour_of_day, record.month) == (25, 1, 1)
     assert series.day(1)[1] is record
     assert record == HourlyRecord(25, 1, 1, 1.0, 0.0, None, 0.1)
