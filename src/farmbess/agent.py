@@ -19,6 +19,11 @@ QTABLE_MAGIC = "farmbess-qtable"
 QTABLE_FORMAT_VERSION = 1
 
 
+# The actions in index order, so a greedy pick is a tuple lookup rather than
+# an enum call.
+_ACTIONS = tuple(Action)
+
+
 class QTableFormatError(ValueError):
     """Raised when a Q-table file cannot be read back."""
 
@@ -97,7 +102,7 @@ def greedy_action(q: QTable, state: int) -> Action:
         best = 1
     if row[2] > row[best]:
         best = 2
-    return Action(best)
+    return _ACTIONS[best]
 
 
 def decayed(initial: float, decay: float, floor: float, steps: int) -> float:

@@ -32,15 +32,6 @@ PENALTY_MODES = ("shaped", "cost-only")
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    hour_index: int
-    action: Action
-    grid_import_kwh: float
-    cost: float
-    soc_after: float
-
-
-@dataclass(frozen=True)
 class MonthlyAggregate:
     month: int
     import_kwh: float
@@ -50,10 +41,19 @@ class MonthlyAggregate:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-hour trace plus aggregates for one controller on one series."""
+    """Per-hour columns plus aggregates for one controller on one series.
+
+    Entry i of each column belongs to the series' i-th hour: its index, the
+    controller's action, the grid import and cost, and the stored energy
+    after the hour.
+    """
 
     label: str
-    trace: tuple[TraceRow, ...]
+    hour_index: tuple[int, ...]
+    action: tuple[Action, ...]
+    grid_import_kwh: tuple[float, ...]
+    cost: tuple[float, ...]
+    soc_after: tuple[float, ...]
     total_import_kwh: float
     total_cost: float
     monthly: tuple[MonthlyAggregate, ...]
@@ -73,11 +73,10 @@ class EvalReport:
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["hour_index,action,grid_import_kwh,cost,soc_after"]
-        for row in self.trace:
-            lines.append(
-                f"{row.hour_index},{row.action.name.lower()},"
-                f"{row.grid_import_kwh!r},{row.cost!r},{row.soc_after!r}"
-            )
+        for hour, action, grid_import, cost, energy in zip(
+            self.hour_index, self.action, self.grid_import_kwh, self.cost, self.soc_after
+        ):
+            lines.append(f"{hour},{action.name.lower()},{grid_import!r},{cost!r},{energy!r}")
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -117,23 +116,31 @@ def baseline_controller(
 
 
 def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
-    """Greedy policy of a trained table as a rollout controller."""
+    """Greedy policy of a trained table as a rollout controller.
+
+    The controller remembers each record's level-0 state index for its own
+    lifetime: one entry per distinct record it has been called with.
+    """
     if q.encoder.soc_levels != spec.soc_levels:
         raise ValueError(
             "q-table charge levels do not match the battery spec "
             f"({q.encoder.soc_levels} vs {spec.soc_levels})"
         )
     encoder = q.encoder
+    # The flat index is row-major with the charge level second, so a record's
+    # state at level s is its level-0 index plus s * stride. The level-0 index
+    # is encoded (and range-checked) the first time a record is seen; records
+    # are immutable and hash by value, so an entry cannot go stale.
+    stride = encoder.size() // (24 * encoder.soc_levels)
+    bases: dict[HourlyRecord, int] = {}
 
     def decide(record: HourlyRecord, energy_kwh: float):
-        state = encoder.encode(
-            record.hour_of_day,
-            soc_bin(spec, energy_kwh),
-            record.load_kwh,
-            record.pv_kwh,
-            record.wind_kwh,
-        )
-        return greedy_action(q, state), None
+        base = bases.get(record)
+        if base is None:
+            base = bases[record] = encoder.encode(
+                record.hour_of_day, 0, record.load_kwh, record.pv_kwh, record.wind_kwh
+            )
+        return greedy_action(q, base + soc_bin(spec, energy_kwh) * stride), None
 
     return decide
 
@@ -162,17 +169,26 @@ def rollout(
     on grid cost only (no shaping, so the tariff tier plays no part).
 
     Battery state carries across day boundaries. Totals and monthly
-    aggregates are exact sums/maxima over the trace.
+    aggregates are running sums and maxima over the hours, in hour order.
     """
     limits = spec.limits
     no_shaping = PenaltyTable.zero()
+    standard = Tier.STANDARD
     energy = soc_level_energy(spec, initial_soc_level)
-    trace: list[TraceRow] = []
+    hours: list[int] = []
+    actions: list[Action] = []
+    imports: list[float] = []
+    costs: list[float] = []
+    energies: list[float] = []
     total_import = 0.0
     total_cost = 0.0
-    monthly_import: dict[int, float] = {}
-    monthly_cost: dict[int, float] = {}
-    monthly_peak: dict[int, float] = {}
+    # The current month's import, cost and peak live in locals and are stored
+    # when the month changes. A month that comes back (a series longer than a
+    # year wraps to January) resumes from its stored values, so every month
+    # is summed in hour order, as one running sum per month would be.
+    months: dict[int, tuple[float, float, float]] = {}
+    month = None
+    month_import = month_cost = month_peak = 0.0
     for record in series:
         action, cap = controller(record, energy)
         _, _, _, grid_import, _, energy, cost, _, _ = transition(
@@ -181,30 +197,37 @@ def rollout(
             record.load_kwh,
             record.renewables_kwh,
             record.price_per_kwh,
-            Tier.STANDARD,
+            standard,
             action,
             cap,
             no_shaping,
         )
-        trace.append(TraceRow(record.hour_index, action, grid_import, cost, energy))
+        hours.append(record.hour_index)
+        actions.append(action)
+        imports.append(grid_import)
+        costs.append(cost)
+        energies.append(energy)
         total_import += grid_import
         total_cost += cost
-        m = record.month
-        monthly_import[m] = monthly_import.get(m, 0.0) + grid_import
-        monthly_cost[m] = monthly_cost.get(m, 0.0) + cost
-        monthly_peak[m] = max(monthly_peak.get(m, 0.0), grid_import)
-    monthly = tuple(
-        MonthlyAggregate(
-            month=m,
-            import_kwh=monthly_import[m],
-            cost=monthly_cost[m],
-            peak_import_kwh=monthly_peak[m],
-        )
-        for m in sorted(monthly_import)
-    )
+        if record.month != month:
+            if month is not None:
+                months[month] = (month_import, month_cost, month_peak)
+            month = record.month
+            month_import, month_cost, month_peak = months.get(month, (0.0, 0.0, 0.0))
+        month_import += grid_import
+        month_cost += cost
+        if grid_import > month_peak:
+            month_peak = grid_import
+    if month is not None:
+        months[month] = (month_import, month_cost, month_peak)
+    monthly = tuple(MonthlyAggregate(m, *months[m]) for m in sorted(months))
     return EvalReport(
         label=label,
-        trace=tuple(trace),
+        hour_index=tuple(hours),
+        action=tuple(actions),
+        grid_import_kwh=tuple(imports),
+        cost=tuple(costs),
+        soc_after=tuple(energies),
         total_import_kwh=total_import,
         total_cost=total_cost,
         monthly=monthly,
@@ -265,7 +288,14 @@ def compare(base: EvalReport, candidate: EvalReport) -> ComparisonReport:
         for m in shared
         if base_peaks[m] != 0
     ]
-    peak = sum(ratios) / len(ratios) * 100.0 if ratios else None
+    # Added left to right: sum() of floats rounds differently from Python
+    # 3.12 on, and the reported percentage must not depend on the version.
+    peak = None
+    if ratios:
+        total = 0.0
+        for ratio in ratios:
+            total += ratio
+        peak = total / len(ratios) * 100.0
     return ComparisonReport(
         base_label=base.label,
         candidate_label=candidate.label,

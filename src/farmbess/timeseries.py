@@ -378,9 +378,13 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
         )
 
     loads, pvs, winds, prices = [], [], [], []
-    for row_number, raw in enumerate(reader, start=1):
+    # Blank rows are skipped and not counted: row numbers are 1-based over
+    # the data rows, so row n must hold hour n - 1.
+    row_number = 0
+    for raw in reader:
         if not raw or all(not cell.strip() for cell in raw):
             continue
+        row_number += 1
         if len(raw) != len(header):
             raise DataValidationError(
                 f"row {row_number} has {len(raw)} fields, expected {len(header)}"

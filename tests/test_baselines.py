@@ -105,7 +105,8 @@ def test_no_battery_rollout_constant_energy(synthetic_week, tariff):
         baseline_controller(NO_BATTERY, POWERWALL, tariff), synthetic_week, POWERWALL,
         initial_soc_level=5, label="nb",
     )
-    assert all(row.soc_after == 6.75 for row in report.trace)
+    assert len(report.soc_after) == len(synthetic_week)
+    assert all(energy == 6.75 for energy in report.soc_after)
 
 
 def test_no_battery_cost_closed_form(synthetic_week, tariff):
@@ -128,9 +129,10 @@ def test_msc_never_grid_charges_over_a_year(synthetic_year, tariff):
         baseline_controller(MSC, POWERWALL, tariff),
         synthetic_year, POWERWALL, initial_soc_level=1, label="msc",
     )
-    for row, record in zip(report.trace, synthetic_year):
+    assert len(report.grid_import_kwh) == len(synthetic_year)
+    for grid_import, record in zip(report.grid_import_kwh, synthetic_year):
         deficit = max(0.0, record.load_kwh - record.renewables_kwh)
-        assert row.grid_import_kwh <= deficit + 1e-9
+        assert grid_import <= deficit + 1e-9
 
 
 def test_tou_grid_charges_only_off_peak(synthetic_year, tariff):
@@ -138,9 +140,10 @@ def test_tou_grid_charges_only_off_peak(synthetic_year, tariff):
         baseline_controller(TOU, POWERWALL, tariff),
         synthetic_year, POWERWALL, initial_soc_level=1, label="tou",
     )
-    for row, record in zip(report.trace, synthetic_year):
+    assert len(report.grid_import_kwh) == len(synthetic_year)
+    for grid_import, record in zip(report.grid_import_kwh, synthetic_year):
         deficit = max(0.0, record.load_kwh - record.renewables_kwh)
-        if row.grid_import_kwh > deficit + 1e-9:
+        if grid_import > deficit + 1e-9:
             assert record.hour_of_day in tariff.off_peak_hours
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from farmbess.agent import load_qtable
-from farmbess.cli import main
+from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import ConfigError, load_config
 from farmbess.evaluation import qtable_controller, rollout
 
@@ -298,6 +299,30 @@ def test_evaluate_uses_the_tables_own_bin_maxes(tmp_path):
                        initial_soc_level=config.initial_soc_level, label=ref)
     written = json.loads((out / "eval_qtable-qtable_seed7.json").read_text())
     assert written == json.loads(json.dumps(expected.to_json_dict()))
+
+
+EVALUATE_DIGESTS = {
+    "eval_baseline-msc.csv": "baceb00f6fda3a1b4d781312b666db18849373970a1546f59cd00d2cabfee129",
+    "eval_baseline-msc.json": "bd6ee834342a9def3e5d2f9380f0745e44271298f56ce025a148ddfc2a83fdb1",
+    "eval_qtable-qtable_seed7.csv": "b29ea15f324b1e3e8edfe668ad2b475a19a5c671dcbd1b8af6c6bd59141ea4da",
+    "eval_qtable-qtable_seed7.json": "47a16aa62f97e2bf1cb06126a6a25f28bd093f5929baaac77220790ff5be7e56",
+}
+
+
+def test_evaluate_report_bytes_are_pinned(tmp_path, monkeypatch):
+    # Run from the temporary directory with a relative output path, so the
+    # q-table reference (the report's label) does not depend on where it is.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    config = _config(tmp_path, SMALL_SYNTH.format(out="out"))
+    assert main(["evaluate", "--config", str(config), "baseline:msc"]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["evaluate", "--config", str(config), "qtable:out/qtable_seed7.qt"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in EVALUATE_DIGESTS
+    }
+    assert digests == EVALUATE_DIGESTS
 
 
 def test_evaluate_unknown_baseline(tmp_path, capsys):

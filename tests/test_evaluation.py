@@ -6,6 +6,7 @@ import functools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,10 +15,14 @@ from farmbess import (
     BaselineKind,
     BatterySpec,
     ComparisonReport,
+    EncodingKind,
     EvalReport,
     HourlyRecord,
     HourlySeries,
+    Hyperparams,
     PenaltyTable,
+    QTable,
+    StateEncoder,
     SyntheticProfileConfig,
     apply_action,
     compare,
@@ -27,10 +32,18 @@ from farmbess import (
     generate_synthetic,
     month_of_hour,
     rollout,
+    train,
     transition,
 )
+from farmbess.agent import greedy_action
 from farmbess.encoding import soc_bin, soc_level_energy
-from farmbess.evaluation import _resolve_penalties, baseline_controller, qtable_controller
+from farmbess.evaluation import (
+    MonthlyAggregate,
+    _resolve_penalties,
+    baseline_controller,
+    qtable_controller,
+)
+from farmbess.timeseries import Tier
 
 POWERWALL = BatterySpec()
 
@@ -52,15 +65,17 @@ def _no_battery():
 
 
 def _report(label, total_import, total_cost, peaks=()):
-    from farmbess.evaluation import MonthlyAggregate
-
     monthly = tuple(
         MonthlyAggregate(month=m + 1, import_kwh=0.0, cost=0.0, peak_import_kwh=p)
         for m, p in enumerate(peaks)
     )
     return EvalReport(
         label=label,
-        trace=(),
+        hour_index=(),
+        action=(),
+        grid_import_kwh=(),
+        cost=(),
+        soc_after=(),
         total_import_kwh=total_import,
         total_cost=total_cost,
         monthly=monthly,
@@ -92,20 +107,16 @@ def test_rollout_totals_match_trace(synthetic_week, tariff):
         baseline_controller(BaselineKind.TOU, POWERWALL, tariff),
         synthetic_week, POWERWALL, initial_soc_level=1, label="tou",
     )
-    assert report.total_import_kwh == pytest.approx(
-        sum(r.grid_import_kwh for r in report.trace), rel=1e-12
-    )
-    assert report.total_cost == pytest.approx(
-        sum(r.cost for r in report.trace), rel=1e-12
-    )
+    assert len(report.grid_import_kwh) == len(synthetic_week)
+    assert report.total_import_kwh == pytest.approx(sum(report.grid_import_kwh), rel=1e-12)
+    assert report.total_cost == pytest.approx(sum(report.cost), rel=1e-12)
     for month in report.monthly:
-        rows = [
-            r for r, rec in zip(report.trace, synthetic_week) if rec.month == month.month
+        imports = [
+            x for x, rec in zip(report.grid_import_kwh, synthetic_week)
+            if rec.month == month.month
         ]
-        assert month.peak_import_kwh == max(r.grid_import_kwh for r in rows)
-        assert month.import_kwh == pytest.approx(
-            sum(r.grid_import_kwh for r in rows), rel=1e-12
-        )
+        assert month.peak_import_kwh == max(imports)
+        assert month.import_kwh == pytest.approx(sum(imports), rel=1e-12)
 
 
 def test_rollout_battery_carries_across_days(tariff, synthetic_week):
@@ -115,12 +126,10 @@ def test_rollout_battery_carries_across_days(tariff, synthetic_week):
     )
     # at 23:00 the TOU controller grid-charges; the next day must start from
     # the carried (non-reset) battery level
-    assert report.trace[24].soc_after != soc_level_energy(POWERWALL, 1)
+    assert report.soc_after[24] != soc_level_energy(POWERWALL, 1)
 
 
 def test_rollout_greedy_trace_matches_oracle_actions(toy_day, toy_spec, toy_tariff):
-    from farmbess import EncodingKind, Hyperparams, StateEncoder, train
-
     encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, toy_day, toy_spec)
     table, _ = train(
         toy_day,
@@ -140,6 +149,171 @@ def test_rollout_greedy_trace_matches_oracle_actions(toy_day, toy_spec, toy_tari
         action, cap = controller(record, energy)
         assert action is expected
         energy = apply_action(toy_spec, energy, record, action, cap).next_energy_kwh
+
+
+def _reference_qtable_controller(q, spec):
+    """The Q-table controller as one range-checked `encode` per hour."""
+    encoder = q.encoder
+
+    def decide(record, energy_kwh):
+        state = encoder.encode(
+            record.hour_of_day,
+            soc_bin(spec, energy_kwh),
+            record.load_kwh,
+            record.pv_kwh,
+            record.wind_kwh,
+        )
+        return greedy_action(q, state), None
+
+    return decide
+
+
+def _reference_rollout(controller, series, spec, initial_soc_level=1):
+    """The rollout as a per-hour row list and per-month dictionaries:
+    returns the rows (hour index, action, grid import, cost, energy after),
+    the two totals and the monthly aggregates."""
+    limits = spec.limits
+    no_shaping = PenaltyTable.zero()
+    energy = soc_level_energy(spec, initial_soc_level)
+    trace = []
+    total_import = 0.0
+    total_cost = 0.0
+    monthly_import = {}
+    monthly_cost = {}
+    monthly_peak = {}
+    for record in series:
+        action, cap = controller(record, energy)
+        _, _, _, grid_import, _, energy, cost, _, _ = transition(
+            limits,
+            energy,
+            record.load_kwh,
+            record.renewables_kwh,
+            record.price_per_kwh,
+            Tier.STANDARD,
+            action,
+            cap,
+            no_shaping,
+        )
+        trace.append((record.hour_index, action, grid_import, cost, energy))
+        total_import += grid_import
+        total_cost += cost
+        m = record.month
+        monthly_import[m] = monthly_import.get(m, 0.0) + grid_import
+        monthly_cost[m] = monthly_cost.get(m, 0.0) + cost
+        monthly_peak[m] = max(monthly_peak.get(m, 0.0), grid_import)
+    monthly = tuple(
+        MonthlyAggregate(
+            month=m,
+            import_kwh=monthly_import[m],
+            cost=monthly_cost[m],
+            peak_import_kwh=monthly_peak[m],
+        )
+        for m in sorted(monthly_import)
+    )
+    return trace, total_import, total_cost, monthly
+
+
+def _bits(values):
+    """Floats as hex strings, so -0.0 and 0.0 differ and equality is bitwise."""
+    return [float(x).hex() for x in values]
+
+
+@pytest.fixture(scope="module")
+def synthetic_400_days(tariff):
+    """Longer than the 365-day cycle, so the rollout's months wrap back to
+    January."""
+    return generate_synthetic(SyntheticProfileConfig(days=400, rng_seed=13), tariff)
+
+
+@pytest.fixture(scope="module")
+def wind_table_400(synthetic_400_days, tariff):
+    encoder = StateEncoder.for_series(
+        EncodingKind.HOUR_SOC_LOAD_PV_WIND, synthetic_400_days, POWERWALL
+    )
+    table, _ = train(
+        synthetic_400_days, POWERWALL, tariff, PenaltyTable(),
+        Hyperparams(total_episodes=3_000, rng_seed=5), encoder,
+    )
+    return table
+
+
+@pytest.mark.parametrize("controller_kind", ["msc", "tou", "qtable"])
+def test_rollout_matches_the_reference_bit_for_bit(
+    synthetic_400_days, wind_table_400, tariff, controller_kind
+):
+    series = synthetic_400_days
+    if controller_kind == "qtable":
+        controller = qtable_controller(wind_table_400, POWERWALL)
+        reference = _reference_qtable_controller(wind_table_400, POWERWALL)
+    else:
+        kind = BaselineKind(controller_kind)
+        controller = reference = baseline_controller(kind, POWERWALL, tariff)
+    report = rollout(controller, series, POWERWALL, initial_soc_level=3, label="x")
+    trace, total_import, total_cost, monthly = _reference_rollout(
+        reference, series, POWERWALL, initial_soc_level=3
+    )
+    assert len(trace) == len(series) == 9600
+    hours, actions, imports, costs, energies = zip(*trace)
+    assert report.hour_index == hours
+    assert report.action == actions
+    assert all(type(a) is Action for a in report.action)
+    assert len(set(report.action)) > 1  # the policy is not a constant
+    assert _bits(report.grid_import_kwh) == _bits(imports)
+    assert _bits(report.cost) == _bits(costs)
+    assert _bits(report.soc_after) == _bits(energies)
+    assert _bits([report.total_import_kwh, report.total_cost]) == _bits(
+        [total_import, total_cost]
+    )
+    assert [m.month for m in report.monthly] == list(range(1, 13))
+    assert [m.month for m in report.monthly] == [m.month for m in monthly]
+    for got, want in zip(report.monthly, monthly):
+        assert _bits([got.import_kwh, got.cost, got.peak_import_kwh]) == _bits(
+            [want.import_kwh, want.cost, want.peak_import_kwh]
+        )
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind))
+def test_qtable_controller_matches_greedy_on_the_encoded_state(synthetic_week, tariff, kind):
+    encoder = StateEncoder.for_series(kind, synthetic_week, POWERWALL)
+    values = np.random.default_rng(4).standard_normal((encoder.size(), 3))
+    table = QTable(values=values, encoder=encoder)
+    controller = qtable_controller(table, POWERWALL)
+    top = POWERWALL.soc_levels - 1
+    energies = [soc_level_energy(POWERWALL, s) for s in range(top + 1)]
+    energies += [(s + 0.5) * POWERWALL.capacity_kwh / top for s in range(top)]
+    # The same controller on a second series: the same hour indices carry
+    # other values, so a memo keyed on anything but the record fails.
+    other = generate_synthetic(SyntheticProfileConfig(days=7, rng_seed=6), tariff)
+    seen = set()
+    for series in (synthetic_week, other, synthetic_week):
+        for record in series:
+            for energy in energies:
+                state = encoder.encode(
+                    record.hour_of_day,
+                    soc_bin(POWERWALL, energy),
+                    record.load_kwh,
+                    record.pv_kwh,
+                    record.wind_kwh,
+                )
+                expected = greedy_action(table, state)
+                assert controller(record, energy) == (expected, None)
+                seen.add(expected)
+    assert seen == set(Action)
+
+
+def test_qtable_controller_keeps_the_range_checks(synthetic_week):
+    encoder = StateEncoder.for_series(
+        EncodingKind.HOUR_SOC_LOAD_PV_WIND, synthetic_week, POWERWALL
+    )
+    table = QTable(values=np.zeros((encoder.size(), 3)), encoder=encoder)
+    controller = qtable_controller(table, POWERWALL)
+    record = synthetic_week.records[5]
+    controller(record, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        controller(record, POWERWALL.capacity_kwh + 0.5)
+    dry = synthetic_week.without_wind().records[5]
+    with pytest.raises(ValueError, match="wind_kwh is None"):
+        controller(dry, 1.0)
 
 
 # ---------------------------------------------------------------- compare
@@ -179,6 +353,16 @@ def test_compare_peak_mean_over_months():
     cand = _report("cand", 1.0, 1.0, peaks=(5.0, 10.0))
     report = compare(base, cand)
     assert report.peak_reduction_pct == pytest.approx(50.0, abs=1e-12)
+
+
+def test_compare_peak_adds_the_month_ratios_left_to_right():
+    # sum() of floats is compensated from Python 3.12 on and would give 20.0;
+    # the report keeps the plain left-to-right sum on every version.
+    base = _report("base", 1.0, 1.0, peaks=(10.0, 10.0, 10.0))
+    cand = _report("cand", 1.0, 1.0, peaks=(9.0, 8.0, 7.0))
+    report = compare(base, cand)
+    assert report.peak_reduction_pct == ((0.1 + 0.2) + 0.3) / 3 * 100.0
+    assert report.peak_reduction_pct == 20.000000000000004
 
 
 def test_compare_antisymmetric_sign():

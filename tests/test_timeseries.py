@@ -147,6 +147,25 @@ def test_load_csv_rejects_non_contiguous_hours(tmp_path, tariff):
         load_csv(path, tariff=tariff)
 
 
+def test_load_csv_skips_blank_rows_without_counting_them(tmp_path, tariff):
+    rows = [f"{i},{1.0 + i},0.0" for i in range(24)]
+    rows.insert(4, "")
+    rows.insert(10, " , , ")
+    path = _write(tmp_path / "gappy.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
+    series = load_csv(path, tariff=tariff)
+    assert len(series) == 24
+    assert [r.load_kwh for r in series] == [1.0 + i for i in range(24)]
+
+
+def test_load_csv_error_rows_count_data_rows_only(tmp_path, tariff):
+    rows = [f"{i},1.0,0.0" for i in range(24)]
+    rows[6] = "6,-1.0,0.0"
+    rows.insert(4, "")
+    path = _write(tmp_path / "bad.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
+    with pytest.raises(DataValidationError, match=r"negative value at row 7"):
+        load_csv(path, tariff=tariff)
+
+
 def test_load_csv_rejects_partial_day(tmp_path, tariff):
     lines = ["hour,load_kwh,pv_kwh"] + [f"{i},1.0,0.0" for i in range(25)]
     path = _write(tmp_path / "short.csv", "\n".join(lines) + "\n")
