@@ -224,7 +224,7 @@ def train(
         log_returns[episode] = episode_return
 
     values = np.zeros((encoder.size(), len(Action)))
-    stride = len(values) // (24 * levels)
+    stride = encoder.soc_stride()
     reached = np.fromiter(block, dtype=np.intp, count=len(block))
     values[(reached[:, None] + np.arange(levels) * stride).ravel()] = q
     table = QTable(values=values, encoder=encoder, hyperparams=hp)

@@ -114,6 +114,11 @@ class StateEncoder:
         """Product of the dimension cardinalities."""
         return math.prod(cardinality for _, cardinality in self.dims())
 
+    def soc_stride(self) -> int:
+        """Distance between the flat indices of two states that differ by one
+        charge level only: the product of the cardinalities after it."""
+        return self.size() // (24 * self.soc_levels)
+
     def encode(
         self,
         hour_of_day: int,

@@ -116,31 +116,23 @@ def baseline_controller(
 
 
 def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
-    """Greedy policy of a trained table as a rollout controller.
-
-    The controller remembers each record's level-0 state index for its own
-    lifetime: one entry per distinct record it has been called with.
-    """
+    """Greedy policy of a trained table as a rollout controller."""
     if q.encoder.soc_levels != spec.soc_levels:
         raise ValueError(
             "q-table charge levels do not match the battery spec "
             f"({q.encoder.soc_levels} vs {spec.soc_levels})"
         )
     encoder = q.encoder
-    # The flat index is row-major with the charge level second, so a record's
-    # state at level s is its level-0 index plus s * stride. The level-0 index
-    # is encoded (and range-checked) the first time a record is seen; records
-    # are immutable and hash by value, so an entry cannot go stale.
-    stride = encoder.size() // (24 * encoder.soc_levels)
-    bases: dict[HourlyRecord, int] = {}
 
     def decide(record: HourlyRecord, energy_kwh: float):
-        base = bases.get(record)
-        if base is None:
-            base = bases[record] = encoder.encode(
-                record.hour_of_day, 0, record.load_kwh, record.pv_kwh, record.wind_kwh
-            )
-        return greedy_action(q, base + soc_bin(spec, energy_kwh) * stride), None
+        state = encoder.encode(
+            record.hour_of_day,
+            soc_bin(spec, energy_kwh),
+            record.load_kwh,
+            record.pv_kwh,
+            record.wind_kwh,
+        )
+        return greedy_action(q, state), None
 
     return decide
 

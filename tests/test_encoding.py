@@ -195,6 +195,39 @@ def test_flat_index_is_row_major_bijection():
     assert sorted(seen) == list(range(encoder.size())) == list(range(24 * 11 * 5 * 3 * 2))
 
 
+@pytest.mark.parametrize(
+    "encoder, stride",
+    [
+        (StateEncoder(kind=EncodingKind.HOUR_SOC, soc_levels=7), 1),
+        (
+            StateEncoder(
+                kind=EncodingKind.HOUR_SOC_LOAD_PV,
+                load_bins=BinSpec(5, 1.0),
+                pv_bins=BinSpec(3, 1.0),
+            ),
+            15,
+        ),
+        (
+            StateEncoder(
+                kind=EncodingKind.HOUR_SOC_LOAD_PV_WIND,
+                load_bins=BinSpec(5, 1.0),
+                pv_bins=BinSpec(3, 1.0),
+                wind_bins=BinSpec(2, 1.0),
+            ),
+            30,
+        ),
+    ],
+    ids=lambda v: v.kind.value if isinstance(v, StateEncoder) else str(v),
+)
+def test_soc_stride_is_one_charge_level_apart(encoder, stride):
+    assert encoder.soc_stride() == stride
+    for hour, soc in itertools.product(range(24), range(encoder.soc_levels - 1)):
+        values = (0.95, 0.35, 0.6)
+        assert encoder.encode(hour, soc + 1, *values) - encoder.encode(
+            hour, soc, *values
+        ) == stride
+
+
 def test_for_series_uses_percentile(synthetic_week):
     encoder = StateEncoder.for_series(
         EncodingKind.HOUR_SOC_LOAD_PV, synthetic_week, POWERWALL

@@ -281,8 +281,8 @@ def test_qtable_controller_matches_greedy_on_the_encoded_state(synthetic_week, t
     top = POWERWALL.soc_levels - 1
     energies = [soc_level_energy(POWERWALL, s) for s in range(top + 1)]
     energies += [(s + 0.5) * POWERWALL.capacity_kwh / top for s in range(top)]
-    # The same controller on a second series: the same hour indices carry
-    # other values, so a memo keyed on anything but the record fails.
+    # The same controller on a second series and back: the same hour
+    # indices carry other values, so nothing may carry over between calls.
     other = generate_synthetic(SyntheticProfileConfig(days=7, rng_seed=6), tariff)
     seen = set()
     for series in (synthetic_week, other, synthetic_week):
