@@ -84,12 +84,18 @@ class TrainingLog:
         return len(self.episode_returns)
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["episode,day_index,initial_soc_level,alpha,epsilon,episode_return"]
-        for i in range(len(self)):
-            lines.append(
-                f"{i},{self.day_indices[i]},{self.soc_levels[i]},"
-                f"{self.alphas[i]!r},{self.epsilons[i]!r},{self.episode_returns[i]!r}"
-            )
+        # The float columns are iterated as numpy scalars, whose repr the
+        # pinned logs hold.
+        rows = map(
+            "{},{},{},{!r},{!r},{!r}".format,
+            range(len(self)),
+            self.day_indices.tolist(),
+            self.soc_levels.tolist(),
+            self.alphas,
+            self.epsilons,
+            self.episode_returns,
+        )
+        lines = ["episode,day_index,initial_soc_level,alpha,epsilon,episode_return", *rows]
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -30,7 +30,7 @@ from .evaluation import (
     qtable_controller,
     rollout,
 )
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, refuse_directory
 from .timeseries import (
     DataValidationError,
     SyntheticProfileConfig,
@@ -78,10 +78,11 @@ def cmd_gen_data(args) -> int:
     if args.no_wind:
         overrides["dataset.include_wind"] = False
     config = load_config(args.config, overrides)
+    out = Path(args.out) if args.out else _output_dir(None, None) / "synthetic.csv"
+    refuse_directory(out)
     series = generate_synthetic(config.synthetic or SyntheticProfileConfig(), config.tariff)
     if not config.include_wind:
         series = series.without_wind()
-    out = Path(args.out) if args.out else _output_dir(None, None) / "synthetic.csv"
     write_csv(series, out)
     loads = float(series.loads().sum())
     pvs = float(series.pvs().sum())

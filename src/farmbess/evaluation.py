@@ -72,11 +72,15 @@ class EvalReport:
         )
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["hour_index,action,grid_import_kwh,cost,soc_after"]
-        for hour, action, grid_import, cost, energy in zip(
-            self.hour_index, self.action, self.grid_import_kwh, self.cost, self.soc_after
-        ):
-            lines.append(f"{hour},{action.name.lower()},{grid_import!r},{cost!r},{energy!r}")
+        rows = map(
+            "{},{},{!r},{!r},{!r}".format,
+            self.hour_index,
+            (action.name.lower() for action in self.action),
+            self.grid_import_kwh,
+            self.cost,
+            self.soc_after,
+        )
+        lines = ["hour_index,action,grid_import_kwh,cost,soc_after", *rows]
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 

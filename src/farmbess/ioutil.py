@@ -13,11 +13,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def refuse_directory(path: str | Path) -> None:
+    """Raise IsADirectoryError naming `path` when it is a directory, which
+    `atomic_write_bytes` cannot replace."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
-    if path.is_dir():
-        # Refused up front, so the error names the target, not the temp file.
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    # Refused up front, so the error names the target, not the temp file.
+    refuse_directory(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:

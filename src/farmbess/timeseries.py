@@ -148,6 +148,11 @@ def default_tariff(
     )
 
 
+def _tariff_prices(tariff: TariffSchedule, n_hours: int) -> np.ndarray:
+    """The tariff's price for each hour of a series starting at midnight."""
+    return np.array([tariff.price_at(h) for h in range(24)])[np.arange(n_hours) % 24]
+
+
 class HourlySeries:
     """Hourly farm data covering a whole number of days, held as validated
     read-only float64 columns: load, pv, wind (None when the dataset has no
@@ -312,7 +317,7 @@ def generate_synthetic(
         load=np.maximum(0.0, load_shape[hod] * noise[:, 0]),
         pv=np.maximum(0.0, pv_shape[hod] * noise[:, 1]),
         wind=np.maximum(0.0, config.wind_mean_kwh * noise[:, 2]),
-        price=np.array([tariff.price_at(h) for h in range(24)])[hod],
+        price=_tariff_prices(tariff, n_hours),
     )
 
 
@@ -336,7 +341,8 @@ def load_csv(path: str | Path, tariff: TariffSchedule | None = None) -> HourlySe
     The header must name `hour,load_kwh,pv_kwh` with optional `wind_kwh`
     and `price_per_kwh` columns; anything else is rejected. When the price
     column is absent a tariff must be supplied to fill prices per hour of
-    day. Every error names the file; row numbers are 1-based over data rows.
+    day. A leading UTF-8 byte-order mark is ignored. Every error names the
+    file; row numbers are 1-based over data rows.
     """
     path = Path(path)
     if not path.exists():
@@ -348,9 +354,15 @@ def load_csv(path: str | Path, tariff: TariffSchedule | None = None) -> HourlySe
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
     try:
-        return _parse_csv(text, tariff)
+        # Decoding as "utf-8-sig" would drop the mark too, but would count
+        # the byte offset of a decode error from after it.
+        return _parse_csv(text.removeprefix("\ufeff"), tariff)
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: {exc}") from None
+
+
+# The value columns in the order a row's cells are checked.
+_VALUE_COLUMNS = REQUIRED_COLUMNS[1:] + OPTIONAL_COLUMNS
 
 
 def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
@@ -370,47 +382,82 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
     if len(set(header)) != len(header):
         raise DataValidationError("duplicate column names in header")
     col = {name: header.index(name) for name in header}
-    has_wind = "wind_kwh" in col
-    has_price = "price_per_kwh" in col
-    if not has_price and tariff is None:
+    if "price_per_kwh" not in col and tariff is None:
         raise DataValidationError(
             "dataset has no price_per_kwh column and no tariff was provided"
         )
 
-    loads, pvs, winds, prices = [], [], [], []
     # Blank rows are skipped and not counted: row numbers are 1-based over
     # the data rows, so row n must hold hour n - 1.
-    row_number = 0
-    for raw in reader:
-        if not raw or all(not cell.strip() for cell in raw):
-            continue
-        row_number += 1
-        if len(raw) != len(header):
-            raise DataValidationError(
-                f"row {row_number} has {len(raw)} fields, expected {len(header)}"
-            )
-        hour_raw = raw[col["hour"]].strip()
-        try:
-            hour_index = int(hour_raw)
-        except ValueError:
-            raise DataValidationError(
-                f"malformed hour {hour_raw!r} at row {row_number}"
-            ) from None
-        if hour_index != row_number - 1:
-            raise DataValidationError(
-                f"non-contiguous hour at row {row_number}: expected {row_number - 1}, got {hour_index}"
-            )
-        loads.append(_parse_value(raw[col["load_kwh"]], "load_kwh", row_number))
-        pvs.append(_parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number))
-        if has_wind:
-            winds.append(_parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number))
-        if has_price:
-            prices.append(
-                _parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
-            )
-        else:
-            prices.append(tariff.price_at(hour_index % 24))
-    return HourlySeries(loads, pvs, winds if has_wind else None, prices)
+    rows: list[list[str]] = []
+    try:
+        rows.extend(raw for raw in reader if any(map(str.strip, raw)))
+    except csv.Error:
+        # A bad row before the line the reader cannot split is reported first.
+        _raise_first_bad_row(rows, col)
+        raise
+    columns = _value_columns(rows, col)
+    if columns is None:
+        _raise_first_bad_row(rows, col)
+        raise AssertionError("a column check failed but every row passes")
+    price = columns.get("price_per_kwh")
+    if price is None:
+        price = _tariff_prices(tariff, len(rows))
+    return HourlySeries(
+        columns["load_kwh"], columns["pv_kwh"], columns.get("wind_kwh"), price
+    )
+
+
+def _value_columns(rows: list[list[str]], col: dict[str, int]) -> dict[str, np.ndarray] | None:
+    """The rows' value columns as float64 arrays, keyed by column name, or
+    None when some row fails a check of `_check_row`.
+
+    Each column is converted and checked whole; the cells go through the same
+    `int` and `float` as in `_check_row`, so both accept the same cells.
+    """
+    n, width = len(rows), len(col)
+    if set(map(len, rows)) - {width}:
+        return None
+    fields = list(zip(*rows)) or [()] * width
+    try:
+        if list(map(int, map(str.strip, fields[col["hour"]]))) != list(range(n)):
+            return None
+        columns = {
+            name: np.fromiter(map(float, fields[col[name]]), np.float64, n)
+            for name in _VALUE_COLUMNS
+            if name in col
+        }
+    except ValueError:
+        return None
+    for column in columns.values():
+        if not (np.isfinite(column) & (column >= 0)).all():
+            return None
+    return columns
+
+
+def _raise_first_bad_row(rows: list[list[str]], col: dict[str, int]) -> None:
+    for row, raw in enumerate(rows, 1):
+        _check_row(raw, row, col)
+
+
+def _check_row(raw: list[str], row: int, col: dict[str, int]) -> None:
+    """Raise the error of data row `row` (1-based), if it has one: its field
+    count, then its hour and the hour's contiguity, then load, PV, wind and
+    price."""
+    if len(raw) != len(col):
+        raise DataValidationError(f"row {row} has {len(raw)} fields, expected {len(col)}")
+    hour_raw = raw[col["hour"]].strip()
+    try:
+        hour_index = int(hour_raw)
+    except ValueError:
+        raise DataValidationError(f"malformed hour {hour_raw!r} at row {row}") from None
+    if hour_index != row - 1:
+        raise DataValidationError(
+            f"non-contiguous hour at row {row}: expected {row - 1}, got {hour_index}"
+        )
+    for name in _VALUE_COLUMNS:
+        if name in col:
+            _parse_value(raw[col[name]], name, row)
 
 
 def write_csv(series: HourlySeries, path: str | Path, include_price: bool = True) -> None:
@@ -420,7 +467,7 @@ def write_csv(series: HourlySeries, path: str | Path, include_price: bool = True
         columns["wind_kwh"] = series.wind
     if include_price:
         columns["price_per_kwh"] = series.price
-    rows = zip(*(column.tolist() for column in columns.values()))
-    lines = [",".join(["hour", *columns])]
-    lines.extend(",".join([str(i), *map(repr, row)]) for i, row in enumerate(rows))
+    fields = [map(str, range(len(series)))]
+    fields.extend(map(repr, column.tolist()) for column in columns.values())
+    lines = [",".join(["hour", *columns]), *map(",".join, zip(*fields))]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -25,6 +25,7 @@ from farmbess import (
     PenaltyTable,
     QTable,
     StateEncoder,
+    TrainingLog,
     decayed,
     greedy_action,
     load_qtable,
@@ -491,6 +492,17 @@ def test_qtable_save_load_round_trip_property(tmp_path_factory, table):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _reference_log_text(log) -> str:
+    """The text the row-at-a-time `TrainingLog.write_csv` wrote."""
+    lines = ["episode,day_index,initial_soc_level,alpha,epsilon,episode_return"]
+    for i in range(len(log)):
+        lines.append(
+            f"{i},{log.day_indices[i]},{log.soc_levels[i]},"
+            f"{log.alphas[i]!r},{log.epsilons[i]!r},{log.episode_returns[i]!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def test_training_log_csv(tmp_path, toy_problem, toy_encoder):
     _, log = train(*toy_problem, Hyperparams(total_episodes=20, rng_seed=2), toy_encoder)
     path = tmp_path / "log.csv"
@@ -498,3 +510,22 @@ def test_training_log_csv(tmp_path, toy_problem, toy_encoder):
     lines = path.read_text().splitlines()
     assert lines[0] == "episode,day_index,initial_soc_level,alpha,epsilon,episode_return"
     assert len(lines) == 21
+    assert path.read_bytes() == _reference_log_text(log).encode("utf-8")
+
+
+def test_training_log_csv_bytes_match_the_row_writer(tmp_path):
+    # Built like a log of random episodes: int64 counters and float64 columns
+    # with values whose repr switches to exponent form, and a negative zero.
+    rng = np.random.default_rng(3)
+    n = 40
+    odd = np.resize([1e-05, 1e16, -0.0, 0.1, -2.5e-300], n)
+    log = TrainingLog(
+        day_indices=rng.integers(0, 182, n),
+        soc_levels=rng.integers(0, 11, n),
+        alphas=np.linspace(0.8, 0.1, n),
+        epsilons=odd,
+        episode_returns=rng.normal(-5.0, 2.0, n) * odd,
+    )
+    path = tmp_path / "log.csv"
+    log.write_csv(path)
+    assert path.read_bytes() == _reference_log_text(log).encode("utf-8")

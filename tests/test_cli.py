@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from farmbess import cli
 from farmbess.agent import load_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import ConfigError, load_config
@@ -107,6 +110,16 @@ def test_gen_data_rejects_zero_days(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "\n" not in err.strip()
+
+
+def test_gen_data_refuses_a_directory_before_generating(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *args: calls.append(args))
+    code = main(["gen-data", "--days", "30", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))}\n"
+    assert calls == []
 
 
 def test_gen_data_no_wind_flag(tmp_path):

@@ -1,11 +1,19 @@
-"""Dataset handling: tariff tiers, CSV validation, synthetic generation."""
+"""Dataset handling: tariff tiers, CSV validation, synthetic generation.
+
+`load_csv` converts and checks whole columns; `_reference_parse_csv` and
+`_reference_write_csv` below are the row-at-a-time reader and writer it
+replaced, against which the property tests check the values and the error
+messages it gives, and the bytes `write_csv` writes.
+"""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from farmbess import (
     DataValidationError,
@@ -20,7 +28,12 @@ from farmbess import (
     month_of_hour,
     write_csv,
 )
-from farmbess.timeseries import diurnal_load_kwh, diurnal_pv_kwh
+from farmbess.timeseries import (
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
+    diurnal_load_kwh,
+    diurnal_pv_kwh,
+)
 
 
 def _write(path, text):
@@ -208,6 +221,36 @@ def test_load_csv_error_names_the_file(tmp_path, tariff, text, message):
     assert message in str(info.value)
 
 
+def test_load_csv_accepts_a_byte_order_mark(tmp_path, tariff):
+    text = "hour,load_kwh,pv_kwh\n" + "".join(f"{i},{1.0 + i},0.5\n" for i in range(24))
+    plain = _write(tmp_path / "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert _same_series(load_csv(marked, tariff=tariff), load_csv(plain, tariff=tariff))
+
+
+def test_load_csv_counts_undecodable_bytes_from_the_file_start(tmp_path, tariff):
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbfhour,load_kwh,pv_kwh\n0,1.0,\xff\n")
+    with pytest.raises(DataValidationError, match=r"invalid start byte at byte 30\)"):
+        load_csv(path, tariff=tariff)
+
+
+def test_load_csv_reports_a_bad_row_before_an_unsplittable_line(tmp_path, tariff):
+    # The csv module refuses a field longer than its limit; a bad row above
+    # that line is still the error reported.
+    rows = [f"{i},1.0,0.0" for i in range(24)]
+    rows[1] = "1,-1.0,0.0"
+    rows[20] = "20,1.0," + "0" * (csv.field_size_limit() + 1)
+    path = _write(tmp_path / "long.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
+    with pytest.raises(DataValidationError, match=r"negative value at row 2 \(column load_kwh\)"):
+        load_csv(path, tariff=tariff)
+    rows[1] = "1,1.0,0.0"
+    path = _write(tmp_path / "long.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
+    with pytest.raises(csv.Error, match="field limit"):
+        load_csv(path, tariff=tariff)
+
+
 def test_csv_round_trip(tmp_path, synthetic_week):
     path = tmp_path / "week.csv"
     write_csv(synthetic_week, path)
@@ -216,6 +259,189 @@ def test_csv_round_trip(tmp_path, synthetic_week):
     assert len(back) == len(synthetic_week)
     for a, b in zip(back, synthetic_week):
         assert a == b
+
+
+# ------------------------------------------------ column reader against rows
+
+
+def _reference_parse_value(raw: str, column: str, row: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise DataValidationError(
+            f"malformed value {raw!r} in column {column} at row {row}"
+        ) from None
+    if not math.isfinite(value):
+        raise DataValidationError(f"non-finite value in column {column} at row {row}")
+    if value < 0:
+        raise DataValidationError(f"negative value at row {row} (column {column})")
+    return value
+
+
+def _reference_parse_csv(text, tariff):
+    """The row-at-a-time reader `load_csv` had before it worked by columns."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataValidationError("empty file") from None
+    header = [h.strip() for h in header]
+    known = set(REQUIRED_COLUMNS) | set(OPTIONAL_COLUMNS)
+    unknown = [h for h in header if h not in known]
+    if unknown:
+        raise DataValidationError(f"unexpected column(s): {', '.join(unknown)}")
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise DataValidationError(f"missing required column(s): {', '.join(missing)}")
+    if len(set(header)) != len(header):
+        raise DataValidationError("duplicate column names in header")
+    col = {name: header.index(name) for name in header}
+    has_wind = "wind_kwh" in col
+    has_price = "price_per_kwh" in col
+    if not has_price and tariff is None:
+        raise DataValidationError(
+            "dataset has no price_per_kwh column and no tariff was provided"
+        )
+
+    loads, pvs, winds, prices = [], [], [], []
+    # Blank rows are skipped and not counted: row numbers are 1-based over
+    # the data rows, so row n must hold hour n - 1.
+    row_number = 0
+    for raw in reader:
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        row_number += 1
+        if len(raw) != len(header):
+            raise DataValidationError(
+                f"row {row_number} has {len(raw)} fields, expected {len(header)}"
+            )
+        hour_raw = raw[col["hour"]].strip()
+        try:
+            hour_index = int(hour_raw)
+        except ValueError:
+            raise DataValidationError(
+                f"malformed hour {hour_raw!r} at row {row_number}"
+            ) from None
+        if hour_index != row_number - 1:
+            raise DataValidationError(
+                f"non-contiguous hour at row {row_number}: expected {row_number - 1}, got {hour_index}"
+            )
+        loads.append(_reference_parse_value(raw[col["load_kwh"]], "load_kwh", row_number))
+        pvs.append(_reference_parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number))
+        if has_wind:
+            winds.append(_reference_parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number))
+        if has_price:
+            prices.append(
+                _reference_parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
+            )
+        else:
+            prices.append(tariff.price_at(hour_index % 24))
+    return HourlySeries(loads, pvs, winds if has_wind else None, prices)
+
+
+def _reference_write_csv(series, include_price=True) -> str:
+    """The text the row-at-a-time `write_csv` wrote."""
+    columns = {"load_kwh": series.load, "pv_kwh": series.pv}
+    if series.has_wind:
+        columns["wind_kwh"] = series.wind
+    if include_price:
+        columns["price_per_kwh"] = series.price
+    rows = zip(*(column.tolist() for column in columns.values()))
+    lines = [",".join(["hour", *columns])]
+    lines.extend(",".join([str(i), *map(repr, row)]) for i, row in enumerate(rows))
+    return "\n".join(lines) + "\n"
+
+
+def _same_series(a, b) -> bool:
+    """Equal columns bit for bit (so -0.0 differs from 0.0)."""
+    columns = ("load", "pv", "wind", "price")
+    return all(
+        (getattr(a, c) is None and getattr(b, c) is None)
+        or (getattr(a, c) is not None and getattr(b, c) is not None
+            and getattr(a, c).tobytes() == getattr(b, c).tobytes())
+        for c in columns
+    )
+
+
+_CELLS = ("junk", "-1.5", "-0.0", "nan", "-inf", "inf", "1e400", "", "  ", " 2.5 ", "1_0")
+_BLANK_ROWS = ("", "   ", ",,", " , ,\t", ",,,,")
+_MUTATIONS = ("cell", "two-cells", "add-field", "drop-field", "pad-hour", "shift-hour", "blank-row")
+
+
+@st.composite
+def _mutated_csv(draw):
+    """A series as `write_csv` writes it, with up to two faults in different
+    rows; returns the text and whether it carries prices."""
+    days = draw(st.integers(min_value=1, max_value=2))
+    config = SyntheticProfileConfig(days=days, rng_seed=draw(st.integers(0, 2**16)))
+    series = generate_synthetic(config, default_tariff())
+    if not draw(st.booleans()):
+        series = series.without_wind()
+    include_price = draw(st.booleans())
+    header, *lines = _reference_write_csv(series, include_price).splitlines()
+    rows = [line.split(",") for line in lines]
+    faults = draw(st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, len(rows) - 1)),
+        max_size=2, unique_by=lambda fault: fault[1],
+    ))
+    blanks = []
+    for kind, row in faults:
+        cells = rows[row]
+        if kind == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+        elif kind == "two-cells":
+            columns = st.lists(st.integers(0, len(cells) - 1), min_size=2, max_size=2, unique=True)
+            for column in draw(columns):
+                cells[column] = draw(st.sampled_from(_CELLS))
+        elif kind == "add-field":
+            cells.append(draw(st.sampled_from(("1.0", ""))))
+        elif kind == "drop-field":
+            cells.pop()
+        elif kind == "pad-hour":
+            # int() takes blanks but not \x1c-\x1f; the reader strips first.
+            cells[0] = draw(st.sampled_from((" ", "\t", "\x1c", "\x1f"))) + cells[0]
+        elif kind == "shift-hour":
+            cells[0] = str(int(cells[0]) + draw(st.sampled_from((-1, 1, 24))))
+        else:
+            blanks.append((row, draw(st.sampled_from(_BLANK_ROWS))))
+    lines = [",".join(cells) for cells in rows]
+    for row, blank in sorted(blanks, reverse=True):
+        lines.insert(row, blank)
+    return "\n".join([header, *lines]) + "\n", include_price
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_mutated_csv())
+def test_load_csv_matches_the_row_reader(tmp_path_factory, tariff, case):
+    text, include_price = case
+    path = tmp_path_factory.mktemp("mutated") / "series.csv"
+    path.write_text(text, encoding="utf-8")
+    given_tariff = tariff if not include_price else None
+    try:
+        expected = _reference_parse_csv(text, given_tariff)
+    except DataValidationError as exc:
+        with pytest.raises(DataValidationError) as info:
+            load_csv(path, tariff=given_tariff)
+        assert str(info.value) == f"{path}: {exc}"
+    else:
+        assert _same_series(load_csv(path, tariff=given_tariff), expected)
+
+
+@pytest.mark.parametrize("wind", [True, False], ids=["wind", "no-wind"])
+@pytest.mark.parametrize("include_price", [True, False], ids=["price", "no-price"])
+def test_write_csv_bytes_match_the_row_writer(tmp_path, synthetic_week, wind, include_price):
+    series = synthetic_week if wind else synthetic_week.without_wind()
+    # Values whose repr switches to exponent form, and a negative zero.
+    odd = HourlySeries(
+        load=[1e-05, 1e16, 0.1, 123456789.125] * 6,
+        pv=[0.0, -0.0, 5e-324, 1.7976931348623157e308] * 6,
+        wind=[2.5] * 24 if wind else None,
+        price=[0.05] * 24,
+    )
+    for case in (series, odd):
+        path = tmp_path / "series.csv"
+        write_csv(case, path, include_price=include_price)
+        assert path.read_bytes() == _reference_write_csv(case, include_price).encode("utf-8")
 
 
 # ---------------------------------------------------------------- series type
