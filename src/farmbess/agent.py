@@ -117,6 +117,17 @@ def decayed(initial: float, decay: float, floor: float, steps: int) -> float:
     return max(initial - steps * decay, floor)
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform integer in [0, n) for n > 0, drawn as
+    `random.Random.randrange(n)` draws it: n.bit_length() random bits,
+    redrawn while they reach n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def train(
     series: HourlySeries,
     spec: BatterySpec,
@@ -133,7 +144,9 @@ def train(
     TD updates (the state after the series' last hour is read at its first
     hour), then decays alpha and epsilon once. A single seeded
     generator drives day sampling, charge sampling, and exploration, in that
-    order, so runs are bit-reproducible.
+    order, so runs are bit-reproducible. Its integers come from `_randbelow`,
+    the rejection loop that `randrange` runs, so the stream is the one
+    `randrange` would give.
     """
     if encoder.soc_levels != spec.soc_levels:
         raise ValueError(
@@ -176,7 +189,8 @@ def train(
 
     rng = random.Random(hp.rng_seed)
     rng_random = rng.random
-    rng_randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    n_starts = levels - reset_low
 
     log_days = np.empty(hp.total_episodes, dtype=np.int64)
     log_levels = np.empty(hp.total_episodes, dtype=np.int64)
@@ -187,15 +201,18 @@ def train(
     for episode in range(hp.total_episodes):
         alpha = decayed(hp.learning_rate_init, hp.decay, hp.floor, episode)
         epsilon = decayed(hp.epsilon_init, hp.decay, hp.floor, episode)
-        day = rng_randrange(n_days)
-        level = rng_randrange(reset_low, levels)
+        day = _randbelow(getrandbits, n_days)
+        level = reset_low + _randbelow(getrandbits, n_starts)
         energy = energies[level]
         episode_return = 0.0
         position = day * 24
         row = q[rows[position] + level]
         for _ in range(steps):
             if rng_random() < epsilon:
-                action = rng_randrange(3)
+                # _randbelow(getrandbits, 3), inlined.
+                action = getrandbits(2)
+                while action == 3:
+                    action = getrandbits(2)
             else:
                 action = 0
                 if row[1] > row[action]:

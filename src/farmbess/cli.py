@@ -10,7 +10,6 @@ files are written atomically and every run is reproducible from its manifest.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -132,6 +131,9 @@ def cmd_train(args) -> int:
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1 and len(config.seeds) > 1:
+        # Imported here: it pulls in logging, and no other command needs it.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = {
                 seed: pool.submit(_train_one_seed, config, seed, str(out_dir))

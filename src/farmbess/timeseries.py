@@ -392,10 +392,10 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
     rows: list[list[str]] = []
     try:
         rows.extend(raw for raw in reader if any(map(str.strip, raw)))
-    except csv.Error:
+    except csv.Error as exc:
         # A bad row before the line the reader cannot split is reported first.
         _raise_first_bad_row(rows, col)
-        raise
+        raise DataValidationError(f"row {len(rows) + 1}: {exc}") from None
     columns = _value_columns(rows, col)
     if columns is None:
         _raise_first_bad_row(rows, col)

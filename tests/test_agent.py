@@ -35,7 +35,7 @@ from farmbess import (
     train,
     transition,
 )
-from farmbess.agent import QTableFormatError
+from farmbess.agent import QTableFormatError, _randbelow
 from farmbess.encoding import BinSpec
 
 
@@ -278,13 +278,29 @@ def test_train_seeds_differ(toy_problem, toy_encoder):
     assert not np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("seed", [0, 13, 2024])
+def test_randbelow_replays_randrange(seed):
+    """train draws its integers with _randbelow on the generator's
+    getrandbits: the same integers, from the same bits, as randrange(n) and
+    randrange(lo, lo + n), with random() draws in between."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(1, 301):
+        lo = n % 3
+        assert _randbelow(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.random() == theirs.random()
+        assert lo + _randbelow(ours.getrandbits, n) == theirs.randrange(lo, lo + n)
+    assert ours.getstate() == theirs.getstate()
+
+
 def _reference_train(series, spec, tariff, penalties, hp, encoder):
     """train() spelled out with the public ops: transition steps the battery,
     soc_bin and encode index the state, select_action and td_update learn.
-    The state after the series' last hour is read at the series' first hour."""
+    The state after the series' last hour is read at the series' first hour.
+    Returns the table and each episode's day and starting charge level."""
     records = series.records
     q = QTable(np.zeros((encoder.size(), 3)), encoder)
     rng = random.Random(hp.rng_seed)
+    days, levels = [], []
 
     def state(position, energy):
         record = records[position % len(records)]
@@ -294,8 +310,10 @@ def _reference_train(series, spec, tariff, penalties, hp, encoder):
     for episode in range(hp.total_episodes):
         alpha = decayed(hp.learning_rate_init, hp.decay, hp.floor, episode)
         epsilon = decayed(hp.epsilon_init, hp.decay, hp.floor, episode)
-        position = rng.randrange(series.n_days) * 24
-        energy = soc_level_energy(spec, rng.randrange(hp.soc_reset_low, spec.soc_levels))
+        days.append(rng.randrange(series.n_days))
+        levels.append(rng.randrange(hp.soc_reset_low, spec.soc_levels))
+        position = days[-1] * 24
+        energy = soc_level_energy(spec, levels[-1])
         current = state(position, energy)
         for _ in range(hp.steps_per_episode):
             action = select_action(q, current, epsilon, rng)
@@ -310,16 +328,25 @@ def _reference_train(series, spec, tariff, penalties, hp, encoder):
             td_update(q, current, action, reward, following,
                       alpha=alpha, discount=hp.discount_factor)
             current = following
-    return q
+    return q, days, levels
+
+
+def _assert_matches_reference(problem, hp, encoder):
+    trained, log = train(*problem, hp, encoder)
+    reference, days, levels = _reference_train(*problem, hp, encoder)
+    assert np.array_equal(trained.values, reference.values)
+    assert log.day_indices.tolist() == days
+    assert log.soc_levels.tolist() == levels
 
 
 def test_train_matches_public_op_composition(toy_problem, toy_encoder):
     """The optimized loop and the public ops are the same algorithm on the
     one-day toy series, where every episode's last step wraps to hour 0:
-    the reference reproduces train()'s table bit for bit."""
-    hp = Hyperparams(total_episodes=300, rng_seed=13)
-    trained, _ = train(*toy_problem, hp, toy_encoder)
-    assert np.array_equal(trained.values, _reference_train(*toy_problem, hp, toy_encoder).values)
+    the reference reproduces train()'s table and episode starts bit for bit,
+    also when the start level is drawn from an offset range."""
+    for reset_low in (0, 1):
+        hp = Hyperparams(total_episodes=300, rng_seed=13, soc_reset_low=reset_low)
+        _assert_matches_reference(toy_problem, hp, toy_encoder)
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind), ids=lambda kind: kind.value)
@@ -330,9 +357,7 @@ def test_train_matches_public_op_composition_per_encoding(kind, synthetic_week, 
     # The synthetic wind stays within 5 % of its mean: with 5 bins every hour
     # lands in the top one, with 20 the hours split between the top two.
     encoder = StateEncoder.for_series(kind, synthetic_week, BatterySpec(), bin_counts=(5, 5, 20))
-    hp = Hyperparams(total_episodes=400, rng_seed=13)
-    trained, _ = train(*problem, hp, encoder)
-    assert np.array_equal(trained.values, _reference_train(*problem, hp, encoder).values)
+    _assert_matches_reference(problem, Hyperparams(total_episodes=400, rng_seed=13), encoder)
 
 
 def test_train_q_values_bounded(toy_problem, toy_encoder, toy_day, toy_spec):

@@ -6,6 +6,8 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,15 @@ def test_train_worker_pool_matches_sequential(tmp_path):
     assert sorted(p.name for p in out_pool.iterdir()) == sorted(names)
     for name in names:
         assert (out_pool / name).read_bytes() == (out_seq / name).read_bytes(), name
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    """Only a multi-seed `train --workers` needs concurrent.futures, so
+    importing the CLI does not load it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    check = "import sys, farmbess.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 def test_train_episodes_override_flag(tmp_path):
@@ -463,6 +474,19 @@ def _not_utf8_csv(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("hour,load_kwh,pv_kwh,price_per_kwh\n0,1.0,0.5,0.1 \u00a3\n".encode("latin-1"))
     return path
+
+
+def test_evaluate_overlong_csv_cell_is_one_line_error(tmp_path, capsys):
+    rows = [f"{i},1.0,0.0,0.1" for i in range(24)]
+    rows[4] = "4,1.0,0.1," + "0" * 140_000
+    data = tmp_path / "long.csv"
+    data.write_text("\n".join(["hour,load_kwh,pv_kwh,price_per_kwh", *rows]) + "\n")
+    config = _config(tmp_path, f"dataset:\n  path: {data}\nrun:\n  output_dir: {tmp_path}\n")
+    code = main(["evaluate", "--config", str(config), "baseline:no-battery"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{data}: row 5: " in err
 
 
 @pytest.mark.parametrize(

@@ -247,8 +247,17 @@ def test_load_csv_reports_a_bad_row_before_an_unsplittable_line(tmp_path, tariff
         load_csv(path, tariff=tariff)
     rows[1] = "1,1.0,0.0"
     path = _write(tmp_path / "long.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
-    with pytest.raises(csv.Error, match="field limit"):
+    with pytest.raises(DataValidationError, match=r"row 21: field larger than field limit"):
         load_csv(path, tariff=tariff)
+
+
+def test_load_csv_names_the_file_and_row_of_an_overlong_cell(tmp_path, tariff):
+    rows = [f"{i},1.0,0.0" for i in range(24)]
+    rows[4] = "4,1.0," + "0" * 140_000
+    path = _write(tmp_path / "long.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
+    with pytest.raises(DataValidationError) as info:
+        load_csv(path, tariff=tariff)
+    assert str(info.value).startswith(f"{path}: row 5: ")
 
 
 def test_csv_round_trip(tmp_path, synthetic_week):
