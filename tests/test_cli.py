@@ -349,6 +349,28 @@ def test_evaluate_report_bytes_are_pinned(tmp_path, monkeypatch):
     assert digests == EVALUATE_DIGESTS
 
 
+COMPARE_DIGESTS = {
+    "refs": "e04738ce42fbbd032b2735c085f66dd825f894e0c8d71d4f489cbd3409ab4442",
+    "ablation": "687ea93a293161f31a90a5d6bc580b101028febec5b767a5ceb001580530b190",
+}
+
+
+def test_compare_report_bytes_are_pinned(tmp_path, monkeypatch):
+    # As in test_evaluate_report_bytes_are_pinned: relative paths, so the
+    # q-table label does not depend on the temporary directory.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    config = _config(tmp_path, SMALL_SYNTH.format(out="out"))
+    assert main(["train", "--config", str(config)]) == 0
+    refs = ["baseline:no-battery", "baseline:msc", "baseline:tou", "qtable:out/qtable_seed7.qt"]
+    digests = {}
+    for name, argv in (("refs", refs), ("ablation", ["--ablation"])):
+        assert main(["compare", "--config", str(config), *argv]) == 0
+        data = (tmp_path / "out" / "comparison.json").read_bytes()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    assert digests == COMPARE_DIGESTS
+
+
 def test_evaluate_unknown_baseline(tmp_path, capsys):
     config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "o"))
     assert main(["evaluate", "--config", str(config), "baseline:mppt"]) != 0
