@@ -48,7 +48,6 @@ from .evaluation import (
 )
 from .timeseries import (
     DataValidationError,
-    HourlyRecord,
     HourlySeries,
     SyntheticProfileConfig,
     TariffSchedule,

@@ -111,6 +111,16 @@ def greedy_action(q: QTable, state: int) -> Action:
     return _ACTIONS[best]
 
 
+def _greedy_indices(rows: np.ndarray) -> np.ndarray:
+    """`greedy_action`'s index for each row of action values along the last
+    axis, with its comparisons: strict >, ties to the lowest index."""
+    charge, discharge, idle = rows[..., 0], rows[..., 1], rows[..., 2]
+    later = discharge > charge
+    best = later.astype(np.intp)
+    best[idle > np.where(later, discharge, charge)] = 2
+    return best
+
+
 def decayed(initial: float, decay: float, floor: float, steps: int) -> float:
     """Schedule value after the given number of decay steps, in closed form
     so repeated application cannot accumulate rounding drift."""
@@ -168,15 +178,12 @@ def train(
     loads = series.load.tolist()
     renews = series.renewables.tolist()
     prices = series.price.tolist()
-    tier_of_hour = [tariff.tier_of(h) for h in range(24)]
-    tiers = [tier_of_hour[i % 24] for i in range(n_hours)]
+    tiers = tariff.tiers * series.n_days
     # Only the states the series can reach get a row: each distinct per-hour
     # base (its flat index at level 0) owns soc_levels contiguous rows, so
     # series hour i at charge level s is row rows[i] + s, and flat state
     # bases[i] + s * stride of the dense table.
-    pvs = series.pv.tolist()
-    winds = series.wind.tolist() if series.has_wind else [None] * n_hours
-    bases = [encoder.encode(i % 24, 0, loads[i], pvs[i], winds[i]) for i in range(n_hours)]
+    bases = encoder.state_bases(series).tolist()
     block = {base: k * levels for k, base in enumerate(dict.fromkeys(bases))}
     rows = [block[base] for base in bases]
     q = [[0.0, 0.0, 0.0] for _ in range(len(block) * levels)]

@@ -6,7 +6,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .battery import Action, BatterySpec
-from .timeseries import HourlyRecord, TariffSchedule, Tier
+from .timeseries import Tier
 
 
 class BaselineKind(Enum):
@@ -17,12 +17,14 @@ class BaselineKind(Enum):
 
 def baseline_decision(
     kind: BaselineKind,
-    record: HourlyRecord,
+    load_kwh: float,
+    renewables_kwh: float,
+    tier: Tier,
     energy_kwh: float,
     spec: BatterySpec,
-    tariff: TariffSchedule,
 ) -> tuple[Action, float | None]:
-    """Action plus charge cap for one hour of a baseline rollout.
+    """Action plus charge cap for one hour of a baseline rollout, from the
+    hour's load, renewable supply and tariff tier and the stored energy.
 
     No battery always idles. MSC maximises self-consumption: it stores
     renewable surplus (capped at the surplus, never charging from the grid)
@@ -33,15 +35,15 @@ def baseline_decision(
     """
     if kind is BaselineKind.NO_BATTERY:
         return Action.IDLE, None
-    load, renewables = record.load_kwh, record.renewables_kwh
-    tier = tariff.tier_of(record.hour_of_day) if kind is BaselineKind.TOU else None
+    if kind is not BaselineKind.TOU:
+        tier = None
     not_full = energy_kwh < spec.capacity_kwh
     if tier is Tier.OFF_PEAK and not_full:
         return Action.CHARGE, None
-    if renewables > load and not_full:
-        return Action.CHARGE, renewables - load
+    if renewables_kwh > load_kwh and not_full:
+        return Action.CHARGE, renewables_kwh - load_kwh
     if (
-        load > renewables
+        load_kwh > renewables_kwh
         and energy_kwh > spec.soc_min_kwh
         and (tier is None or tier is Tier.PEAK)
     ):

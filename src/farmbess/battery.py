@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import _soc_bins, soc_level_energy
-from .timeseries import HourlyRecord, Tier
+from .timeseries import Tier
 
 
 class Action(IntEnum):
@@ -270,11 +270,13 @@ def lattice_transition(
 def apply_action(
     spec: BatterySpec,
     energy_kwh: float,
-    record: HourlyRecord,
+    load_kwh: float,
+    renewables_kwh: float,
     action: Action,
     charge_cap: float | None = None,
 ) -> EnergyFlows:
-    """Energy flows for one hour under the given action.
+    """Energy flows for one hour of the given load and renewable supply under
+    the given action.
 
     All actions are legal; futile ones (charging a full battery, discharging
     into no deficit) move no energy. `charge_cap` limits how much the
@@ -284,9 +286,9 @@ def apply_action(
     used, charged, discharged, grid_import, curtailed, next_energy, *_ = transition(
         spec.limits,
         energy_kwh,
-        record.load_kwh,
-        record.renewables_kwh,
-        record.price_per_kwh,
+        load_kwh,
+        renewables_kwh,
+        0.0,  # the flows do not depend on the price
         Tier.STANDARD,
         action,
         charge_cap,

@@ -215,6 +215,17 @@ def _build_tariff(value) -> TariffSchedule:
         raise ConfigError(f"tariff: {exc}") from None
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """A YAML error in one line: where and what when PyYAML marks the
+    problem, else the first line of its message."""
+    mark = getattr(exc, "problem_mark", None)
+    problem = getattr(exc, "problem", None)
+    if mark is not None and problem:
+        return f" at line {mark.line + 1}, column {mark.column + 1}: {problem}"
+    lines = str(exc).splitlines()
+    return f": {lines[0]}" if lines else ""
+
+
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a YAML run config; with no path, every setting
     takes its default and the dataset is a default synthetic year.
@@ -231,7 +242,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from None
+        raise ConfigError(f"{path}: invalid YAML{_yaml_problem(exc)}") from None
     raw = _require_mapping(raw, str(path))
     return _validate(_with_overrides(raw, overrides or {}), str(path))
 
@@ -271,6 +282,12 @@ def _validate(raw: dict, where: str) -> RunConfig:
     run = _build(_Run, raw.get("run"), "run")
     if not run.seeds:
         raise ConfigError("run.seeds must be a non-empty list of integers")
+    # random.Random(-s) draws the stream of Random(s), so a negative seed
+    # would repeat another seed's run under another name.
+    if min(run.seeds) < 0 or len(set(run.seeds)) != len(run.seeds):
+        raise ConfigError(
+            f"run.seeds must be distinct integers >= 0, got {list(run.seeds)}"
+        )
     if not 0 <= run.initial_soc_level < battery.soc_levels:
         raise ConfigError(
             f"run.initial_soc_level must be in 0..{battery.soc_levels - 1}"

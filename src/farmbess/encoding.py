@@ -56,14 +56,18 @@ def soc_bin(spec, energy_kwh: float) -> int:
     return min(_floor_bin(energy_kwh / spec.capacity_kwh * top), top)
 
 
+def _floor_bins(x: np.ndarray, top: int) -> np.ndarray:
+    """min(_floor_bin(x), top) of every element, bit for bit."""
+    b = np.floor(x)
+    b[x - b > 1.0 - _EDGE_SNAP] += 1.0
+    return np.minimum(b, top).astype(np.intp)
+
+
 def _soc_bins(spec, energies: np.ndarray) -> np.ndarray:
     """`soc_bin` of every element of an array of in-range energies, bit for
     bit the same formula (no range check)."""
     top = spec.soc_levels - 1
-    x = energies / spec.capacity_kwh * top
-    b = np.floor(x)
-    b[x - b > 1.0 - _EDGE_SNAP] += 1.0
-    return np.minimum(b, top).astype(np.intp)
+    return _floor_bins(energies / spec.capacity_kwh * top, top)
 
 
 def soc_level_energy(spec, level: int) -> float:
@@ -84,6 +88,11 @@ def value_bin(spec: BinSpec, value: float) -> int:
     return min(_floor_bin(value / spec.max_value * spec.bin_count), spec.bin_count - 1)
 
 
+def _value_bins(spec: BinSpec, values: np.ndarray) -> np.ndarray:
+    """`value_bin` of every element of an array, bit for bit the same formula."""
+    return _floor_bins(values / spec.max_value * spec.bin_count, spec.bin_count - 1)
+
+
 @dataclass(frozen=True)
 class StateEncoder:
     """Row-major composition of observation coordinates into a flat index."""
@@ -95,6 +104,9 @@ class StateEncoder:
     wind_bins: BinSpec | None = None
 
     def __post_init__(self) -> None:
+        levels = self.soc_levels
+        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 2:
+            raise ValueError(f"soc_levels must be an integer >= 2, got {levels!r}")
         needs = self.kind is not EncodingKind.HOUR_SOC
         if needs and (self.load_bins is None or self.pv_bins is None):
             raise ValueError(f"{self.kind.value} encoding requires load and pv bin specs")
@@ -143,6 +155,22 @@ class StateEncoder:
         if wind_kwh is None:
             raise ValueError("wind_kwh is None but the encoding requires a wind value")
         return index * self.wind_bins.bin_count + value_bin(self.wind_bins, wind_kwh)
+
+    def state_bases(self, series) -> np.ndarray:
+        """Flat index at charge level 0 of every hour i of a series, in one
+        array pass: `encode(i % 24, 0, load[i], pv[i], wind[i])`, bit for bit,
+        as `_soc_bins` is `soc_bin`. Hour i at level s is index
+        bases[i] + s * soc_stride()."""
+        index = np.arange(len(series)) % 24 * self.soc_levels
+        if self.kind is EncodingKind.HOUR_SOC:
+            return index
+        index = index * self.load_bins.bin_count + _value_bins(self.load_bins, series.load)
+        index = index * self.pv_bins.bin_count + _value_bins(self.pv_bins, series.pv)
+        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV:
+            return index
+        if series.wind is None:
+            raise ValueError("wind_kwh is None but the encoding requires a wind value")
+        return index * self.wind_bins.bin_count + _value_bins(self.wind_bins, series.wind)
 
     @classmethod
     def for_series(

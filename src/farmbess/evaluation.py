@@ -4,8 +4,10 @@ ablation harness.
 
 Rollouts and `day_return` step the battery with the shared kernel
 `battery.transition`, and `dp_oracle` with its array form
-`battery.lattice_transition`. Rollouts score grid cost only; `day_return` and
-the oracle score the shaped or the cost-only reward (`penalty_mode`).
+`battery.lattice_transition`, reading the series' columns by hour index; a
+day is a one-day series (`HourlySeries.day`). Rollouts score grid cost only;
+`day_return` and the oracle score the shaped or the cost-only reward
+(`penalty_mode`).
 """
 
 from __future__ import annotations
@@ -17,16 +19,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agent import Hyperparams, QTable, greedy_action, train
+from .agent import _ACTIONS, Hyperparams, QTable, _greedy_indices, train
 from .baselines import BaselineKind, baseline_decision
 from .battery import Action, BatterySpec, PenaltyTable, lattice_transition, transition
 from .encoding import StateEncoder, soc_bin, soc_level_energy
 from .ioutil import atomic_write_text
-from .timeseries import HourlyRecord, HourlySeries, TariffSchedule, Tier
+from .timeseries import HourlySeries, TariffSchedule, Tier
 
-# A controller maps (record, stored energy in kWh) to (action, optional
+# A controller binds to a series: controller(series) returns a decide(i,
+# stored energy in kWh) that gives the series' hour i its (action, optional
 # charge cap).
-Controller = Callable[[HourlyRecord, float], "tuple[Action, float | None]"]
+Decide = Callable[[int, float], "tuple[Action, float | None]"]
+Controller = Callable[[HourlySeries], Decide]
+
+# Greedy action indices to actions, so one fancy index maps a whole array.
+_ACTION_OBJECTS = np.array(_ACTIONS, dtype=object)
 
 PENALTY_MODES = ("shaped", "cost-only")
 
@@ -113,32 +120,47 @@ def baseline_controller(
 ) -> Controller:
     """Wrap a rule-based policy as a rollout controller."""
 
-    def decide(record: HourlyRecord, energy_kwh: float):
-        return baseline_decision(kind, record, energy_kwh, spec, tariff)
+    def bind(series: HourlySeries) -> Decide:
+        loads = series.load.tolist()
+        renewables = series.renewables.tolist()
+        tiers = tariff.tiers * series.n_days
 
-    return decide
+        def decide(i: int, energy_kwh: float):
+            return baseline_decision(kind, loads[i], renewables[i], tiers[i], energy_kwh, spec)
+
+        return decide
+
+    return bind
 
 
 def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
-    """Greedy policy of a trained table as a rollout controller."""
+    """Greedy policy of a trained table as a rollout controller.
+
+    Bound to a series, it takes each hour's states from
+    `StateEncoder.state_bases` and their greedy actions at every charge level
+    in one array pass, so deciding an hour is a lookup at `soc_bin` of the
+    stored energy.
+    """
     if q.encoder.soc_levels != spec.soc_levels:
         raise ValueError(
             "q-table charge levels do not match the battery spec "
             f"({q.encoder.soc_levels} vs {spec.soc_levels})"
         )
     encoder = q.encoder
+    offsets = np.arange(spec.soc_levels) * encoder.soc_stride()
 
-    def decide(record: HourlyRecord, energy_kwh: float):
-        state = encoder.encode(
-            record.hour_of_day,
-            soc_bin(spec, energy_kwh),
-            record.load_kwh,
-            record.pv_kwh,
-            record.wind_kwh,
-        )
-        return greedy_action(q, state), None
+    def bind(series: HourlySeries) -> Decide:
+        # Hours share few distinct states, so each distinct base is looked up once.
+        bases, base_of_hour = np.unique(encoder.state_bases(series), return_inverse=True)
+        rows = _ACTION_OBJECTS[_greedy_indices(q.values[bases[:, None] + offsets])].tolist()
+        picks = [rows[k] for k in base_of_hour.tolist()]
 
-    return decide
+        def decide(i: int, energy_kwh: float):
+            return picks[i][soc_bin(spec, energy_kwh)], None
+
+        return decide
+
+    return bind
 
 
 def _resolve_penalties(penalty_mode: str, penalties: PenaltyTable | None) -> PenaltyTable:
@@ -149,14 +171,9 @@ def _resolve_penalties(penalty_mode: str, penalties: PenaltyTable | None) -> Pen
     return penalties if penalties is not None else PenaltyTable()
 
 
-def _check_day(day: Sequence[HourlyRecord]) -> None:
-    if len(day) == 0:
-        raise ValueError("day must contain at least one record")
-
-
 def rollout(
     controller: Controller,
-    series: HourlySeries | Sequence[HourlyRecord],
+    series: HourlySeries,
     spec: BatterySpec,
     initial_soc_level: int = 1,
     label: str = "controller",
@@ -170,56 +187,44 @@ def rollout(
     limits = spec.limits
     no_shaping = PenaltyTable.zero()
     standard = Tier.STANDARD
+    decide = controller(series)
+    loads = series.load.tolist()
+    renewables = series.renewables.tolist()
+    prices = series.price.tolist()
     energy = soc_level_energy(spec, initial_soc_level)
-    hours: list[int] = []
     actions: list[Action] = []
     imports: list[float] = []
     costs: list[float] = []
     energies: list[float] = []
     total_import = 0.0
     total_cost = 0.0
-    # The current month's import, cost and peak live in locals and are stored
-    # when the month changes. A month that comes back (a series longer than a
-    # year wraps to January) resumes from its stored values, so every month
-    # is summed in hour order, as one running sum per month would be.
+    # A month that comes back (a series longer than a year wraps to January)
+    # resumes from its stored sums, so every month is summed in hour order,
+    # as one running sum per month would be.
     months: dict[int, tuple[float, float, float]] = {}
-    month = None
-    month_import = month_cost = month_peak = 0.0
-    for record in series:
-        action, cap = controller(record, energy)
-        _, _, _, grid_import, _, energy, cost, _, _ = transition(
-            limits,
-            energy,
-            record.load_kwh,
-            record.renewables_kwh,
-            record.price_per_kwh,
-            standard,
-            action,
-            cap,
-            no_shaping,
-        )
-        hours.append(record.hour_index)
-        actions.append(action)
-        imports.append(grid_import)
-        costs.append(cost)
-        energies.append(energy)
-        total_import += grid_import
-        total_cost += cost
-        if record.month != month:
-            if month is not None:
-                months[month] = (month_import, month_cost, month_peak)
-            month = record.month
-            month_import, month_cost, month_peak = months.get(month, (0.0, 0.0, 0.0))
-        month_import += grid_import
-        month_cost += cost
-        if grid_import > month_peak:
-            month_peak = grid_import
-    if month is not None:
+    for month, start, stop in series.month_runs():
+        month_import, month_cost, month_peak = months.get(month, (0.0, 0.0, 0.0))
+        for i in range(start, stop):
+            action, cap = decide(i, energy)
+            _, _, _, grid_import, _, energy, cost, _, _ = transition(
+                limits, energy, loads[i], renewables[i], prices[i], standard, action, cap,
+                no_shaping,
+            )
+            actions.append(action)
+            imports.append(grid_import)
+            costs.append(cost)
+            energies.append(energy)
+            total_import += grid_import
+            total_cost += cost
+            month_import += grid_import
+            month_cost += cost
+            if grid_import > month_peak:
+                month_peak = grid_import
         months[month] = (month_import, month_cost, month_peak)
     monthly = tuple(MonthlyAggregate(m, *months[m]) for m in sorted(months))
     return EvalReport(
         label=label,
-        hour_index=tuple(hours),
+        hour_index=tuple(range(len(series))),
         action=tuple(actions),
         grid_import_kwh=tuple(imports),
         cost=tuple(costs),
@@ -232,32 +237,29 @@ def rollout(
 
 def day_return(
     controller: Controller,
-    day: Sequence[HourlyRecord],
+    day: HourlySeries,
     spec: BatterySpec,
     tariff: TariffSchedule,
     initial_soc_level: int,
     penalty_mode: str = "shaped",
     penalties: PenaltyTable | None = None,
 ) -> float:
-    """Episode return of a controller over one day, under the same reward the
-    oracle scores (shaped or cost-only)."""
+    """Episode return of a controller over a day (a one-day series, or any
+    series read as consecutive days), under the same reward the oracle
+    scores (shaped or cost-only)."""
     table = _resolve_penalties(penalty_mode, penalties)
     limits = spec.limits
     energy = soc_level_energy(spec, initial_soc_level)
-    _check_day(day)
+    decide = controller(day)
+    loads = day.load.tolist()
+    renewables = day.renewables.tolist()
+    prices = day.price.tolist()
+    tiers = tariff.tiers * day.n_days
     total = 0.0
-    for record in day:
-        action, cap = controller(record, energy)
+    for i in range(len(day)):
+        action, cap = decide(i, energy)
         _, _, _, _, _, energy, _, _, reward = transition(
-            limits,
-            energy,
-            record.load_kwh,
-            record.renewables_kwh,
-            record.price_per_kwh,
-            tariff.tier_of(record.hour_of_day),
-            action,
-            cap,
-            table,
+            limits, energy, loads[i], renewables[i], prices[i], tiers[i], action, cap, table
         )
         total += reward
     return total
@@ -302,7 +304,7 @@ def compare(base: EvalReport, candidate: EvalReport) -> ComparisonReport:
 
 
 def dp_oracle(
-    day: Sequence[HourlyRecord],
+    day: HourlySeries,
     spec: BatterySpec,
     tariff: TariffSchedule,
     initial_soc_level: int,
@@ -326,14 +328,8 @@ def dp_oracle(
     """
     table = _resolve_penalties(penalty_mode, penalties)
     soc_level_energy(spec, initial_soc_level)  # rejects a level off the lattice
-    _check_day(day)
     next_level, returns = lattice_transition(
-        spec,
-        [record.load_kwh for record in day],
-        [record.renewables_kwh for record in day],
-        [record.price_per_kwh for record in day],
-        [tariff.tier_of(record.hour_of_day) for record in day],
-        table,
+        spec, day.load, day.renewables, day.price, tariff.tiers * day.n_days, table
     )
 
     # value holds V_{h+1}; returns[h, level, action] gains V_{h+1} on top of
@@ -351,7 +347,7 @@ def dp_oracle(
     level = initial_soc_level
     for choices, next_levels in zip(choice.tolist(), next_level.tolist()):
         action = choices[level]
-        actions.append(Action(action))
+        actions.append(_ACTIONS[action])
         level = next_levels[level][action]
     return float(value[initial_soc_level]), actions
 

@@ -2,9 +2,8 @@
 and a synthetic profile generator standing in for real farm data.
 
 A dataset is an `HourlySeries` of validated numpy columns (load, pv, optional
-wind, price). The CSV reader and the generator fill the columns directly; the
-per-hour `HourlyRecord` views the rule-based controllers read are built from
-them once, on first use.
+wind, price). The CSV reader and the generator fill the columns directly, and
+every consumer reads them by hour index; a day is a one-day series.
 """
 
 from __future__ import annotations
@@ -52,28 +51,6 @@ def month_of_hour(hour_index: int) -> int:
 
 
 @dataclass(frozen=True)
-class HourlyRecord:
-    """One hour of farm data: demand, renewable generation, and price.
-
-    A plain view of one row of an `HourlySeries`; the series validates its
-    columns, so a record is not re-checked.
-    """
-
-    hour_index: int
-    hour_of_day: int
-    month: int
-    load_kwh: float
-    pv_kwh: float
-    wind_kwh: float | None
-    price_per_kwh: float
-
-    @property
-    def renewables_kwh(self) -> float:
-        """Total renewable supply for the hour (PV plus wind when present)."""
-        return self.pv_kwh + (0.0 if self.wind_kwh is None else self.wind_kwh)
-
-
-@dataclass(frozen=True)
 class TariffSchedule:
     """Three-tier time-of-use tariff over the 24 hours of a day.
 
@@ -110,6 +87,11 @@ class TariffSchedule:
         if hour_of_day in self.off_peak_hours:
             return Tier.OFF_PEAK
         return Tier.STANDARD
+
+    @cached_property
+    def tiers(self) -> tuple[Tier, ...]:
+        """The tier of each hour of the day, indexed by hour 0..23."""
+        return tuple(map(self.tier_of, range(24)))
 
     def price_at(self, hour_of_day: int) -> float:
         """Rate of the tier containing the given hour of day."""
@@ -156,10 +138,8 @@ def _tariff_prices(tariff: TariffSchedule, n_hours: int) -> np.ndarray:
 class HourlySeries:
     """Hourly farm data covering a whole number of days, held as validated
     read-only float64 columns: load, pv, wind (None when the dataset has no
-    wind) and price. Row i is hour i of the series.
-
-    `records`, iteration and `day()` give per-hour `HourlyRecord` views,
-    built once on first use.
+    wind) and price, plus renewables (pv + wind). Row i is hour i of the
+    series, so its hour of day is i % 24.
     """
 
     def __init__(self, load, pv, wind, price) -> None:
@@ -195,9 +175,6 @@ class HourlySeries:
     def __len__(self) -> int:
         return len(self.load)
 
-    def __iter__(self):
-        return iter(self.records)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HourlySeries):
             return NotImplemented
@@ -208,24 +185,30 @@ class HourlySeries:
             pairs.append((self.wind, other.wind))
         return all(np.array_equal(a, b) for a, b in pairs)
 
-    @cached_property
-    def records(self) -> tuple[HourlyRecord, ...]:
-        winds = self.wind.tolist() if self.has_wind else [None] * len(self)
-        rows = zip(self.load.tolist(), self.pv.tolist(), winds, self.price.tolist())
-        return tuple(
-            HourlyRecord(i, i % 24, month_of_hour(i), load, pv, wind, price)
-            for i, (load, pv, wind, price) in enumerate(rows)
-        )
-
     @property
     def n_days(self) -> int:
         return len(self) // 24
 
-    def day(self, day_index: int) -> tuple[HourlyRecord, ...]:
-        """The 24 records of one day."""
+    def day(self, day_index: int) -> "HourlySeries":
+        """One day of the series as a one-day series: its row h is hour h of
+        the day."""
         if not 0 <= day_index < self.n_days:
             raise ValueError(f"day_index must be in 0..{self.n_days - 1}, got {day_index}")
-        return self.records[day_index * 24 : (day_index + 1) * 24]
+        hours = slice(day_index * 24, (day_index + 1) * 24)
+        wind = self.wind[hours] if self.has_wind else None
+        return HourlySeries(self.load[hours], self.pv[hours], wind, self.price[hours])
+
+    def month_runs(self) -> list[list[int]]:
+        """[month, first hour, end hour] of each run of consecutive hours in
+        one calendar month (`month_of_hour`), in hour order."""
+        runs: list[list[int]] = []
+        for day in range(self.n_days):
+            month = _MONTH_OF_DAY[day % 365]
+            if runs and runs[-1][0] == month:
+                runs[-1][2] += 24
+            else:
+                runs.append([month, day * 24, day * 24 + 24])
+        return runs
 
     def loads(self) -> np.ndarray:
         return self.load

@@ -297,15 +297,15 @@ def _reference_train(series, spec, tariff, penalties, hp, encoder):
     soc_bin and encode index the state, select_action and td_update learn.
     The state after the series' last hour is read at the series' first hour.
     Returns the table and each episode's day and starting charge level."""
-    records = series.records
+    loads, pvs, prices = series.load.tolist(), series.pv.tolist(), series.price.tolist()
+    winds = series.wind.tolist() if series.has_wind else [None] * len(series)
     q = QTable(np.zeros((encoder.size(), 3)), encoder)
     rng = random.Random(hp.rng_seed)
     days, levels = [], []
 
     def state(position, energy):
-        record = records[position % len(records)]
-        return encoder.encode(record.hour_of_day, soc_bin(spec, energy),
-                              record.load_kwh, record.pv_kwh, record.wind_kwh)
+        i = position % len(series)
+        return encoder.encode(i % 24, soc_bin(spec, energy), loads[i], pvs[i], winds[i])
 
     for episode in range(hp.total_episodes):
         alpha = decayed(hp.learning_rate_init, hp.decay, hp.floor, episode)
@@ -317,10 +317,10 @@ def _reference_train(series, spec, tariff, penalties, hp, encoder):
         current = state(position, energy)
         for _ in range(hp.steps_per_episode):
             action = select_action(q, current, epsilon, rng)
-            record = records[position % len(records)]
+            i = position % len(series)
+            renewables = pvs[i] + (0.0 if winds[i] is None else winds[i])
             *_, energy, _, _, reward = transition(
-                spec.limits, energy, record.load_kwh, record.renewables_kwh,
-                record.price_per_kwh, tariff.tier_of(record.hour_of_day),
+                spec.limits, energy, loads[i], renewables, prices[i], tariff.tier_of(i % 24),
                 action, None, penalties,
             )
             position += 1
@@ -365,8 +365,8 @@ def test_train_q_values_bounded(toy_problem, toy_encoder, toy_day, toy_spec):
     table, _ = train(*toy_problem, hp, toy_encoder)
     assert np.all(np.isfinite(table.values))
     # |reward| <= max penalty + max hourly cost on the toy day
-    max_cost = max(r.load_kwh * r.price_per_kwh for r in toy_day) + \
-        toy_spec.charge_rate_kw * max(r.price_per_kwh for r in toy_day)
+    max_cost = max(toy_day.load * toy_day.price) + \
+        toy_spec.charge_rate_kw * max(toy_day.price)
     bound = (15.0 + max_cost) / (1 - hp.discount_factor) + 1e-9
     assert np.max(np.abs(table.values)) <= bound
 
@@ -471,6 +471,17 @@ def test_load_rejects_non_finite_values(tmp_path, toy_problem, toy_encoder):
     path.write_bytes(header + b"\n" + nan + payload[8:])
     with pytest.raises(QTableFormatError, match=f"{path.name}.*non-finite"):
         load_qtable(path)
+
+
+@pytest.mark.parametrize("value", [b"-1", b'"11"', b"2.5", b"true", b"1"])
+def test_load_rejects_bad_soc_levels(tmp_path, toy_problem, toy_encoder, value):
+    path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)
+    assert header.count(b'"soc_levels": 11') == 1
+    path.write_bytes(header.replace(b'"soc_levels": 11', b'"soc_levels": ' + value)
+                     + b"\n" + payload)
+    with pytest.raises(QTableFormatError, match=f"{path.name}.*soc_levels") as info:
+        load_qtable(path)
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("header", [b"[1]", b'"x"', b"5", b"null"])

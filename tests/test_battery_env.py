@@ -13,7 +13,6 @@ from farmbess import (
     BatterySpec,
     EncodingKind,
     Hyperparams,
-    HourlyRecord,
     HourlySeries,
     PenaltyTable,
     StateEncoder,
@@ -23,7 +22,6 @@ from farmbess import (
     default_tariff,
     generate_synthetic,
     lattice_transition,
-    month_of_hour,
     soc_bin,
     soc_level_energy,
     train,
@@ -34,20 +32,13 @@ POWERWALL = BatterySpec()  # 13.5 kWh, 5 kW, reserve 0.1
 PEN = PenaltyTable()
 
 
-def _record(load, pv, hour=0, wind=None, price=0.1):
-    return HourlyRecord(
-        hour_index=hour,
-        hour_of_day=hour % 24,
-        month=month_of_hour(hour),
-        load_kwh=float(load),
-        pv_kwh=float(pv),
-        wind_kwh=wind,
-        price_per_kwh=price,
-    )
+def _hour(load, pv, wind=None):
+    """(load, renewables) of one hour, as `apply_action` takes them."""
+    return float(load), float(pv) + (0.0 if wind is None else wind)
 
 
-def _balance_error(record, flows):
-    lhs = record.load_kwh + flows.battery_charge_in_kwh
+def _balance_error(load, flows):
+    lhs = load + flows.battery_charge_in_kwh
     rhs = (
         flows.renewables_used_kwh
         + flows.battery_discharge_out_kwh
@@ -61,7 +52,7 @@ def _balance_error(record, flows):
 
 
 def test_charge_draws_grid_when_no_renewables():
-    flows = apply_action(POWERWALL, 6.75, _record(2, 0), Action.CHARGE)
+    flows = apply_action(POWERWALL, 6.75, *_hour(2, 0), Action.CHARGE)
     assert flows.battery_charge_in_kwh == 5.0
     assert flows.grid_import_kwh == 7.0
     assert flows.next_energy_kwh == 11.75
@@ -69,7 +60,7 @@ def test_charge_draws_grid_when_no_renewables():
 
 
 def test_charge_full_battery_accepts_nothing():
-    flows = apply_action(POWERWALL, 13.5, _record(3, 4), Action.CHARGE)
+    flows = apply_action(POWERWALL, 13.5, *_hour(3, 4), Action.CHARGE)
     assert flows.battery_charge_in_kwh == 0.0
     assert flows.grid_import_kwh == 0.0
     assert flows.curtailed_kwh == 1.0
@@ -77,7 +68,7 @@ def test_charge_full_battery_accepts_nothing():
 
 
 def test_discharge_covers_residual_deficit():
-    flows = apply_action(POWERWALL, 6.75, _record(8, 1), Action.DISCHARGE)
+    flows = apply_action(POWERWALL, 6.75, *_hour(8, 1), Action.DISCHARGE)
     assert flows.battery_discharge_out_kwh == 5.0  # min(5, 6.75-1.35, 7)
     assert flows.grid_import_kwh == 2.0
     assert flows.next_energy_kwh == 1.75
@@ -85,37 +76,36 @@ def test_discharge_covers_residual_deficit():
 
 def test_discharge_respects_reserve():
     spec = BatterySpec(capacity_kwh=10.0, reserve_fraction=0.1)
-    flows = apply_action(spec, 2.0, _record(9, 0), Action.DISCHARGE)
+    flows = apply_action(spec, 2.0, *_hour(9, 0), Action.DISCHARGE)
     assert flows.battery_discharge_out_kwh == 1.0
     assert flows.next_energy_kwh == 1.0
 
 
 def test_discharge_below_reserve_is_noop():
     spec = BatterySpec(capacity_kwh=10.0, reserve_fraction=0.2)
-    flows = apply_action(spec, 1.0, _record(5, 0), Action.DISCHARGE)
+    flows = apply_action(spec, 1.0, *_hour(5, 0), Action.DISCHARGE)
     assert flows.battery_discharge_out_kwh == 0.0
     assert flows.grid_import_kwh == 5.0
     assert flows.next_energy_kwh == 1.0
 
 
 def test_idle_passes_load_through():
-    flows = apply_action(POWERWALL, 5.0, _record(4, 1), Action.IDLE)
+    flows = apply_action(POWERWALL, 5.0, *_hour(4, 1), Action.IDLE)
     assert flows.grid_import_kwh == 3.0
     assert flows.battery_charge_in_kwh == 0.0
     assert flows.next_energy_kwh == 5.0
 
 
 def test_charge_cap_limits_acceptance():
-    flows = apply_action(
-        POWERWALL, 10.0, _record(5, 8), Action.CHARGE, charge_cap=3.0
-    )
+    flows = apply_action(POWERWALL, 10.0, *_hour(5, 8), Action.CHARGE, charge_cap=3.0)
     assert flows.battery_charge_in_kwh == 3.0
     assert flows.grid_import_kwh == 0.0  # surplus covers the whole charge
     assert flows.curtailed_kwh == 0.0
 
 
 def test_wind_counts_as_renewable_supply():
-    flows = apply_action(POWERWALL, 5.0, _record(6, 2, wind=4.0), Action.IDLE)
+    series = HourlySeries(load=[6.0] * 24, pv=[2.0] * 24, wind=[4.0] * 24, price=[0.1] * 24)
+    flows = apply_action(POWERWALL, 5.0, series.load[0], series.renewables[0], Action.IDLE)
     assert flows.grid_import_kwh == 0.0
     assert flows.curtailed_kwh == 0.0
     assert flows.renewables_used_kwh == 6.0
@@ -123,8 +113,8 @@ def test_wind_counts_as_renewable_supply():
 
 @st.composite
 def _step_cases(draw):
-    """A random spec, a stored energy within it, an hour, an action and an
-    optional charge cap."""
+    """A random spec, a stored energy within it, an hour's load and
+    renewables, an action and an optional charge cap."""
     floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     spec = BatterySpec(
         capacity_kwh=draw(floats(1.0, 50.0)),
@@ -133,23 +123,22 @@ def _step_cases(draw):
         reserve_fraction=draw(floats(0.0, 0.5)),
     )
     energy = draw(floats(0.0, spec.capacity_kwh))
-    record = _record(
+    hour = _hour(
         draw(floats(0.0, 40.0)),
         draw(floats(0.0, 30.0)),
-        hour=draw(st.integers(0, 23)),
         wind=draw(st.none() | floats(0.0, 15.0)),
     )
     action = draw(st.sampled_from(Action))
     cap = draw(st.none() | floats(0.0, 10.0))
-    return spec, energy, record, action, cap
+    return spec, energy, hour, action, cap
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_step_cases())
 def test_energy_balance_and_bounds_random_triples(case):
-    spec, energy, record, action, cap = case
-    flows = apply_action(spec, energy, record, action, cap)
-    assert _balance_error(record, flows) < 1e-9
+    spec, energy, (load, renewables), action, cap = case
+    flows = apply_action(spec, energy, load, renewables, action, cap)
+    assert _balance_error(load, flows) < 1e-9
     assert 0.0 <= flows.next_energy_kwh <= spec.capacity_kwh
     assert flows.grid_import_kwh >= 0.0
     assert flows.curtailed_kwh >= 0.0
@@ -174,37 +163,30 @@ def _lattice_cases(draw):
     ))
     has_wind = draw(st.booleans())
     amounts = st.just(0.0) | st.integers(0, 20).map(float) | floats(0.0, 20.0)
-    records = []
-    for hour in range(24):
+    hours = []  # (load, renewables, price) of each hour of the day
+    for _ in range(24):
         pv = draw(amounts)
         wind = draw(amounts) if has_wind else None
         renewables = pv + (0.0 if wind is None else wind)
         load = draw(st.just(renewables) | amounts)
-        records.append(_record(load, pv, hour=hour, wind=wind, price=draw(floats(0.0, 1.0))))
-    return spec, records, draw(st.sampled_from([PEN, PenaltyTable.zero()]))
+        hours.append((*_hour(load, pv, wind=wind), draw(floats(0.0, 1.0))))
+    return spec, hours, draw(st.sampled_from([PEN, PenaltyTable.zero()]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_lattice_cases())
 def test_lattice_transition_is_transition_then_soc_bin(case):
-    spec, records, penalties = case
-    tiers = [default_tariff().tier_of(r.hour_of_day) for r in records]
-    next_level, reward = lattice_transition(
-        spec,
-        [r.load_kwh for r in records],
-        [r.renewables_kwh for r in records],
-        [r.price_per_kwh for r in records],
-        tiers,
-        penalties,
-    )
+    spec, hours, penalties = case
+    tiers = default_tariff().tiers
+    loads, renewables, prices = zip(*hours)
+    next_level, reward = lattice_transition(spec, loads, renewables, prices, tiers, penalties)
     expected_level, expected_reward = [], []
-    for record, tier in zip(records, tiers):
+    for (load, renewable, price), tier in zip(hours, tiers):
         for level in range(spec.soc_levels):
             for action in Action:
                 out = transition(
-                    spec.limits, soc_level_energy(spec, level), record.load_kwh,
-                    record.renewables_kwh, record.price_per_kwh, tier, action,
-                    None, penalties,
+                    spec.limits, soc_level_energy(spec, level), load, renewable, price,
+                    tier, action, None, penalties,
                 )
                 expected_level.append(soc_bin(spec, out[5]))
                 expected_reward.append(out[8])
@@ -220,8 +202,8 @@ def test_more_pv_never_increases_import():
         load = rng.uniform(0.0, 30.0)
         pv = rng.uniform(0.0, 20.0)
         action = Action(rng.randrange(3))
-        low = apply_action(POWERWALL, energy, _record(load, pv), action)
-        high = apply_action(POWERWALL, energy, _record(load, pv + 1.0), action)
+        low = apply_action(POWERWALL, energy, *_hour(load, pv), action)
+        high = apply_action(POWERWALL, energy, *_hour(load, pv + 1.0), action)
         assert high.grid_import_kwh <= low.grid_import_kwh + 1e-12
 
 
@@ -286,7 +268,7 @@ def test_reward_decomposition_on_table_cases():
         reward, penalty = _reward(
             action, tier, price, load, renew, energy, POWERWALL, PEN
         )
-        flows = apply_action(POWERWALL, energy, _record(load, renew, price=price), action)
+        flows = apply_action(POWERWALL, energy, *_hour(load, renew), action)
         assert reward + flows.grid_import_kwh * price == pytest.approx(penalty, abs=1e-12)
 
 
@@ -302,7 +284,7 @@ def test_zero_penalties_make_reward_pure_cost():
         reward, penalty = _reward(
             action, tier, price, load, pv, energy, POWERWALL, zero
         )
-        flows = apply_action(POWERWALL, energy, _record(load, pv), action)
+        flows = apply_action(POWERWALL, energy, *_hour(load, pv), action)
         assert penalty == 0.0
         assert reward == pytest.approx(-flows.grid_import_kwh * price, abs=1e-12)
 
@@ -344,8 +326,8 @@ def test_env_self_sufficient_day_imports_nothing():
     series = HourlySeries(load=[1.0] * 24, pv=[5.0] * 24, wind=None, price=[0.1] * 24)
     energy = soc_level_energy(POWERWALL, 3)
     total = 0.0
-    for record in series:
-        flows = apply_action(POWERWALL, energy, record, Action.IDLE)
+    for load, renewables in zip(series.load, series.renewables):
+        flows = apply_action(POWERWALL, energy, load, renewables, Action.IDLE)
         total += flows.grid_import_kwh
         energy = flows.next_energy_kwh
     assert total == 0.0
@@ -365,15 +347,14 @@ def test_env_observation_wraps_at_series_end(tariff):
     level = rng.randrange(hp.soc_reset_low, POWERWALL.soc_levels)
     assert level == log.soc_levels[0]
     energy = soc_level_energy(POWERWALL, level)
-    records = series.records
     expected = 0.0
     for position in range(hp.steps_per_episode):
         rng.random()
         action = rng.randrange(3)
-        record = records[position % len(records)]
+        i = position % len(series)
         *_, energy, _, _, reward = transition(
-            POWERWALL.limits, energy, record.load_kwh, record.renewables_kwh,
-            record.price_per_kwh, tariff.tier_of(record.hour_of_day),
+            POWERWALL.limits, energy, series.load[i], series.renewables[i],
+            series.price[i], tariff.tier_of(i % 24),
             action, None, PenaltyTable(),
         )
         expected += reward

@@ -265,11 +265,12 @@ def test_evaluate_tou_grid_charges_only_off_peak(tmp_path):
     series = load_config(config).load_series()
     rows = (out / "eval_baseline-tou.csv").read_text().splitlines()[1:]
     off_peak = load_config(config).tariff.off_peak_hours
-    for row, record in zip(rows, series):
+    assert len(rows) == len(series)
+    for i, row in enumerate(rows):
         grid_import = float(row.split(",")[2])
-        deficit = max(0.0, record.load_kwh - record.renewables_kwh)
+        deficit = max(0.0, series.load[i] - series.renewables[i])
         if grid_import > deficit + 1e-9:
-            assert record.hour_of_day in off_peak
+            assert i % 24 in off_peak
 
 
 def test_evaluate_trained_qtable(tmp_path):
@@ -469,6 +470,8 @@ def test_compare_ablation_rejects_references(tmp_path, capsys):
     "section,key,value",
     [
         ("run", "seeds", "[true]"),
+        ("run", "seeds", "[1, -1]"),
+        ("run", "seeds", "[3, 3]"),
         ("hyperparams", "total_episodes", "1.5"),
         ("encoding", "load_bin_max", "abc"),
         ("encoding", "load_bins", "2.7"),
@@ -490,6 +493,43 @@ def test_bad_config_value_is_one_line_naming_the_key(tmp_path, capsys, section, 
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("a: [\n", " at line 2, column 1: expected the node content"),
+        ("dataset:\n  synthetic: a: b\n", " at line 2, column 15: mapping values are not allowed"),
+        ("\ta: 1\n", " at line 1, column 1: found character '\\t'"),
+        # a reader error has no mark: its first line stands for it
+        ("a: \x00\n", ": unacceptable character #x0000"),
+    ],
+)
+def test_invalid_yaml_is_one_line_naming_the_file(tmp_path, capsys, text, where):
+    config = _config(tmp_path, text)
+    code = main(["evaluate", "--config", str(config), "baseline:no-battery"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {config}: invalid YAML{where}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["-1", '"11"', "2.5", "true", "1"])
+def test_evaluate_qtable_with_bad_soc_levels_is_one_line(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    config = _config(tmp_path, SMALL_SYNTH.format(out=out))
+    assert main(["train", "--config", str(config)]) == 0
+    path = out / "qtable_seed7.qt"
+    header, _, payload = path.read_bytes().partition(b"\n")
+    assert header.count(b'"soc_levels": 11') == 1
+    path.write_bytes(header.replace(b'"soc_levels": 11', f'"soc_levels": {value}'.encode())
+                     + b"\n" + payload)
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}: bad header (soc_levels must be an integer >= 2")
+    assert err.count("\n") == 1
 
 
 def _not_utf8_csv(tmp_path):

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from farmbess import (
     BatterySpec,
     BinSpec,
     EncodingKind,
+    HourlySeries,
     StateEncoder,
     soc_bin,
     soc_level_energy,
@@ -252,3 +254,64 @@ def test_for_series_zero_field_falls_back(tariff):
     series = generate_synthetic(config, tariff)
     encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV, series, POWERWALL)
     assert encoder.pv_bins.max_value == 1.0
+
+
+# ---------------------------------------------------------------- state_bases
+
+
+@pytest.mark.parametrize("levels", [-1, 1, 0, True, 2.5, "11", None])
+def test_encoder_rejects_bad_soc_levels(levels):
+    with pytest.raises(ValueError, match="soc_levels must be an integer >= 2"):
+        StateEncoder(kind=EncodingKind.HOUR_SOC, soc_levels=levels)
+
+
+@st.composite
+def _encoded_series(draw):
+    """An encoder of any kind with random bin specs and charge levels, and a
+    two-day series whose values sit on the bin edges, one ulp either side of
+    them, above the top edge, or anywhere in [0, 3 * max]: 1 to 24 drawn
+    values repeated over the first day, and the second day holds the first
+    day's values in reverse."""
+    kind = draw(st.sampled_from(EncodingKind))
+    specs = [
+        BinSpec(draw(st.integers(1, 6)), draw(st.floats(0.1, 50.0))) for _ in range(3)
+    ]
+    def column(spec):
+        edge = st.integers(0, spec.bin_count + 2).map(
+            lambda k: k * spec.max_value / spec.bin_count
+        )
+        near = st.tuples(edge, st.sampled_from([0.0, -math.inf, math.inf])).map(
+            lambda pair: max(0.0, math.nextafter(pair[0], pair[1]) if pair[1] else pair[0])
+        )
+        values = draw(st.lists(near | st.floats(0.0, 3 * spec.max_value), min_size=1, max_size=24))
+        day = (values * 24)[:24]
+        return day + day[::-1]
+
+    wind = kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND or draw(st.booleans())
+    series = HourlySeries(
+        load=column(specs[0]),
+        pv=column(specs[1]),
+        wind=column(specs[2]) if wind else None,
+        price=[0.1] * 48,
+    )
+    binned = kind is not EncodingKind.HOUR_SOC
+    encoder = StateEncoder(
+        kind=kind,
+        soc_levels=draw(st.integers(2, 12)),
+        load_bins=specs[0] if binned else None,
+        pv_bins=specs[1] if binned else None,
+        wind_bins=specs[2] if kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND else None,
+    )
+    return encoder, series
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_encoded_series())
+def test_state_bases_match_encode(case):
+    encoder, series = case
+    winds = series.wind.tolist() if series.has_wind else [None] * len(series)
+    expected = [
+        encoder.encode(i % 24, 0, load, pv, wind)
+        for i, (load, pv, wind) in enumerate(zip(series.load.tolist(), series.pv.tolist(), winds))
+    ]
+    assert encoder.state_bases(series).tolist() == expected

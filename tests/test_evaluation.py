@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from farmbess import (
     BaselineKind,
     BatterySpec,
     ComparisonReport,
+    DataValidationError,
     EncodingKind,
     EvalReport,
-    HourlyRecord,
     HourlySeries,
     Hyperparams,
     PenaltyTable,
@@ -48,16 +49,34 @@ from farmbess.timeseries import Tier
 POWERWALL = BatterySpec()
 
 
-def _record(load, pv, hour=0, price=0.1):
-    return HourlyRecord(
-        hour_index=hour,
-        hour_of_day=hour % 24,
-        month=month_of_hour(hour),
-        load_kwh=float(load),
-        pv_kwh=float(pv),
-        wind_kwh=None,
-        price_per_kwh=price,
-    )
+def _day(load, pv, price=0.1):
+    """A one-day series; each argument is one value for every hour or a list
+    of 24."""
+    column = lambda value: value if isinstance(value, list) else [float(value)] * 24
+    return HourlySeries(column(load), column(pv), None, column(price))
+
+
+class _Hour(NamedTuple):
+    """One hour of a series, as the reference loops below read it."""
+
+    hour_index: int
+    hour_of_day: int
+    month: int
+    load_kwh: float
+    pv_kwh: float
+    wind_kwh: float | None
+    price_per_kwh: float
+
+    @property
+    def renewables_kwh(self) -> float:
+        return self.pv_kwh + (0.0 if self.wind_kwh is None else self.wind_kwh)
+
+
+def _hours(series):
+    """The series row by row, with each row's hour of day and month."""
+    winds = series.wind.tolist() if series.has_wind else [None] * len(series)
+    rows = zip(series.load.tolist(), series.pv.tolist(), winds, series.price.tolist())
+    return [_Hour(i, i % 24, month_of_hour(i), *row) for i, row in enumerate(rows)]
 
 
 def _no_battery():
@@ -86,19 +105,14 @@ def _report(label, total_import, total_cost, peaks=()):
 
 
 def test_rollout_self_sufficient_day_zero_cost(tariff):
-    records = [_record(1.0, 4.0, hour=i) for i in range(24)]
-    report = rollout(_no_battery(), records, POWERWALL, initial_soc_level=1, label="nb")
+    report = rollout(_no_battery(), _day(1.0, 4.0), POWERWALL, initial_soc_level=1, label="nb")
     assert report.total_import_kwh == 0.0
     assert report.total_cost == 0.0
 
 
 def test_rollout_hand_accumulated_cost(tariff):
-    records = [
-        _record(2.0, 0.0, hour=0),
-        _record(3.0, 0.0, hour=1),
-        _record(1.0, 0.0, hour=2),
-    ]
-    report = rollout(_no_battery(), records, POWERWALL, initial_soc_level=1, label="nb")
+    day = _day([2.0, 3.0, 1.0] + [0.0] * 21, 0.0)
+    report = rollout(_no_battery(), day, POWERWALL, initial_soc_level=1, label="nb")
     assert report.total_cost == pytest.approx(0.6, abs=1e-12)
 
 
@@ -112,8 +126,7 @@ def test_rollout_totals_match_trace(synthetic_week, tariff):
     assert report.total_cost == pytest.approx(sum(report.cost), rel=1e-12)
     for month in report.monthly:
         imports = [
-            x for x, rec in zip(report.grid_import_kwh, synthetic_week)
-            if rec.month == month.month
+            x for i, x in enumerate(report.grid_import_kwh) if month_of_hour(i) == month.month
         ]
         assert month.peak_import_kwh == max(imports)
         assert month.import_kwh == pytest.approx(sum(imports), rel=1e-12)
@@ -140,32 +153,41 @@ def test_rollout_greedy_trace_matches_oracle_actions(toy_day, toy_spec, toy_tari
         encoder,
     )
     _, optimal_actions = dp_oracle(
-        toy_day.records, toy_spec, toy_tariff, initial_soc_level=0,
+        toy_day, toy_spec, toy_tariff, initial_soc_level=0,
         penalty_mode="shaped",
     )
-    controller = qtable_controller(table, toy_spec)
+    decide = qtable_controller(table, toy_spec)(toy_day)
     energy = soc_level_energy(toy_spec, 0)
-    for record, expected in zip(toy_day, optimal_actions):
-        action, cap = controller(record, energy)
+    for i, expected in enumerate(optimal_actions):
+        action, cap = decide(i, energy)
         assert action is expected
-        energy = apply_action(toy_spec, energy, record, action, cap).next_energy_kwh
+        flows = apply_action(
+            toy_spec, energy, toy_day.load[i], toy_day.renewables[i], action, cap
+        )
+        energy = flows.next_energy_kwh
 
 
 def _reference_qtable_controller(q, spec):
     """The Q-table controller as one range-checked `encode` per hour."""
     encoder = q.encoder
 
-    def decide(record, energy_kwh):
-        state = encoder.encode(
-            record.hour_of_day,
-            soc_bin(spec, energy_kwh),
-            record.load_kwh,
-            record.pv_kwh,
-            record.wind_kwh,
-        )
-        return greedy_action(q, state), None
+    def bind(series):
+        hours = _hours(series)
 
-    return decide
+        def decide(i, energy_kwh):
+            record = hours[i]
+            state = encoder.encode(
+                record.hour_of_day,
+                soc_bin(spec, energy_kwh),
+                record.load_kwh,
+                record.pv_kwh,
+                record.wind_kwh,
+            )
+            return greedy_action(q, state), None
+
+        return decide
+
+    return bind
 
 
 def _reference_rollout(controller, series, spec, initial_soc_level=1):
@@ -181,8 +203,9 @@ def _reference_rollout(controller, series, spec, initial_soc_level=1):
     monthly_import = {}
     monthly_cost = {}
     monthly_peak = {}
-    for record in series:
-        action, cap = controller(record, energy)
+    decide = controller(series)
+    for record in _hours(series):
+        action, cap = decide(record.hour_index, energy)
         _, _, _, grid_import, _, energy, cost, _, _ = transition(
             limits,
             energy,
@@ -275,7 +298,11 @@ def test_rollout_matches_the_reference_bit_for_bit(
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_qtable_controller_matches_greedy_on_the_encoded_state(synthetic_week, tariff, kind):
     encoder = StateEncoder.for_series(kind, synthetic_week, POWERWALL)
-    values = np.random.default_rng(4).standard_normal((encoder.size(), 3))
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((encoder.size(), 3))
+    # Half the rows hold zeros and ones, so two or three actions tie there.
+    tied = rng.random(encoder.size()) < 0.5
+    values[tied] = rng.integers(0, 2, (int(tied.sum()), 3))
     table = QTable(values=values, encoder=encoder)
     controller = qtable_controller(table, POWERWALL)
     top = POWERWALL.soc_levels - 1
@@ -285,8 +312,10 @@ def test_qtable_controller_matches_greedy_on_the_encoded_state(synthetic_week, t
     # indices carry other values, so nothing may carry over between calls.
     other = generate_synthetic(SyntheticProfileConfig(days=7, rng_seed=6), tariff)
     seen = set()
+    ties = 0
     for series in (synthetic_week, other, synthetic_week):
-        for record in series:
+        decide = controller(series)
+        for i, record in enumerate(_hours(series)):
             for energy in energies:
                 state = encoder.encode(
                     record.hour_of_day,
@@ -296,9 +325,12 @@ def test_qtable_controller_matches_greedy_on_the_encoded_state(synthetic_week, t
                     record.wind_kwh,
                 )
                 expected = greedy_action(table, state)
-                assert controller(record, energy) == (expected, None)
+                assert decide(i, energy) == (expected, None)
                 seen.add(expected)
+                row = table.values[state]
+                ties += int((row == row.max()).sum() > 1)
     assert seen == set(Action)
+    assert ties > 100
 
 
 def test_qtable_controller_keeps_the_range_checks(synthetic_week):
@@ -307,13 +339,12 @@ def test_qtable_controller_keeps_the_range_checks(synthetic_week):
     )
     table = QTable(values=np.zeros((encoder.size(), 3)), encoder=encoder)
     controller = qtable_controller(table, POWERWALL)
-    record = synthetic_week.records[5]
-    controller(record, 1.0)
+    decide = controller(synthetic_week)
+    decide(5, 1.0)
     with pytest.raises(ValueError, match="outside"):
-        controller(record, POWERWALL.capacity_kwh + 0.5)
-    dry = synthetic_week.without_wind().records[5]
+        decide(5, POWERWALL.capacity_kwh + 0.5)
     with pytest.raises(ValueError, match="wind_kwh is None"):
-        controller(dry, 1.0)
+        controller(synthetic_week.without_wind())
 
 
 # ---------------------------------------------------------------- compare
@@ -383,8 +414,7 @@ def test_comparison_report_json_round_trip():
 
 
 def test_oracle_self_sufficient_day_is_zero(tariff):
-    records = [_record(1.0, 4.0, hour=i) for i in range(24)]
-    best, actions = dp_oracle(records, POWERWALL, tariff, initial_soc_level=5,
+    best, actions = dp_oracle(_day(1.0, 4.0), POWERWALL, tariff, initial_soc_level=5,
                               penalty_mode="cost-only")
     assert best == 0.0
     # Charging at 5 kW draws the 2 kWh the 3 kWh surplus lacks from the grid;
@@ -394,31 +424,34 @@ def test_oracle_self_sufficient_day_is_zero(tariff):
 
 
 def test_oracle_single_peak_hour_prefers_discharge(tariff):
-    record = _record(5.0, 0.0, hour=17, price=0.2)
-    best, actions = dp_oracle([record], POWERWALL, tariff, initial_soc_level=10,
+    # A full battery and a day whose only load is at 17:00: no hour before it
+    # can import anything, so the battery is still full at 17:00.
+    day = _day([5.0 if h == 17 else 0.0 for h in range(24)], 0.0, price=0.2)
+    best, actions = dp_oracle(day, POWERWALL, tariff, initial_soc_level=10,
                               penalty_mode="cost-only")
-    assert actions == [Action.DISCHARGE]
+    assert actions[17] is Action.DISCHARGE
     assert best == 0.0
-    # exhaustive check over the three single-step alternatives
+    # exhaustive check over the three alternatives at 17:00
     for action in Action:
-        flows = apply_action(POWERWALL, 13.5, record, action)
-        assert -(flows.grid_import_kwh * record.price_per_kwh) <= best
+        flows = apply_action(POWERWALL, 13.5, day.load[17], day.renewables[17], action)
+        assert -(flows.grid_import_kwh * day.price[17]) <= best
 
 
 @pytest.mark.parametrize("level", [-1, POWERWALL.soc_levels])
 def test_oracle_rejects_level_off_the_lattice(tariff, level):
-    day = [_record(5.0, 0.0, hour=h) for h in range(24)]
+    day = _day(5.0, 0.0)
     with pytest.raises(ValueError, match="soc level"):
         dp_oracle(day, POWERWALL, tariff, level)
     with pytest.raises(ValueError, match="soc level"):
         day_return(_no_battery(), day, POWERWALL, tariff, level)
 
 
-def test_oracle_and_day_return_reject_an_empty_day(tariff):
-    with pytest.raises(ValueError, match="at least one record"):
-        dp_oracle([], POWERWALL, tariff, 1)
-    with pytest.raises(ValueError, match="at least one record"):
-        day_return(_no_battery(), [], POWERWALL, tariff, 1)
+def test_oracle_and_day_return_reject_an_empty_day(synthetic_week):
+    # Both take a day as a one-day series, and no series is empty.
+    with pytest.raises(DataValidationError, match="positive multiple of 24, got 0"):
+        HourlySeries(load=[], pv=[], wind=None, price=[])
+    with pytest.raises(ValueError, match="day_index must be in 0..6, got 7"):
+        synthetic_week.day(7)
 
 
 def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="shaped",
@@ -433,7 +466,7 @@ def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="sha
     # that attains V_h, ties going to the lowest action index
     value = [0.0] * len(energies)
     plan = []
-    for record in reversed(day):
+    for record in reversed(_hours(day)):
         tier = tariff.tier_of(record.hour_of_day)
         new_value = []
         choices = []
@@ -488,11 +521,13 @@ def _enumerate_best(day, spec, tariff, penalties, level):
     """Independent forward enumeration over action sequences with
     memoization on (hour, charge level)."""
 
+    hours = _hours(day)
+
     @functools.lru_cache(maxsize=None)
     def best_from(h, lvl):
-        if h == len(day):
+        if h == len(hours):
             return 0.0
-        record = day[h]
+        record = hours[h]
         best = None
         for action in range(3):
             *_, next_energy, _, _, reward = transition(
@@ -510,26 +545,24 @@ def _enumerate_best(day, spec, tariff, penalties, level):
 
 def test_oracle_matches_brute_force_on_toy_day(toy_day, toy_spec, toy_tariff):
     for level in (0, 3, 10):
-        best, _ = dp_oracle(toy_day.records, toy_spec, toy_tariff,
+        best, _ = dp_oracle(toy_day, toy_spec, toy_tariff,
                             initial_soc_level=level, penalty_mode="shaped")
-        expected = _enumerate_best(
-            toy_day.records, toy_spec, toy_tariff, PenaltyTable(), level
-        )
+        expected = _enumerate_best(toy_day, toy_spec, toy_tariff, PenaltyTable(), level)
         assert best == pytest.approx(expected, abs=1e-12)
 
 
 def test_oracle_dominates_controllers_and_random_policies(toy_day, toy_spec, toy_tariff):
-    best, _ = dp_oracle(toy_day.records, toy_spec, toy_tariff,
+    best, _ = dp_oracle(toy_day, toy_spec, toy_tariff,
                         initial_soc_level=2, penalty_mode="shaped")
     for kind in BaselineKind:
         controller = baseline_controller(kind, toy_spec, toy_tariff)
-        value = day_return(controller, toy_day.records, toy_spec, toy_tariff,
+        value = day_return(controller, toy_day, toy_spec, toy_tariff,
                            initial_soc_level=2, penalty_mode="shaped")
         assert value <= best + 1e-9
     rng = random.Random(1)
     for _ in range(50):
-        controller = lambda record, energy: (Action(rng.randrange(3)), None)
-        value = day_return(controller, toy_day.records, toy_spec, toy_tariff,
+        controller = lambda series: lambda i, energy: (Action(rng.randrange(3)), None)
+        value = day_return(controller, toy_day, toy_spec, toy_tariff,
                            initial_soc_level=2, penalty_mode="shaped")
         assert value <= best + 1e-9
 
@@ -613,9 +646,8 @@ REWARDS = st.sampled_from(["shaped", "cost-only"])
 def test_oracle_plan_replays_to_its_return(case, mode):
     spec, tariff, day, level = case
     best, actions = dp_oracle(day, spec, tariff, level, penalty_mode=mode)
-    plan = iter(actions)
-    replay = day_return(lambda record, energy: (next(plan), None), day, spec, tariff,
-                        level, penalty_mode=mode)
+    replay = day_return(lambda series: lambda i, energy: (actions[i], None), day, spec,
+                        tariff, level, penalty_mode=mode)
     assert replay == pytest.approx(best, abs=1e-9)
 
 
@@ -628,7 +660,7 @@ def test_no_controller_beats_the_oracle(case, mode, seed):
     spec, tariff, day, level = case
     best, _ = dp_oracle(day, spec, tariff, level, penalty_mode=mode)
     rng = random.Random(seed)
-    controllers = [lambda record, energy: (Action(rng.randrange(3)), None)]
+    controllers = [lambda series: lambda i, energy: (Action(rng.randrange(3)), None)]
     controllers += [baseline_controller(kind, spec, tariff) for kind in BaselineKind]
     for controller in controllers:
         value = day_return(controller, day, spec, tariff, level, penalty_mode=mode)

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from farmbess import (
     DataValidationError,
-    HourlyRecord,
     HourlySeries,
     SyntheticProfileConfig,
     TariffSchedule,
@@ -111,8 +110,8 @@ def test_load_csv_year_schema_passthrough(tmp_path, tariff):
     series = load_csv(path)
     assert len(series) == 8760
     assert not series.has_wind
-    assert series.records[25].hour_of_day == 1
-    assert series.records[25].load_kwh == 1.0
+    assert series.load[25] == 1.0
+    assert series.day(1).load[1] == 1.0
 
 
 def test_load_csv_reports_negative_value_with_row(tmp_path):
@@ -131,9 +130,9 @@ def test_load_csv_fills_price_from_tariff(tmp_path, tariff):
         lines.append(f"{i},1.0,0.0")
     path = _write(tmp_path / "nop.csv", "\n".join(lines) + "\n")
     series = load_csv(path, tariff=tariff)
-    for record in series:
-        assert record.price_per_kwh == tariff.price_at(record.hour_of_day)
-    assert all(r.price_per_kwh == tariff.peak_rate for r in series if r.hour_of_day == 18)
+    for i, price in enumerate(series.price):
+        assert price == tariff.price_at(i % 24)
+    assert all(series.price[18::24] == tariff.peak_rate)
 
 
 def test_load_csv_requires_tariff_when_price_missing(tmp_path):
@@ -167,7 +166,7 @@ def test_load_csv_skips_blank_rows_without_counting_them(tmp_path, tariff):
     path = _write(tmp_path / "gappy.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
     series = load_csv(path, tariff=tariff)
     assert len(series) == 24
-    assert [r.load_kwh for r in series] == [1.0 + i for i in range(24)]
+    assert series.load.tolist() == [1.0 + i for i in range(24)]
 
 
 def test_load_csv_error_rows_count_data_rows_only(tmp_path, tariff):
@@ -266,8 +265,8 @@ def test_csv_round_trip(tmp_path, synthetic_week):
     back = load_csv(path)
     assert back.has_wind
     assert len(back) == len(synthetic_week)
-    for a, b in zip(back, synthetic_week):
-        assert a == b
+    for name in ("load", "pv", "wind", "price"):
+        assert getattr(back, name).tolist() == getattr(synthetic_week, name).tolist()
 
 
 # ------------------------------------------------ column reader against rows
@@ -461,12 +460,34 @@ def test_series_rejects_non_multiple_of_24(tariff):
         HourlySeries(load=[1.0] * 23, pv=[0.0] * 23, wind=None, price=[0.1] * 23)
 
 
-def test_series_records_follow_row_position():
-    series = HourlySeries(load=[1.0] * 48, pv=[0.0] * 48, wind=None, price=[0.1] * 48)
-    record = series.records[25]
-    assert (record.hour_index, record.hour_of_day, record.month) == (25, 1, 1)
-    assert series.day(1)[1] is record
-    assert record == HourlyRecord(25, 1, 1, 1.0, 0.0, None, 0.1)
+def test_series_day_is_a_one_day_series():
+    hours = [float(i) for i in range(72)]
+    for wind in (None, [2.0 * h for h in hours]):
+        series = HourlySeries(load=hours, pv=[0.0] * 72, wind=wind, price=[0.1] * 72)
+        day = series.day(1)
+        assert isinstance(day, HourlySeries)
+        assert len(day) == 24 and day.n_days == 1
+        assert day.has_wind == series.has_wind
+        # row h of day 1 is row 24 + h of the series
+        assert day.load.tolist() == hours[24:48]
+        assert day.renewables.tolist() == series.renewables[24:48].tolist()
+        assert day == HourlySeries(series.load[24:48], series.pv[24:48],
+                                   None if wind is None else series.wind[24:48],
+                                   series.price[24:48])
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="day_index"):
+                series.day(bad)
+
+
+def test_series_month_runs_follow_month_of_hour():
+    for days in (1, 31, 32, 365, 400):
+        series = HourlySeries(load=[1.0] * days * 24, pv=[0.0] * days * 24, wind=None,
+                              price=[0.1] * days * 24)
+        runs = series.month_runs()
+        hours = [h for _, start, stop in runs for h in range(start, stop)]
+        assert hours == list(range(days * 24))
+        assert all(month_of_hour(h) == m for m, start, stop in runs for h in range(start, stop))
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
 
 
 def test_series_rejects_non_finite_or_negative_column():
@@ -487,8 +508,22 @@ def test_series_columns_are_read_only(synthetic_week):
 def test_without_wind_drops_column(synthetic_week):
     bare = synthetic_week.without_wind()
     assert not bare.has_wind
-    assert all(r.wind_kwh is None for r in bare)
-    assert [r.load_kwh for r in bare] == [r.load_kwh for r in synthetic_week]
+    assert bare.wind is None
+    assert bare.load.tolist() == synthetic_week.load.tolist()
+    assert bare.renewables.tolist() == synthetic_week.pv.tolist()
+
+
+def test_tariff_tiers_table_is_tier_of_each_hour(tariff):
+    custom = TariffSchedule(
+        off_peak_hours=frozenset(range(0, 12)),
+        standard_hours=frozenset(range(14, 24)),
+        peak_hours=frozenset({12, 13}),
+        off_peak_rate=0.1,
+        standard_rate=0.2,
+        peak_rate=0.3,
+    )
+    for schedule in (tariff, custom):
+        assert schedule.tiers == tuple(schedule.tier_of(h) for h in range(24))
 
 
 def test_month_of_hour_calendar():
@@ -508,8 +543,8 @@ def test_generate_synthetic_zero_generation(tariff):
         days=1, pv_peak_kwh=0.0, wind_mean_kwh=0.0, noise_fraction=0.0, rng_seed=3
     )
     series = generate_synthetic(config, tariff)
-    assert all(r.pv_kwh == 0.0 for r in series)
-    assert all(r.wind_kwh == 0.0 for r in series)
+    assert all(series.pv == 0.0)
+    assert all(series.wind == 0.0)
 
 
 def test_generate_synthetic_deterministic(tariff):
@@ -538,23 +573,22 @@ def test_generate_synthetic_annual_total_near_closed_form(tariff):
 def test_generate_synthetic_invariants(synthetic_year):
     assert len(synthetic_year) == 8760
     assert synthetic_year.has_wind
-    for r in synthetic_year:
-        assert r.hour_of_day == r.hour_index % 24
-        assert r.load_kwh >= 0 and r.pv_kwh >= 0 and r.wind_kwh >= 0
+    for column in (synthetic_year.load, synthetic_year.pv, synthetic_year.wind):
+        assert all(column >= 0)
 
 
 def test_generate_synthetic_pv_zero_at_night(synthetic_year):
-    for r in synthetic_year:
-        if r.hour_of_day <= 5 or r.hour_of_day >= 21:
-            assert r.pv_kwh == 0.0
+    for i, pv in enumerate(synthetic_year.pv):
+        if i % 24 <= 5 or i % 24 >= 21:
+            assert pv == 0.0
 
 
 def test_diurnal_profiles_match_generator_shape():
     config = SyntheticProfileConfig(days=1, noise_fraction=0.0, rng_seed=0)
     series = generate_synthetic(config, default_tariff())
-    for r in series:
-        assert r.load_kwh == pytest.approx(diurnal_load_kwh(config, r.hour_of_day))
-        assert r.pv_kwh == pytest.approx(diurnal_pv_kwh(config, r.hour_of_day))
+    for h in range(24):
+        assert series.load[h] == pytest.approx(diurnal_load_kwh(config, h))
+        assert series.pv[h] == pytest.approx(diurnal_pv_kwh(config, h))
 
 
 def test_synthetic_config_validation():
