@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from farmbess import cli
-from farmbess.agent import load_qtable
+from farmbess import EncodingKind, QTable, StateEncoder, cli
+from farmbess.agent import load_qtable, save_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import ConfigError, load_config
 from farmbess.evaluation import qtable_controller, rollout
@@ -516,15 +517,14 @@ def test_invalid_yaml_is_one_line_naming_the_file(tmp_path, capsys, text, where)
 
 @pytest.mark.parametrize("value", ["-1", '"11"', "2.5", "true", "1"])
 def test_evaluate_qtable_with_bad_soc_levels_is_one_line(tmp_path, capsys, value):
-    out = tmp_path / "out"
-    config = _config(tmp_path, SMALL_SYNTH.format(out=out))
-    assert main(["train", "--config", str(config)]) == 0
-    path = out / "qtable_seed7.qt"
+    config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "out"))
+    encoder = StateEncoder(kind=EncodingKind.HOUR_SOC)  # the configured encoding
+    path = tmp_path / "table.qt"
+    save_qtable(QTable(np.zeros((encoder.size(), 3)), encoder), path)
     header, _, payload = path.read_bytes().partition(b"\n")
     assert header.count(b'"soc_levels": 11') == 1
     path.write_bytes(header.replace(b'"soc_levels": 11', f'"soc_levels": {value}'.encode())
                      + b"\n" + payload)
-    capsys.readouterr()
     code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
     err = capsys.readouterr().err
     assert code == 2
