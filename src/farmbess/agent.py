@@ -268,10 +268,18 @@ def train(
     return table, log
 
 
+def _bins_from_json(name: str, data: dict | None) -> BinSpec | None:
+    if data is None:
+        return None
+    try:
+        return BinSpec(**data)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _encoder_from_json(data: dict) -> StateEncoder:
     bins = {
-        name: None if data[name] is None else BinSpec(**data[name])
-        for name in ("load_bins", "pv_bins", "wind_bins")
+        name: _bins_from_json(name, data[name]) for name in ("load_bins", "pv_bins", "wind_bins")
     }
     return StateEncoder(kind=EncodingKind(data["kind"]), soc_levels=data["soc_levels"], **bins)
 

@@ -11,7 +11,10 @@ calls once per day.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+import struct
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Sequence
 
@@ -134,8 +137,13 @@ def transition(
 
     cost is grid_import * price; penalty is the first matching shaping row
     for (action, tier, charge before the action); reward = -cost + penalty.
-    `lattice_transition` repeats these rules on arrays; a change here goes
-    there too, and a property test checks that the two agree bit for bit.
+    `lattice_transition` takes the penalties, the charged energy and the
+    charge and idle next energies from this function, once per spec and
+    penalty table. It repeats on arrays the rules that depend on the hour:
+    surplus and deficit, a charge's draw on the surplus, a discharge limited
+    by the deficit and its snap to the reserve, the grid import and the
+    cost. A change to those goes there too, and a property test checks that
+    the two agree bit for bit.
     """
     capacity, soc_min, charge_rate, discharge_rate = limits
     surplus = renewables - load if renewables > load else 0.0
@@ -203,6 +211,55 @@ def transition(
     )
 
 
+# Tier index of each tier, for the per-tier tables of `_level_terms`.
+_TIER_CODE = {tier: code for code, tier in enumerate(Tier)}
+# A penalty table's rows as bytes. Tables equal as dataclasses may still
+# differ in the sign of a zero row, which -cost + penalty keeps, so
+# `_level_terms` is keyed on the rows' bits.
+_PENALTY_ROWS = struct.Struct(f"<{len(fields(PenaltyTable))}d")
+
+
+@functools.lru_cache(maxsize=8)
+def _level_terms(spec: BatterySpec, penalty_rows: bytes) -> tuple[np.ndarray, ...]:
+    """What `lattice_transition` reads that depends on the charge level alone,
+    under the penalty table packed in `penalty_rows`.
+
+    Returns, each of shape (soc_levels,): the level's energy; the energy a
+    charge takes and the level it leads to; the idle next level; the
+    discharge limit before the hour's deficit binds; and the energy above
+    the reserve. Then the penalty of each (tier, level, action), shape
+    (len(Tier), soc_levels, 3) in `Tier` order. All but the energy above the
+    reserve come from `transition` at the level's energy with no cap, at an
+    unbounded deficit, where a discharge meets only its rate and the
+    reserve. The arrays are shared between calls, so they are read-only.
+    """
+    penalties = PenaltyTable(*_PENALTY_ROWS.unpack(penalty_rows))
+    limits = spec.limits
+    soc_min = limits[1]
+    energy = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
+    steps = [
+        [
+            [transition(limits, e, math.inf, 0.0, 0.0, tier, action, None, penalties)
+             for action in Action]
+            for e in energy
+        ]
+        for tier in Tier
+    ]
+    charge, discharge, idle = zip(*steps[0])
+    terms = (
+        np.array(energy),
+        np.array([out[1] for out in charge]),
+        _soc_bins(spec, np.array([out[5] for out in charge])),
+        _soc_bins(spec, np.array([out[5] for out in idle])),
+        np.array([out[2] for out in discharge]),
+        np.array([e - soc_min if e > soc_min else 0.0 for e in energy]),
+        np.array([[[out[7] for out in level] for level in tier] for tier in steps]),
+    )
+    for array in terms:
+        array.setflags(write=False)
+    return terms
+
+
 def lattice_transition(
     spec: BatterySpec,
     load: Sequence[float],
@@ -215,56 +272,40 @@ def lattice_transition(
     charge level and action of a day in one array pass.
 
     The inputs hold one entry per hour. Returns (next_level, reward), each of
-    shape (hours, soc_levels, 3): the charge level the action leads to from
-    the level's energy (`soc_level_energy`), and its reward. Every entry is
-    bit for bit what the scalar kernel and `soc_bin` give, because each one
-    is the same IEEE operation in the same order.
+    shape (hours, soc_levels, 3) and newly allocated: the charge level the
+    action leads to from the level's energy (`soc_level_energy`), and its
+    reward. What depends on the level alone, the penalties included, comes
+    from the scalar kernel once per (spec, penalties) (`_level_terms`); the
+    terms of the hour's load, renewables and price repeat its operations on
+    arrays in the same order, so every entry is bit for bit what
+    `transition` and `soc_bin` give.
     """
-    capacity, soc_min, charge_rate, discharge_rate = spec.limits
-    p = penalties
-    energy = np.array([soc_level_energy(spec, level) for level in range(spec.soc_levels)])
+    energy, charged, charge_level, idle_level, discharge_limit, available, penalty = (
+        _level_terms(spec, _PENALTY_ROWS.pack(*vars(penalties).values()))
+    )
+    soc_min = spec.soc_min_kwh
     load = np.asarray(load, dtype=float)[:, None]
     renewables = np.asarray(renewables, dtype=float)[:, None]
-    peak = np.array([tier is _PEAK for tier in tiers])[:, None]
-    off_peak = np.array([tier is _OFF_PEAK for tier in tiers])[:, None]
     surplus = np.where(renewables > load, renewables - load, 0.0)
     deficit = np.where(load > renewables, load - renewables, 0.0)
     shape = (len(load), len(energy), 3)
     grid_import = np.empty(shape)
-    next_energy = np.empty(shape)
-    penalty = np.empty(shape)
+    next_level = np.empty(shape, dtype=np.intp)
 
-    headroom = capacity - energy
-    charged = np.where(charge_rate < headroom, charge_rate, headroom)
-    charged[charged < 0.0] = 0.0
-    stored = np.where(surplus < charged, surplus, charged)
-    grid_import[..., 0] = deficit + (charged - stored)
-    next_energy[..., 0] = np.where(charged == headroom, capacity, energy + charged)
-    penalty[..., 0] = np.where(
-        energy >= capacity,
-        np.where(peak, p.charge_full_peak, p.charge_full),
-        np.where(peak, p.charge_peak, np.where(off_peak, p.charge_off_peak_bonus, 0.0)),
-    )
+    grid_import[..., 0] = deficit + (charged - np.where(surplus < charged, surplus, charged))
+    next_level[..., 0] = charge_level
 
-    available = np.where(energy > soc_min, energy - soc_min, 0.0)
-    discharged = np.where(discharge_rate < available, discharge_rate, available)
-    discharged = np.where(deficit < discharged, deficit, discharged)
+    discharged = np.where(deficit < discharge_limit, deficit, discharge_limit)
     grid_import[..., 1] = deficit - discharged
-    next_energy[..., 1] = np.where(
+    next_level[..., 1] = _soc_bins(spec, np.where(
         (discharged == available) & (available > 0.0), soc_min, energy - discharged
-    )
-    penalty[..., 1] = np.where(
-        energy <= soc_min,
-        p.discharge_empty,
-        np.where(off_peak, p.discharge_off_peak, np.where(peak, p.discharge_peak_bonus, 0.0)),
-    )
+    ))
 
     grid_import[..., 2] = deficit
-    next_energy[..., 2] = energy
-    penalty[..., 2] = np.where(peak & (energy >= soc_min), p.idle_peak_with_charge, 0.0)
+    next_level[..., 2] = idle_level
 
     cost = grid_import * np.asarray(price, dtype=float)[:, None, None]
-    return _soc_bins(spec, next_energy), -cost + penalty
+    return next_level, -cost + penalty[[_TIER_CODE[tier] for tier in tiers]]
 
 
 def apply_action(

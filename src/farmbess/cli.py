@@ -10,6 +10,7 @@ files are written atomically and every run is reproducible from its manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -284,7 +285,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="farmbess",
         description="Battery scheduling experiments: synthetic data, Q-learning training, evaluation, comparison.",

@@ -8,6 +8,7 @@ where the file is read, with a one-line `ConfigError` naming `section.key`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -119,12 +120,18 @@ def _check_type(value, hint, name: str) -> None:
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """`typing.get_type_hints` of a section class, resolved once per process."""
+    return typing.get_type_hints(cls)
+
+
 def _section(cls, value, where: str, skip: tuple[str, ...] = ()) -> dict:
     """A config section checked against the fields of `cls` (minus `skip`):
     its keys must be field names and its values must fit their types."""
     section = _require_mapping(value, where)
     _check_keys(section, [f.name for f in fields(cls) if f.name not in skip], where)
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for key, item in section.items():
         _check_type(item, hints[key], f"{where}.{key}")
     return section

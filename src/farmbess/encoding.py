@@ -29,10 +29,15 @@ class BinSpec:
     max_value: float
 
     def __post_init__(self) -> None:
-        if self.bin_count < 1:
-            raise ValueError(f"bin_count must be >= 1, got {self.bin_count}")
-        if not self.max_value > 0:
-            raise ValueError(f"max_value must be > 0, got {self.max_value}")
+        count, top = self.bin_count, self.max_value
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"bin_count must be an integer >= 1, got {count!r}")
+        if (
+            isinstance(top, bool)
+            or not isinstance(top, (int, float))
+            or not (math.isfinite(top) and top > 0)
+        ):
+            raise ValueError(f"max_value must be a finite number > 0, got {top!r}")
 
 
 def _floor_bin(x: float) -> int:

@@ -151,9 +151,11 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
 
     def bind(series: HourlySeries) -> Decide:
         # Hours share few distinct states, so each distinct base is looked up once.
-        bases, base_of_hour = np.unique(encoder.state_bases(series), return_inverse=True)
-        rows = _ACTION_OBJECTS[_greedy_indices(q.values[bases[:, None] + offsets])].tolist()
-        picks = [rows[k] for k in base_of_hour.tolist()]
+        bases = encoder.state_bases(series).tolist()
+        distinct = np.fromiter(dict.fromkeys(bases), dtype=np.intp)
+        rows = _ACTION_OBJECTS[_greedy_indices(q.values[distinct[:, None] + offsets])].tolist()
+        row_of = dict(zip(distinct.tolist(), rows))
+        picks = [row_of[base] for base in bases]
 
         def decide(i: int, energy_kwh: float):
             return picks[i][soc_bin(spec, energy_kwh)], None
@@ -332,21 +334,26 @@ def dp_oracle(
         spec, day.load, day.renewables, day.price, tariff.tiers * day.n_days, table
     )
 
-    # value holds V_{h+1}; returns[h, level, action] gains V_{h+1} on top of
-    # the reward, and choice[h][level] is the action attaining V_h, ties
-    # going to the lowest action index (argmax takes the first maximum)
-    levels = np.arange(spec.soc_levels)
+    # Backward over the hours: value holds V_{h+1}; the hour's returns[level,
+    # action] gain V_{h+1} on top of the reward, and the hour's row of
+    # choices holds the action attaining V_h at each level, ties going to the
+    # lowest action index (argmax takes the first maximum). An hour's returns
+    # are contiguous, so the chosen entries sit at 3 * level + action of its
+    # flat view.
+    row_starts = np.arange(0, 3 * spec.soc_levels, 3)
     value = np.zeros(spec.soc_levels)
-    choice = np.empty(returns.shape[:2], dtype=np.intp)
-    for h in range(len(day) - 1, -1, -1):
-        returns[h] += value[next_level[h]]
-        choice[h] = returns[h].argmax(axis=1)
-        value = returns[h][levels, choice[h]]
+    choices = []
+    for hour_levels, hour_returns in zip(next_level[::-1], returns[::-1]):
+        hour_returns += value[hour_levels]
+        best = hour_returns.argmax(axis=1)
+        value = hour_returns.ravel()[row_starts + best]
+        choices.append(best.tolist())
+    choices.reverse()
 
     actions: list[Action] = []
     level = initial_soc_level
-    for choices, next_levels in zip(choice.tolist(), next_level.tolist()):
-        action = choices[level]
+    for hour_choices, next_levels in zip(choices, next_level.tolist()):
+        action = hour_choices[level]
         actions.append(_ACTIONS[action])
         level = next_levels[level][action]
     return float(value[initial_soc_level]), actions

@@ -8,6 +8,7 @@ loop against them bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -480,6 +481,25 @@ def test_load_rejects_bad_soc_levels(tmp_path, toy_problem, toy_encoder, value):
     path.write_bytes(header.replace(b'"soc_levels": 11', b'"soc_levels": ' + value)
                      + b"\n" + payload)
     with pytest.raises(QTableFormatError, match=f"{path.name}.*soc_levels") as info:
+        load_qtable(path)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bin_count", b"true"), ("bin_count", b"2.5"), ("bin_count", b'"5"'),
+     ("max_value", b'"20"'), ("max_value", b"Infinity")],
+)
+def test_load_rejects_bad_bin_specs(tmp_path, synthetic_week, field, value):
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV, synthetic_week, BatterySpec())
+    path = tmp_path / "t.qt"
+    save_qtable(QTable(np.zeros((encoder.size(), 3)), encoder), path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    data = json.loads(header)
+    data["encoding"]["pv_bins"][field] = "VALUE"
+    header = json.dumps(data, sort_keys=True).encode().replace(b'"VALUE"', value)
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(QTableFormatError, match=f"{path.name}.*pv_bins: {field} must be") as info:
         load_qtable(path)
     assert "\n" not in str(info.value)
 

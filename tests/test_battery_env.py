@@ -195,6 +195,55 @@ def test_lattice_transition_is_transition_then_soc_bin(case):
     assert reward.tobytes() == np.array(expected_reward).tobytes()
 
 
+def _scalar_lattice(spec, hours, tiers, penalties):
+    """(next level, reward) of every (hour, level, action) from `transition`
+    and `soc_bin`, as nested lists and reward bytes."""
+    levels, rewards = [], []
+    for (load, renewable, price), tier in zip(hours, tiers):
+        for level in range(spec.soc_levels):
+            for action in Action:
+                out = transition(
+                    spec.limits, soc_level_energy(spec, level), load, renewable, price,
+                    tier, action, None, penalties,
+                )
+                levels.append(soc_bin(spec, out[5]))
+                rewards.append(out[8])
+    return levels, np.array(rewards).tobytes()
+
+
+# A day with every tier, idle hours (no load, no supply), deficits larger and
+# smaller than a discharge, and a surplus smaller than a charge.
+_MIXED_DAY = [(float(h % 5) * 2.0, float(h % 3) * 3.0, 0.1 + h / 100) for h in range(24)]
+
+
+def test_lattice_transition_returns_fresh_arrays():
+    tiers = default_tariff().tiers
+    args = (POWERWALL, *zip(*_MIXED_DAY), tiers, PEN)
+    next_level, reward = lattice_transition(*args)
+    first = next_level.copy(), reward.copy()
+    next_level[...] = 0
+    reward += 1e3
+    again = lattice_transition(*args)
+    assert again[0].tolist() == first[0].tolist()
+    assert again[1].tobytes() == first[1].tobytes()
+
+
+def test_lattice_transition_gives_each_penalty_table_its_own_rewards():
+    # The tables share a spec and alternate; the negative-zero table equals
+    # the zero one as a dataclass, but a zero-cost reward keeps its sign.
+    tiers = default_tariff().tiers
+    tables = [PEN, PenaltyTable.zero(), PenaltyTable(*[-0.0] * 8),
+              PenaltyTable(charge_full=-3.5, idle_peak_with_charge=-0.25)]
+    expected = [_scalar_lattice(POWERWALL, _MIXED_DAY, tiers, table) for table in tables]
+    for _ in range(2):
+        for table, (levels, rewards) in zip(tables, expected):
+            next_level, reward = lattice_transition(
+                POWERWALL, *zip(*_MIXED_DAY), tiers, table
+            )
+            assert next_level.ravel().tolist() == levels
+            assert reward.tobytes() == rewards
+
+
 def test_more_pv_never_increases_import():
     rng = random.Random(7)
     for _ in range(2_000):

@@ -17,6 +17,7 @@ from farmbess import EncodingKind, QTable, StateEncoder, cli
 from farmbess.agent import load_qtable, save_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import ConfigError, load_config
+from farmbess.encoding import BinSpec
 from farmbess.evaluation import qtable_controller, rollout
 
 
@@ -234,6 +235,21 @@ def test_train_episodes_override_flag(tmp_path):
     assert main(["train", "--config", str(config), "--episodes", "50"]) == 0
     manifest = json.loads((out / "manifest_seed7.json").read_text())
     assert manifest["total_episodes"] == 50
+
+
+def test_each_main_call_sees_only_its_own_flags(tmp_path):
+    # main shares one parser across calls in a process; a flag of one call
+    # must not leak into the next.
+    config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "out"))
+    for out, flags, episodes in ((tmp_path / "a", ["--episodes", "50"], 50),
+                                 (tmp_path / "b", [], 500)):
+        assert main(["train", "--config", str(config), "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest_seed7.json").read_text())
+        assert manifest["total_episodes"] == episodes
+    assert main(["gen-data", "--days", "1", "--no-wind", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["gen-data", "--days", "1", "--out", str(tmp_path / "b.csv")]) == 0
+    assert "wind_kwh" not in (tmp_path / "a.csv").read_text().splitlines()[0]
+    assert "wind_kwh" in (tmp_path / "b.csv").read_text().splitlines()[0]
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -529,6 +545,25 @@ def test_evaluate_qtable_with_bad_soc_levels_is_one_line(tmp_path, capsys, value
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {path}: bad header (soc_levels must be an integer >= 2")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [("bin_count", "true"), ("max_value", '"20"')])
+def test_evaluate_qtable_with_bad_bin_spec_is_one_line(tmp_path, capsys, field, value):
+    config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "out"))
+    encoder = StateEncoder(EncodingKind.HOUR_SOC_LOAD_PV, load_bins=BinSpec(5, 20.0),
+                           pv_bins=BinSpec(5, 20.0))
+    path = tmp_path / "table.qt"
+    save_qtable(QTable(np.zeros((encoder.size(), 3)), encoder), path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    data = json.loads(header)
+    data["encoding"]["load_bins"][field] = "VALUE"
+    header = json.dumps(data, sort_keys=True).replace('"VALUE"', value).encode()
+    path.write_bytes(header + b"\n" + payload)
+    code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}: bad header (load_bins: {field} must be")
     assert err.count("\n") == 1
 
 

@@ -94,6 +94,23 @@ def test_bin_spec_validation():
         BinSpec(5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "count, top, field",
+    [
+        (True, 20.0, "bin_count"),
+        (2.5, 20.0, "bin_count"),
+        ("5", 20.0, "bin_count"),
+        (5, "20", "max_value"),
+        (5, float("inf"), "max_value"),
+        (5, float("nan"), "max_value"),
+        (5, True, "max_value"),
+    ],
+)
+def test_bin_spec_rejects_values_of_the_wrong_type(count, top, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        BinSpec(count, top)
+
+
 # ---------------------------------------------------------------- encode
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import random
 from typing import NamedTuple
@@ -515,6 +516,24 @@ def test_oracle_matches_the_scalar_reference_on_a_quarter(synthetic_quarter, tar
         for level in (0, 1, 5, 10):
             args = (day, POWERWALL, tariff, level, mode)
             assert dp_oracle(*args) == _reference_dp_oracle(*args)
+
+
+# sha256 over the quarter's days of each day's oracle value (float.hex) and
+# plan, from the default spec at level 1: any change to the oracle's
+# arithmetic, its tie-breaking or its plan moves these.
+ORACLE_QUARTER_DIGESTS = {
+    "shaped": "3fcbe6a0a7ed69373648ab9f403b9ff7ed05c2b1926a430aee6bca7d87077e09",
+    "cost-only": "4217ee429eba3d9503c92b3f6b058831a8fa3c6770eb0f8326aedd1414763d5a",
+}
+
+
+@pytest.mark.parametrize("mode", ["shaped", "cost-only"])
+def test_oracle_quarter_is_pinned(synthetic_quarter, tariff, mode):
+    digest = hashlib.sha256()
+    for d in range(synthetic_quarter.n_days):
+        value, plan = dp_oracle(synthetic_quarter.day(d), POWERWALL, tariff, 1, mode)
+        digest.update(f"{value.hex()} {' '.join(a.name for a in plan)}\n".encode())
+    assert digest.hexdigest() == ORACLE_QUARTER_DIGESTS[mode]
 
 
 def _enumerate_best(day, spec, tariff, penalties, level):
