@@ -84,16 +84,20 @@ class TrainingLog:
         return len(self.episode_returns)
 
     def write_csv(self, path: str | Path) -> None:
-        # The float columns are iterated as numpy scalars, whose repr the
-        # pinned logs hold.
+        # The pinned logs hold numpy's float64 scalar repr, `np.float64(x)`
+        # under numpy 2 and bare `x` under 1.x: the float's own repr inside a
+        # wrapper taken from numpy, which costs less than each scalar's repr.
+        # `map(float, …)` makes one float at a time, where `.tolist()` would
+        # hold every column's floats at once.
+        value = repr(np.float64(0.5)).replace("0.5", "{!r}")
         rows = map(
-            "{},{},{},{!r},{!r},{!r}".format,
+            f"{{}},{{}},{{}},{value},{value},{value}".format,
             range(len(self)),
             self.day_indices.tolist(),
             self.soc_levels.tolist(),
-            self.alphas,
-            self.epsilons,
-            self.episode_returns,
+            map(float, self.alphas),
+            map(float, self.epsilons),
+            map(float, self.episode_returns),
         )
         lines = ["episode,day_index,initial_soc_level,alpha,epsilon,episode_return", *rows]
         atomic_write_text(path, "\n".join(lines) + "\n")

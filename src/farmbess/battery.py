@@ -211,8 +211,10 @@ def transition(
     )
 
 
-# Tier index of each tier, for the per-tier tables of `_level_terms`.
-_TIER_CODE = {tier: code for code, tier in enumerate(Tier)}
+# The tiers in the order of the per-tier tables of `_level_terms`. A tier's
+# code is its index here: `tuple.index` finds it by identity in C, where a
+# dict would run `Enum.__hash__` in Python for every hour.
+_TIERS = tuple(Tier)
 # A penalty table's rows as bytes. Tables equal as dataclasses may still
 # differ in the sign of a zero row, which -cost + penalty keeps, so
 # `_level_terms` is keyed on the rows' bits.
@@ -305,7 +307,7 @@ def lattice_transition(
     next_level[..., 2] = idle_level
 
     cost = grid_import * np.asarray(price, dtype=float)[:, None, None]
-    return next_level, -cost + penalty[[_TIER_CODE[tier] for tier in tiers]]
+    return next_level, -cost + penalty[list(map(_TIERS.index, tiers))]
 
 
 def apply_action(

@@ -371,15 +371,21 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
         )
 
     # Blank rows are skipped and not counted: row numbers are 1-based over
-    # the data rows, so row n must hold hour n - 1.
+    # the data rows, so row n must hold hour n - 1. A blank row always fails
+    # the field count or the hour check, so the rows are filtered only when
+    # the columns fail, and a clean file never pays for the filter.
     rows: list[list[str]] = []
     try:
-        rows.extend(raw for raw in reader if any(map(str.strip, raw)))
+        rows.extend(reader)
     except csv.Error as exc:
         # A bad row before the line the reader cannot split is reported first.
+        rows = _data_rows(rows)
         _raise_first_bad_row(rows, col)
         raise DataValidationError(f"row {len(rows) + 1}: {exc}") from None
     columns = _value_columns(rows, col)
+    if columns is None:
+        rows = _data_rows(rows)
+        columns = _value_columns(rows, col)
     if columns is None:
         _raise_first_bad_row(rows, col)
         raise AssertionError("a column check failed but every row passes")
@@ -389,6 +395,12 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
     return HourlySeries(
         columns["load_kwh"], columns["pv_kwh"], columns.get("wind_kwh"), price
     )
+
+
+def _data_rows(rows: list[list[str]]) -> list[list[str]]:
+    """The rows that are not blank: a row of only empty or whitespace fields
+    is blank."""
+    return [raw for raw in rows if any(map(str.strip, raw))]
 
 
 def _value_columns(rows: list[list[str]], col: dict[str, int]) -> dict[str, np.ndarray] | None:
@@ -403,7 +415,12 @@ def _value_columns(rows: list[list[str]], col: dict[str, int]) -> dict[str, np.n
         return None
     fields = list(zip(*rows)) or [()] * width
     try:
-        if list(map(int, map(str.strip, fields[col["hour"]]))) != list(range(n)):
+        # Hours as written by `write_csv` match as text; padded ones such as
+        # " 7" or "007" go through the same `int` as in `_check_row`.
+        hours = fields[col["hour"]]
+        if hours != tuple(map(str, range(n))) and (
+            list(map(int, map(str.strip, hours))) != list(range(n))
+        ):
             return None
         columns = {
             name: np.fromiter(map(float, fields[col[name]]), np.float64, n)

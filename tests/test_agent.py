@@ -585,3 +585,33 @@ def test_training_log_csv_bytes_match_the_row_writer(tmp_path):
     path = tmp_path / "log.csv"
     log.write_csv(path)
     assert path.read_bytes() == _reference_log_text(log).encode("utf-8")
+
+
+# Any finite float64: Hypothesis's own floats, which favour both zeros and
+# the extremes, or a float drawn by its bits, which is mostly subnormal or in
+# exponent form.
+_finite_float64s = st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+    0, 2**64 - 1
+).map(lambda bits: np.uint64(bits).view(np.float64).item()).filter(math.isfinite)
+
+
+@st.composite
+def _training_logs(draw):
+    n = draw(st.integers(0, 20))
+    ints = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    floats = st.lists(_finite_float64s, min_size=n, max_size=n)
+    return TrainingLog(
+        day_indices=np.array(draw(ints), dtype=np.int64),
+        soc_levels=np.array(draw(ints), dtype=np.int64),
+        alphas=np.array(draw(floats), dtype=np.float64),
+        epsilons=np.array(draw(floats), dtype=np.float64),
+        episode_returns=np.array(draw(floats), dtype=np.float64),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=_training_logs())
+def test_training_log_csv_bytes_match_the_row_writer_on_any_values(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    log.write_csv(path)
+    assert path.read_bytes() == _reference_log_text(log).encode("utf-8")

@@ -27,6 +27,7 @@ from farmbess import (
     month_of_hour,
     write_csv,
 )
+from farmbess import timeseries
 from farmbess.timeseries import (
     OPTIONAL_COLUMNS,
     REQUIRED_COLUMNS,
@@ -176,6 +177,68 @@ def test_load_csv_error_rows_count_data_rows_only(tmp_path, tariff):
     path = _write(tmp_path / "bad.csv", "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n")
     with pytest.raises(DataValidationError, match=r"negative value at row 7"):
         load_csv(path, tariff=tariff)
+
+
+_CLEAN_ROWS = [f"{i},{1.0 + i},0.5" for i in range(24)]
+
+
+def _csv_text(rows):
+    return "\n".join(["hour,load_kwh,pv_kwh", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t ", ",,"], ids=["empty", "spaces", "tab", "commas"])
+@pytest.mark.parametrize("where", [0, 12, 24], ids=["start", "middle", "end"])
+def test_load_csv_blank_rows_anywhere_give_the_clean_series(tmp_path, tariff, blank, where):
+    clean = load_csv(_write(tmp_path / "clean.csv", _csv_text(_CLEAN_ROWS)), tariff=tariff)
+    rows = list(_CLEAN_ROWS)
+    rows[where:where] = [blank, blank]
+    gappy = load_csv(_write(tmp_path / "gappy.csv", _csv_text(rows)), tariff=tariff)
+    assert _same_series(gappy, clean)
+
+
+@pytest.mark.parametrize("hour", [" 7", "+7", "007", "7 "])
+def test_load_csv_accepts_padded_hours(tmp_path, tariff, hour):
+    clean = load_csv(_write(tmp_path / "clean.csv", _csv_text(_CLEAN_ROWS)), tariff=tariff)
+    rows = list(_CLEAN_ROWS)
+    rows[7] = rows[7].replace("7", hour, 1)
+    padded = load_csv(_write(tmp_path / "padded.csv", _csv_text(rows)), tariff=tariff)
+    assert _same_series(padded, clean)
+
+
+def test_load_csv_rows_before_an_unsplittable_line_count_data_rows_only(tmp_path, tariff):
+    rows = list(_CLEAN_ROWS)
+    rows[20] = "20,1.0," + "0" * (csv.field_size_limit() + 1)
+    rows[2:2] = ["", ",,"]
+    path = _write(tmp_path / "long.csv", _csv_text(rows))
+    with pytest.raises(DataValidationError, match=r"row 21: field larger than field limit"):
+        load_csv(path, tariff=tariff)
+    rows[6] = "4,-1.0,0.0"
+    path = _write(tmp_path / "long.csv", _csv_text(rows))
+    with pytest.raises(DataValidationError, match=r"negative value at row 5 \(column load_kwh\)"):
+        load_csv(path, tariff=tariff)
+
+
+def test_load_csv_checks_rows_one_by_one_only_on_a_bad_file(tmp_path, tariff, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(timeseries, name)
+
+        def recorded(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(timeseries, name, recorded)
+
+    spy("_check_row")
+    spy("_data_rows")
+    load_csv(_write(tmp_path / "clean.csv", _csv_text(_CLEAN_ROWS)), tariff=tariff)
+    assert calls == []
+    load_csv(_write(tmp_path / "gappy.csv", _csv_text(["", *_CLEAN_ROWS])), tariff=tariff)
+    assert calls == ["_data_rows"]
+    with pytest.raises(DataValidationError, match="row 1"):
+        load_csv(_write(tmp_path / "bad.csv", _csv_text(["0,x,0.0"])), tariff=tariff)
+    assert calls == ["_data_rows", "_data_rows", "_check_row"]
 
 
 def test_load_csv_rejects_partial_day(tmp_path, tariff):
