@@ -45,13 +45,13 @@ class CliError(ValueError):
     """User-facing command failure; formatted as a single stderr line."""
 
 
-def _output_dir(config: RunConfig | None, out_flag: str | None) -> Path:
+def _output_dir(config: RunConfig, out_flag: str | None) -> Path:
     if out_flag:
         return Path(out_flag)
     env = os.environ.get(OUTPUT_DIR_ENV)
     if env:
         return Path(env)
-    return Path(config.output_dir if config else "out")
+    return Path(config.output_dir)
 
 
 def _hyperparam_overrides(args) -> dict:
@@ -78,15 +78,15 @@ def cmd_gen_data(args) -> int:
     if args.no_wind:
         overrides["dataset.include_wind"] = False
     config = load_config(args.config, overrides)
-    out = Path(args.out) if args.out else _output_dir(None, None) / "synthetic.csv"
+    out = Path(args.out) if args.out else _output_dir(config, None) / "synthetic.csv"
     refuse_directory(out)
     series = generate_synthetic(config.synthetic or SyntheticProfileConfig(), config.tariff)
     if not config.include_wind:
         series = series.without_wind()
     write_csv(series, out)
-    loads = float(series.loads().sum())
-    pvs = float(series.pvs().sum())
-    winds = float(series.winds().sum()) if series.has_wind else 0.0
+    loads = float(series.load.sum())
+    pvs = float(series.pv.sum())
+    winds = float(series.wind.sum()) if series.has_wind else 0.0
     print(
         f"wrote {out} rows={len(series)} annual_load_kwh={loads:.1f} "
         f"annual_pv_kwh={pvs:.1f} annual_wind_kwh={winds:.1f}"
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--wind-mean", dest="wind_mean", type=float)
     gen.add_argument("--noise", type=float)
     gen.add_argument("--no-wind", action="store_true", help="omit the wind column")
-    gen.add_argument("--out", help="output CSV path")
+    gen.add_argument("--out", help="output CSV path (default: <output dir>/synthetic.csv)")
     gen.set_defaults(func=cmd_gen_data)
 
     tr = sub.add_parser("train", help="train one Q-table per configured seed")

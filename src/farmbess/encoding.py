@@ -201,15 +201,15 @@ class StateEncoder:
             p = float(np.percentile(values, percentile))
             return p if p > 0 else 1.0
 
-        load_bins = BinSpec(bin_counts[0], resolve(series.loads(), bin_maxes[0]))
-        pv_bins = BinSpec(bin_counts[1], resolve(series.pvs(), bin_maxes[1]))
+        load_bins = BinSpec(bin_counts[0], resolve(series.load, bin_maxes[0]))
+        pv_bins = BinSpec(bin_counts[1], resolve(series.pv, bin_maxes[1]))
         wind_bins = None
         if kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND:
             if not series.has_wind:
                 raise ValueError(
                     "hour-soc-load-pv-wind encoding requires a series with a wind_kwh column"
                 )
-            wind_bins = BinSpec(bin_counts[2], resolve(series.winds(), bin_maxes[2]))
+            wind_bins = BinSpec(bin_counts[2], resolve(series.wind, bin_maxes[2]))
         return cls(
             kind=kind,
             soc_levels=battery_spec.soc_levels,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -354,6 +355,8 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
         header = next(reader)
     except StopIteration:
         raise DataValidationError("empty file") from None
+    except csv.Error as exc:
+        raise DataValidationError(f"header: {exc}") from None
     header = [h.strip() for h in header]
     known = set(REQUIRED_COLUMNS) | set(OPTIONAL_COLUMNS)
     unknown = [h for h in header if h not in known]
@@ -370,80 +373,69 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
             "dataset has no price_per_kwh column and no tariff was provided"
         )
 
-    # Blank rows are skipped and not counted: row numbers are 1-based over
-    # the data rows, so row n must hold hour n - 1. A blank row always fails
-    # the field count or the hour check, so the rows are filtered only when
-    # the columns fail, and a clean file never pays for the filter.
-    rows: list[list[str]] = []
-    try:
-        rows.extend(reader)
-    except csv.Error as exc:
-        # A bad row before the line the reader cannot split is reported first.
-        rows = _data_rows(rows)
-        _raise_first_bad_row(rows, col)
-        raise DataValidationError(f"row {len(rows) + 1}: {exc}") from None
-    columns = _value_columns(rows, col)
+    names = [name for name in _VALUE_COLUMNS if name in col]
+    columns = _numpy_columns(text, header, names)
     if columns is None:
-        rows = _data_rows(rows)
-        columns = _value_columns(rows, col)
-    if columns is None:
-        _raise_first_bad_row(rows, col)
-        raise AssertionError("a column check failed but every row passes")
-    price = columns.get("price_per_kwh")
+        columns = np.array(_walk_rows(reader, col), np.float64).reshape(-1, len(names)).T
+    values = dict(zip(names, columns))
+    price = values.get("price_per_kwh")
     if price is None:
-        price = _tariff_prices(tariff, len(rows))
-    return HourlySeries(
-        columns["load_kwh"], columns["pv_kwh"], columns.get("wind_kwh"), price
-    )
+        price = _tariff_prices(tariff, len(values["load_kwh"]))
+    return HourlySeries(values["load_kwh"], values["pv_kwh"], values.get("wind_kwh"), price)
 
 
-def _data_rows(rows: list[list[str]]) -> list[list[str]]:
-    """The rows that are not blank: a row of only empty or whitespace fields
-    is blank."""
-    return [raw for raw in rows if any(map(str.strip, raw))]
+# Text only the row walker reads: a quoted cell may span lines, and numpy
+# strips \x1c-\x1f around a value where `float` refuses them. Non-ASCII text
+# is the walker's too: numpy 2.4 reads some letters as int64 digits ("\u01fe"
+# is 462) and has crashed on "\U0010ffff" before one.
+_WALKER_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
-def _value_columns(rows: list[list[str]], col: dict[str, int]) -> dict[str, np.ndarray] | None:
-    """The rows' value columns as float64 arrays, keyed by column name, or
-    None when some row fails a check of `_check_row`.
-
-    Each column is converted and checked whole; the cells go through the same
-    `int` and `float` as in `_check_row`, so both accept the same cells.
-    """
-    n, width = len(rows), len(col)
-    if set(map(len, rows)) - {width}:
+def _numpy_columns(text: str, header: list[str], names: list[str]) -> list[np.ndarray] | None:
+    """The value columns `names` as numpy's parser reads them, or None when
+    the text is the walker's, numpy refuses it, or a row fails a check of
+    `_check_row`. On the text it is given, numpy's `int` and `float` accept
+    a subset of the cells Python's do, with the same values, and numpy skips
+    the empty lines the walker skips as blank rows."""
+    # numpy has no field size limit, and the csv module refuses a longer field.
+    if (not text.isascii() or any(c in text for c in _WALKER_ONLY)
+            or max(map(len, text.split("\n"))) > csv.field_size_limit()):
         return None
-    fields = list(zip(*rows)) or [()] * width
+    dtype = [(name, np.int64 if name == "hour" else np.float64) for name in header]
     try:
-        # Hours as written by `write_csv` match as text; padded ones such as
-        # " 7" or "007" go through the same `int` as in `_check_row`.
-        hours = fields[col["hour"]]
-        if hours != tuple(map(str, range(n))) and (
-            list(map(int, map(str.strip, hours))) != list(range(n))
-        ):
-            return None
-        columns = {
-            name: np.fromiter(map(float, fields[col[name]]), np.float64, n)
-            for name in _VALUE_COLUMNS
-            if name in col
-        }
+        with warnings.catch_warnings():
+            # No rows is the length check's error, not a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(io.StringIO(text, newline=None), dtype, delimiter=",",
+                               comments=None, skiprows=1, ndmin=1)
     except ValueError:
         return None
-    for column in columns.values():
-        if not (np.isfinite(column) & (column >= 0)).all():
-            return None
-    return columns
+    columns = [table[name] for name in names]
+    if np.array_equal(table["hour"], np.arange(len(table))) and all(
+        (np.isfinite(column) & (column >= 0)).all() for column in columns
+    ):
+        return columns
+    return None
 
 
-def _raise_first_bad_row(rows: list[list[str]], col: dict[str, int]) -> None:
-    for row, raw in enumerate(rows, 1):
-        _check_row(raw, row, col)
+def _walk_rows(reader, col: dict[str, int]) -> list[list[float]]:
+    """The values of the rows left in `reader`, each checked by `_check_row`.
+    Blank rows (only empty or whitespace fields) are skipped and not counted,
+    so row n must hold hour n - 1."""
+    rows: list[list[float]] = []
+    try:
+        for raw in reader:
+            if any(map(str.strip, raw)):
+                rows.append(_check_row(raw, len(rows) + 1, col))
+    except csv.Error as exc:
+        raise DataValidationError(f"row {len(rows) + 1}: {exc}") from None
+    return rows
 
 
-def _check_row(raw: list[str], row: int, col: dict[str, int]) -> None:
-    """Raise the error of data row `row` (1-based), if it has one: its field
-    count, then its hour and the hour's contiguity, then load, PV, wind and
-    price."""
+def _check_row(raw: list[str], row: int, col: dict[str, int]) -> list[float]:
+    """The values of data row `row` (1-based) in `_VALUE_COLUMNS` order, or
+    its error: its field count, then its hour and the hour's contiguity, then
+    load, PV, wind and price."""
     if len(raw) != len(col):
         raise DataValidationError(f"row {row} has {len(raw)} fields, expected {len(col)}")
     hour_raw = raw[col["hour"]].strip()
@@ -455,9 +447,7 @@ def _check_row(raw: list[str], row: int, col: dict[str, int]) -> None:
         raise DataValidationError(
             f"non-contiguous hour at row {row}: expected {row - 1}, got {hour_index}"
         )
-    for name in _VALUE_COLUMNS:
-        if name in col:
-            _parse_value(raw[col[name]], name, row)
+    return [_parse_value(raw[col[name]], name, row) for name in _VALUE_COLUMNS if name in col]
 
 
 def write_csv(series: HourlySeries, path: str | Path, include_price: bool = True) -> None:

@@ -3,9 +3,22 @@ and its battery spec."""
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import pytest
+
+# When a Hypothesis test fails, its pytest plugin imports this module to print
+# a patch. The import pulls in libcst, which warns DeprecationWarning; under
+# `filterwarnings = ["error"]` that aborts the session and no later test runs.
+# Importing it once here, with that warning ignored, leaves the plugin's later
+# import a no-op and every other warning still an error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from farmbess import (
     BatterySpec,

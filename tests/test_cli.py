@@ -126,6 +126,15 @@ def test_gen_data_refuses_a_directory_before_generating(tmp_path, capsys, monkey
     assert calls == []
 
 
+def test_gen_data_writes_to_the_configured_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    config = _config(tmp_path, "dataset:\n  synthetic:\n    days: 2\nrun:\n  output_dir: mydir\n")
+    assert main(["gen-data", "--config", str(config)]) == 0
+    assert len((tmp_path / "mydir" / "synthetic.csv").read_text().splitlines()) == 2 * 24 + 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_no_wind_flag(tmp_path):
     out = tmp_path / "dry.csv"
     main(["gen-data", "--days", "2", "--seed", "1", "--no-wind", "--out", str(out)])
@@ -584,6 +593,18 @@ def test_evaluate_overlong_csv_cell_is_one_line_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{data}: row 5: " in err
+
+
+def test_evaluate_overlong_csv_header_field_is_one_line_error(tmp_path, capsys):
+    header = "hour,load_kwh,pv_kwh,price_per_kwh" + "x" * 140_000
+    data = tmp_path / "long.csv"
+    data.write_text(header + "\n" + "".join(f"{i},1.0,0.0,0.1\n" for i in range(24)))
+    config = _config(tmp_path, f"dataset:\n  path: {data}\nrun:\n  output_dir: {tmp_path}\n")
+    code = main(["evaluate", "--config", str(config), "baseline:no-battery"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{data}: header: field larger than field limit" in err
 
 
 @pytest.mark.parametrize(

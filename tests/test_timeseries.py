@@ -1,9 +1,10 @@
 """Dataset handling: tariff tiers, CSV validation, synthetic generation.
 
-`load_csv` converts and checks whole columns; `_reference_parse_csv` and
-`_reference_write_csv` below are the row-at-a-time reader and writer it
-replaced, against which the property tests check the values and the error
-messages it gives, and the bytes `write_csv` writes.
+`load_csv` reads a file with numpy's parser, or with its row walker when
+numpy cannot be trusted with the text or refuses it. `_reference_parse_csv`
+and `_reference_write_csv` below are the row-at-a-time reader and writer of
+the first version, against which the property tests check the values and
+the error messages of both paths, and the bytes `write_csv` writes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from farmbess import (
     DataValidationError,
@@ -218,27 +219,34 @@ def test_load_csv_rows_before_an_unsplittable_line_count_data_rows_only(tmp_path
         load_csv(path, tariff=tariff)
 
 
-def test_load_csv_checks_rows_one_by_one_only_on_a_bad_file(tmp_path, tariff, monkeypatch):
+def test_load_csv_checks_rows_one_by_one_only_off_numpys_path(tmp_path, tariff, monkeypatch):
     calls = []
+    real = timeseries._check_row
 
-    def spy(name):
-        real = getattr(timeseries, name)
+    def recorded(raw, row, col):
+        calls.append(row)
+        return real(raw, row, col)
 
-        def recorded(*args):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(timeseries, name, recorded)
-
-    spy("_check_row")
-    spy("_data_rows")
-    load_csv(_write(tmp_path / "clean.csv", _csv_text(_CLEAN_ROWS)), tariff=tariff)
+    monkeypatch.setattr(timeseries, "_check_row", recorded)
+    clean = load_csv(_write(tmp_path / "clean.csv", _csv_text(_CLEAN_ROWS)), tariff=tariff)
+    empty_lines = _csv_text(["", *_CLEAN_ROWS[:12], "", *_CLEAN_ROWS[12:]])
+    assert _same_series(load_csv(_write(tmp_path / "empty.csv", empty_lines), tariff=tariff), clean)
     assert calls == []
-    load_csv(_write(tmp_path / "gappy.csv", _csv_text(["", *_CLEAN_ROWS])), tariff=tariff)
-    assert calls == ["_data_rows"]
-    with pytest.raises(DataValidationError, match="row 1"):
-        load_csv(_write(tmp_path / "bad.csv", _csv_text(["0,x,0.0"])), tariff=tariff)
-    assert calls == ["_data_rows", "_data_rows", "_check_row"]
+    # Each file holds the clean series, but numpy refuses it (a whitespace-only
+    # line) or the walker reads it without asking numpy.
+    wide = " " * (csv.field_size_limit() // 2 + 1)
+    walked = {
+        "whitespace-only row": [*_CLEAN_ROWS[:5], " \t ", *_CLEAN_ROWS[5:]],
+        "quoted cell": ['0,"1.0",0.5', *_CLEAN_ROWS[1:]],
+        "\\x1c padding": ["\x1c0,1.0,0.5", *_CLEAN_ROWS[1:]],
+        "non-ASCII padding": ["0,\xa01.0,0.5", *_CLEAN_ROWS[1:]],
+        "over-limit line": [f"0,{wide}1.0,0.5{wide}", *_CLEAN_ROWS[1:]],
+    }
+    for case, rows in walked.items():
+        calls.clear()
+        series = load_csv(_write(tmp_path / "walked.csv", _csv_text(rows)), tariff=tariff)
+        assert calls == list(range(1, 25)), case
+        assert _same_series(series, clean), case
 
 
 def test_load_csv_rejects_partial_day(tmp_path, tariff):
@@ -322,6 +330,25 @@ def test_load_csv_names_the_file_and_row_of_an_overlong_cell(tmp_path, tariff):
     assert str(info.value).startswith(f"{path}: row 5: ")
 
 
+def test_load_csv_names_the_file_and_header_of_an_overlong_header_field(tmp_path, tariff):
+    header = "hour,load_kwh,pv_kwh" + "x" * (csv.field_size_limit() + 1)
+    path = _write(tmp_path / "long.csv", header + "\n" + _DAY)
+    with pytest.raises(DataValidationError) as info:
+        load_csv(path, tariff=tariff)
+    assert str(info.value) == f"{path}: header: field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_load_csv_reads_a_non_ascii_hour_cell_by_rows(tmp_path, tariff):
+    # numpy 2.4's int64 parser reads "\u01fe" as 462, the hour row 463 must
+    # hold; `int` refuses it.
+    rows = [f"{i},1.0,0.0" for i in range(20 * 24)]
+    rows[462] = "\u01fe,1.0,0.0"
+    path = _write(tmp_path / "hours.csv", _csv_text(rows))
+    with pytest.raises(DataValidationError) as info:
+        load_csv(path, tariff=tariff)
+    assert str(info.value) == f"{path}: malformed hour '\u01fe' at row 463"
+
+
 def test_csv_round_trip(tmp_path, synthetic_week):
     path = tmp_path / "week.csv"
     write_csv(synthetic_week, path)
@@ -350,7 +377,8 @@ def _reference_parse_value(raw: str, column: str, row: int) -> float:
 
 
 def _reference_parse_csv(text, tariff):
-    """The row-at-a-time reader `load_csv` had before it worked by columns."""
+    """The row-at-a-time reader `load_csv` had before it worked by columns,
+    with a line the csv module cannot split reported as its row's error."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -378,35 +406,39 @@ def _reference_parse_csv(text, tariff):
     # Blank rows are skipped and not counted: row numbers are 1-based over
     # the data rows, so row n must hold hour n - 1.
     row_number = 0
-    for raw in reader:
-        if not raw or all(not cell.strip() for cell in raw):
-            continue
-        row_number += 1
-        if len(raw) != len(header):
-            raise DataValidationError(
-                f"row {row_number} has {len(raw)} fields, expected {len(header)}"
-            )
-        hour_raw = raw[col["hour"]].strip()
-        try:
-            hour_index = int(hour_raw)
-        except ValueError:
-            raise DataValidationError(
-                f"malformed hour {hour_raw!r} at row {row_number}"
-            ) from None
-        if hour_index != row_number - 1:
-            raise DataValidationError(
-                f"non-contiguous hour at row {row_number}: expected {row_number - 1}, got {hour_index}"
-            )
-        loads.append(_reference_parse_value(raw[col["load_kwh"]], "load_kwh", row_number))
-        pvs.append(_reference_parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number))
-        if has_wind:
-            winds.append(_reference_parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number))
-        if has_price:
-            prices.append(
-                _reference_parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
-            )
-        else:
-            prices.append(tariff.price_at(hour_index % 24))
+    try:
+        for raw in reader:
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            row_number += 1
+            if len(raw) != len(header):
+                raise DataValidationError(
+                    f"row {row_number} has {len(raw)} fields, expected {len(header)}"
+                )
+            hour_raw = raw[col["hour"]].strip()
+            try:
+                hour_index = int(hour_raw)
+            except ValueError:
+                raise DataValidationError(
+                    f"malformed hour {hour_raw!r} at row {row_number}"
+                ) from None
+            if hour_index != row_number - 1:
+                raise DataValidationError(
+                    f"non-contiguous hour at row {row_number}: expected {row_number - 1}, got {hour_index}"
+                )
+            loads.append(_reference_parse_value(raw[col["load_kwh"]], "load_kwh", row_number))
+            pvs.append(_reference_parse_value(raw[col["pv_kwh"]], "pv_kwh", row_number))
+            if has_wind:
+                winds.append(_reference_parse_value(raw[col["wind_kwh"]], "wind_kwh", row_number))
+            if has_price:
+                prices.append(
+                    _reference_parse_value(raw[col["price_per_kwh"]], "price_per_kwh", row_number)
+                )
+            else:
+                prices.append(tariff.price_at(hour_index % 24))
+    except csv.Error as exc:
+        # A line the csv module cannot split is an error of its row.
+        raise DataValidationError(f"row {row_number + 1}: {exc}") from None
     return HourlySeries(loads, pvs, winds if has_wind else None, prices)
 
 
@@ -434,15 +466,32 @@ def _same_series(a, b) -> bool:
     )
 
 
-_CELLS = ("junk", "-1.5", "-0.0", "nan", "-inf", "inf", "1e400", "", "  ", " 2.5 ", "1_0")
+# Cells numpy reads differently from `float` or refuses where `float` reads
+# them: \x1c-\x1f padding, non-ASCII spaces and digits, underscores, quotes,
+# and a cell over the csv module's field limit (drawn rarely).
+_CELLS = (
+    "junk", "-1.5", "-0.0", "nan", "-inf", "inf", "1e400", "", "  ", " 2.5 ", "1_0",
+    "\x1c3", "3\x1f", "\xa01.5", "\u3000 2", "\u0661", '"1.5"',
+)
+# Drawn as a marker that the test expands, so that a falsifying example stays short.
+_OVERLONG_CELL = "<zeros over the field limit>"
 _BLANK_ROWS = ("", "   ", ",,", " , ,\t", ",,,,")
 _MUTATIONS = ("cell", "two-cells", "add-field", "drop-field", "pad-hour", "shift-hour", "blank-row")
+_LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def _cell(draw):
+    if draw(st.integers(0, 49)) == 0:
+        return _OVERLONG_CELL
+    return draw(st.sampled_from(_CELLS))
 
 
 @st.composite
 def _mutated_csv(draw):
     """A series as `write_csv` writes it, with up to two faults in different
-    rows; returns the text and whether it carries prices."""
+    rows and `\n`, `\r\n`, `\r` or mixed line ends; returns the text and
+    whether it carries prices."""
     days = draw(st.integers(min_value=1, max_value=2))
     config = SyntheticProfileConfig(days=days, rng_seed=draw(st.integers(0, 2**16)))
     series = generate_synthetic(config, default_tariff())
@@ -459,11 +508,11 @@ def _mutated_csv(draw):
     for kind, row in faults:
         cells = rows[row]
         if kind == "cell":
-            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_cell())
         elif kind == "two-cells":
             columns = st.lists(st.integers(0, len(cells) - 1), min_size=2, max_size=2, unique=True)
             for column in draw(columns):
-                cells[column] = draw(st.sampled_from(_CELLS))
+                cells[column] = draw(_cell())
         elif kind == "add-field":
             cells.append(draw(st.sampled_from(("1.0", ""))))
         elif kind == "drop-field":
@@ -478,15 +527,36 @@ def _mutated_csv(draw):
     lines = [",".join(cells) for cells in rows]
     for row, blank in sorted(blanks, reverse=True):
         lines.insert(row, blank)
-    return "\n".join([header, *lines]) + "\n", include_price
+    lines.insert(0, header)
+    if draw(st.booleans()):
+        ends = [draw(st.sampled_from(_LINE_ENDS))] * len(lines)
+    else:
+        ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends)), include_price
 
 
+def _clean_day_with(load_cell, line_end="\n"):
+    """The clean day with hour 3's load cell replaced, as an unpriced case
+    of `_mutated_csv`."""
+    rows = list(_CLEAN_ROWS)
+    rows[3] = f"3,{load_cell},0.5"
+    return line_end.join(["hour,load_kwh,pv_kwh", *rows]) + line_end, False
+
+
+# The cells on which numpy's reading would differ from the walker's without a
+# guard, always tried besides the drawn ones.
+@example(case=_clean_day_with("\x1c3"))
+@example(case=_clean_day_with("3\x1f"))
+@example(case=_clean_day_with(_OVERLONG_CELL))
+@example(case=_clean_day_with('"1.5"', "\r"))
+@example(case=_clean_day_with("\xa01.5", "\r\n"))
 @settings(max_examples=150, deadline=None)
 @given(case=_mutated_csv())
 def test_load_csv_matches_the_row_reader(tmp_path_factory, tariff, case):
     text, include_price = case
+    text = text.replace(_OVERLONG_CELL, "0" * (csv.field_size_limit() + 1))
     path = tmp_path_factory.mktemp("mutated") / "series.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     given_tariff = tariff if not include_price else None
     try:
         expected = _reference_parse_csv(text, given_tariff)
