@@ -384,11 +384,11 @@ def _parse_csv(text: str, tariff: TariffSchedule | None) -> HourlySeries:
     return HourlySeries(values["load_kwh"], values["pv_kwh"], values.get("wind_kwh"), price)
 
 
-# Text only the row walker reads: a quoted cell may span lines, and numpy
-# strips \x1c-\x1f around a value where `float` refuses them. Non-ASCII text
-# is the walker's too: numpy 2.4 reads some letters as int64 digits ("\u01fe"
-# is 462) and has crashed on "\U0010ffff" before one.
-_WALKER_ONLY = '"\x1c\x1d\x1e\x1f'
+# Text only the row walker reads: numpy strips \x1c-\x1f around a value
+# where `float` refuses them. Non-ASCII text is the walker's too: numpy 2.4
+# reads some letters as int64 digits ("\u01fe" is 462) and has crashed on
+# "\U0010ffff" before one.
+_WALKER_ONLY = "\x1c\x1d\x1e\x1f"
 
 
 def _numpy_columns(text: str, header: list[str], names: list[str]) -> list[np.ndarray] | None:
@@ -406,6 +406,10 @@ def _numpy_columns(text: str, header: list[str], names: list[str]) -> list[np.nd
         with warnings.catch_warnings():
             # No rows is the length check's error, not a warning.
             warnings.simplefilter("ignore", UserWarning)
+            # Older numpy (from 1.23) reads an int64 cell such as "1.9" through
+            # a float with only a DeprecationWarning; as an error it is a
+            # ValueError, and the file is the walker's.
+            warnings.simplefilter("error", DeprecationWarning)
             table = np.loadtxt(io.StringIO(text, newline=None), dtype, delimiter=",",
                                comments=None, skiprows=1, ndmin=1)
     except ValueError:

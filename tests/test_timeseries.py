@@ -349,6 +349,17 @@ def test_load_csv_reads_a_non_ascii_hour_cell_by_rows(tmp_path, tariff):
     assert str(info.value) == f"{path}: malformed hour '\u01fe' at row 463"
 
 
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_load_csv_refuses_float_formatted_hours_under_default_warning_filters(tmp_path, tariff):
+    # Older numpy reads "0.0" as the int64 0 when its DeprecationWarning is
+    # ignored, as it is outside the test suite.
+    rows = [f"{i}.0,1.0,0.0" for i in range(24)]
+    path = _write(tmp_path / "hours.csv", _csv_text(rows))
+    with pytest.raises(DataValidationError) as info:
+        load_csv(path, tariff=tariff)
+    assert str(info.value) == f"{path}: malformed hour '0.0' at row 1"
+
+
 def test_csv_round_trip(tmp_path, synthetic_week):
     path = tmp_path / "week.csv"
     write_csv(synthetic_week, path)
@@ -476,7 +487,10 @@ _CELLS = (
 # Drawn as a marker that the test expands, so that a falsifying example stays short.
 _OVERLONG_CELL = "<zeros over the field limit>"
 _BLANK_ROWS = ("", "   ", ",,", " , ,\t", ",,,,")
-_MUTATIONS = ("cell", "two-cells", "add-field", "drop-field", "pad-hour", "shift-hour", "blank-row")
+_MUTATIONS = (
+    "cell", "two-cells", "add-field", "drop-field", "pad-hour", "float-hour", "shift-hour",
+    "blank-row",
+)
 _LINE_ENDS = ("\n", "\r\n", "\r")
 
 
@@ -520,6 +534,8 @@ def _mutated_csv(draw):
         elif kind == "pad-hour":
             # int() takes blanks but not \x1c-\x1f; the reader strips first.
             cells[0] = draw(st.sampled_from((" ", "\t", "\x1c", "\x1f"))) + cells[0]
+        elif kind == "float-hour":
+            cells[0] += draw(st.sampled_from((".0", "e0", ".9")))
         elif kind == "shift-hour":
             cells[0] = str(int(cells[0]) + draw(st.sampled_from((-1, 1, 24))))
         else:
