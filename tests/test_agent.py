@@ -8,6 +8,7 @@ loop against them bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -424,6 +425,31 @@ def test_qtable_file_deterministic(tmp_path, toy_problem, toy_encoder):
     save_qtable(table_a, a)
     save_qtable(table_b, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of each encoding's saved table: 300 episodes at seed 7 on the
+# synthetic week, with `StateEncoder.for_series` defaults.
+_QTABLE_SHA256 = {
+    EncodingKind.HOUR_SOC: "a0bb803d4e21bb21f84914ff625fec1931d875680620de6df16ce1afc90dfcf3",
+    EncodingKind.HOUR_SOC_LOAD_PV:
+        "b8dc1258793338baa3d303be8c86f18dcb936d97f59039ecfbc59c94ed66b61e",
+    EncodingKind.HOUR_SOC_LOAD_PV_WIND:
+        "98b0952d70213125c0a29b3cd2e5b055e376919aeece6bd6e0f3a0047c8f749a",
+}
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind), ids=lambda kind: kind.value)
+def test_saved_qtable_bytes_are_pinned_per_encoding(kind, tmp_path, synthetic_week, tariff):
+    """The header (encoder fields, dims, shape, hyperparams) and the payload
+    of a saved table keep their bytes for every encoding."""
+    encoder = StateEncoder.for_series(kind, synthetic_week, BatterySpec())
+    table, _ = train(
+        synthetic_week, BatterySpec(), tariff, PenaltyTable(),
+        Hyperparams(total_episodes=300, rng_seed=7), encoder,
+    )
+    path = tmp_path / "table.qt"
+    save_qtable(table, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _QTABLE_SHA256[kind]
 
 
 def test_load_rejects_newer_format_version(tmp_path):
