@@ -166,8 +166,6 @@ def train(
         raise ValueError(
             f"encoder has {encoder.soc_levels} charge levels but the battery spec has {spec.soc_levels}"
         )
-    if encoder.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND and not series.has_wind:
-        raise ValueError("wind encoding requires a series with wind data")
 
     hp = hyperparams
     levels = spec.soc_levels

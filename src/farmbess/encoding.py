@@ -20,6 +20,16 @@ class EncodingKind(Enum):
     HOUR_SOC_LOAD_PV_WIND = "hour-soc-load-pv-wind"
 
 
+# The series columns each kind bins, in the order they follow (hour, charge
+# level) in the flat index. Column c's bin spec is the encoder's `c_bins`
+# field and its values are the series' `c` column.
+_BINNED_COLUMNS = {
+    EncodingKind.HOUR_SOC: (),
+    EncodingKind.HOUR_SOC_LOAD_PV: ("load", "pv"),
+    EncodingKind.HOUR_SOC_LOAD_PV_WIND: ("load", "pv", "wind"),
+}
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Uniform binning of a non-negative quantity; values >= max_value clamp
@@ -100,7 +110,8 @@ def _value_bins(spec: BinSpec, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateEncoder:
-    """Row-major composition of observation coordinates into a flat index."""
+    """Row-major composition of observation coordinates into a flat index:
+    the hour, the charge level, then the bin of each column the kind bins."""
 
     kind: EncodingKind
     soc_levels: int = 11
@@ -112,20 +123,17 @@ class StateEncoder:
         levels = self.soc_levels
         if isinstance(levels, bool) or not isinstance(levels, int) or levels < 2:
             raise ValueError(f"soc_levels must be an integer >= 2, got {levels!r}")
-        needs = self.kind is not EncodingKind.HOUR_SOC
-        if needs and (self.load_bins is None or self.pv_bins is None):
-            raise ValueError(f"{self.kind.value} encoding requires load and pv bin specs")
-        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND and self.wind_bins is None:
-            raise ValueError("hour-soc-load-pv-wind encoding requires a wind bin spec")
+        missing = [f"{c}_bins" for c, spec in self._binned() if spec is None]
+        if missing:
+            raise ValueError(f"{self.kind.value} encoding requires {' and '.join(missing)}")
+
+    def _binned(self) -> list[tuple[str, BinSpec | None]]:
+        """(column, bin spec) of each column the kind bins, in index order."""
+        return [(c, getattr(self, f"{c}_bins")) for c in _BINNED_COLUMNS[self.kind]]
 
     def dims(self) -> tuple[tuple[str, int], ...]:
-        dims = [("hour", 24), ("soc", self.soc_levels)]
-        if self.kind is not EncodingKind.HOUR_SOC:
-            dims.append(("load", self.load_bins.bin_count))
-            dims.append(("pv", self.pv_bins.bin_count))
-        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND:
-            dims.append(("wind", self.wind_bins.bin_count))
-        return tuple(dims)
+        binned = ((c, spec.bin_count) for c, spec in self._binned())
+        return (("hour", 24), ("soc", self.soc_levels), *binned)
 
     def size(self) -> int:
         """Product of the dimension cardinalities."""
@@ -135,6 +143,16 @@ class StateEncoder:
         """Distance between the flat indices of two states that differ by one
         charge level only: the product of the cardinalities after it."""
         return self.size() // (24 * self.soc_levels)
+
+    def _compose(self, index, value_of, to_bins):
+        """`index` extended row-major by each binned column's bin:
+        `to_bins(spec, value_of(column))`, refused when the value is None."""
+        for c, spec in self._binned():
+            values = value_of(c)
+            if values is None:
+                raise ValueError(f"{c}_kwh is None but the encoding requires a {c} value")
+            index = index * spec.bin_count + to_bins(spec, values)
+        return index
 
     def encode(
         self,
@@ -150,16 +168,8 @@ class StateEncoder:
             raise ValueError(f"hour_of_day out of range: {hour_of_day}")
         if not 0 <= soc_level < self.soc_levels:
             raise ValueError(f"soc_level out of range: {soc_level}")
-        index = hour_of_day * self.soc_levels + soc_level
-        if self.kind is EncodingKind.HOUR_SOC:
-            return index
-        index = index * self.load_bins.bin_count + value_bin(self.load_bins, load_kwh)
-        index = index * self.pv_bins.bin_count + value_bin(self.pv_bins, pv_kwh)
-        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV:
-            return index
-        if wind_kwh is None:
-            raise ValueError("wind_kwh is None but the encoding requires a wind value")
-        return index * self.wind_bins.bin_count + value_bin(self.wind_bins, wind_kwh)
+        values = {"load": load_kwh, "pv": pv_kwh, "wind": wind_kwh}
+        return self._compose(hour_of_day * self.soc_levels + soc_level, values.get, value_bin)
 
     def state_bases(self, series) -> np.ndarray:
         """Flat index at charge level 0 of every hour i of a series, in one
@@ -167,15 +177,7 @@ class StateEncoder:
         as `_soc_bins` is `soc_bin`. Hour i at level s is index
         bases[i] + s * soc_stride()."""
         index = np.arange(len(series)) % 24 * self.soc_levels
-        if self.kind is EncodingKind.HOUR_SOC:
-            return index
-        index = index * self.load_bins.bin_count + _value_bins(self.load_bins, series.load)
-        index = index * self.pv_bins.bin_count + _value_bins(self.pv_bins, series.pv)
-        if self.kind is EncodingKind.HOUR_SOC_LOAD_PV:
-            return index
-        if series.wind is None:
-            raise ValueError("wind_kwh is None but the encoding requires a wind value")
-        return index * self.wind_bins.bin_count + _value_bins(self.wind_bins, series.wind)
+        return self._compose(index, lambda c: getattr(series, c), _value_bins)
 
     @classmethod
     def for_series(
@@ -189,32 +191,19 @@ class StateEncoder:
     ) -> "StateEncoder":
         """Build an encoder with bin ranges taken from the series.
 
-        Each unset max defaults to the series' given percentile of the field
-        (1.0 when the field is identically zero).
+        `bin_counts` and `bin_maxes` hold the load, pv and wind values in that
+        order. Each unset max defaults to the series' given percentile of the
+        column (1.0 when the column is identically zero).
         """
-        if kind is EncodingKind.HOUR_SOC:
-            return cls(kind=kind, soc_levels=battery_spec.soc_levels)
-
-        def resolve(values: np.ndarray, explicit: float | None) -> float:
-            if explicit is not None:
-                return explicit
-            p = float(np.percentile(values, percentile))
-            return p if p > 0 else 1.0
-
-        load_bins = BinSpec(bin_counts[0], resolve(series.load, bin_maxes[0]))
-        pv_bins = BinSpec(bin_counts[1], resolve(series.pv, bin_maxes[1]))
-        wind_bins = None
-        if kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND:
-            if not series.has_wind:
-                raise ValueError(
-                    "hour-soc-load-pv-wind encoding requires a series with a wind_kwh column"
-                )
-            wind_bins = BinSpec(bin_counts[2], resolve(series.wind, bin_maxes[2]))
-        return cls(
-            kind=kind,
-            soc_levels=battery_spec.soc_levels,
-            load_bins=load_bins,
-            pv_bins=pv_bins,
-            wind_bins=wind_bins,
-        )
-
+        bins = {}
+        for c in _BINNED_COLUMNS[kind]:
+            values = getattr(series, c)
+            if values is None:
+                raise ValueError(f"{kind.value} encoding requires a series with a {c}_kwh column")
+            i = ("load", "pv", "wind").index(c)
+            top = bin_maxes[i]
+            if top is None:
+                top = float(np.percentile(values, percentile))
+                top = top if top > 0 else 1.0
+            bins[f"{c}_bins"] = BinSpec(bin_counts[i], top)
+        return cls(kind=kind, soc_levels=battery_spec.soc_levels, **bins)

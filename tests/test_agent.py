@@ -403,6 +403,15 @@ def test_train_rejects_mismatched_levels(toy_day, toy_tariff, toy_encoder):
               toy_encoder)
 
 
+def test_train_refuses_the_wind_encoding_on_a_windless_series(synthetic_week, tariff):
+    encoder = StateEncoder.for_series(
+        EncodingKind.HOUR_SOC_LOAD_PV_WIND, synthetic_week, BatterySpec()
+    )
+    with pytest.raises(ValueError, match="^wind_kwh is None but the encoding requires a wind value$"):
+        train(synthetic_week.without_wind(), BatterySpec(), tariff, PenaltyTable(),
+              Hyperparams(total_episodes=1), encoder)
+
+
 # ---------------------------------------------------------------- persistence
 
 

@@ -193,6 +193,33 @@ def test_encoder_requires_bins_for_extended_kinds():
         )
 
 
+@pytest.mark.parametrize(
+    "kind, columns",
+    [
+        (EncodingKind.HOUR_SOC, ()),
+        (EncodingKind.HOUR_SOC_LOAD_PV, ("load", "pv")),
+        (EncodingKind.HOUR_SOC_LOAD_PV_WIND, ("load", "pv", "wind")),
+    ],
+    ids=["hour-soc", "hour-soc-load-pv", "hour-soc-load-pv-wind"],
+)
+def test_encoder_bins_the_columns_of_its_kind(kind, columns):
+    """dims() holds the hour, the charge level, then each column the kind
+    bins; the kind needs the bin spec of each of those columns only."""
+    specs = {"load_bins": BinSpec(2, 1.0), "pv_bins": BinSpec(3, 1.0), "wind_bins": BinSpec(4, 1.0)}
+    dims = StateEncoder(kind=kind, **specs).dims()
+    assert dims[:2] == (("hour", 24), ("soc", 11))
+    assert dims[2:] == tuple((c, specs[f"{c}_bins"].bin_count) for c in columns)
+    for c in columns:
+        with pytest.raises(ValueError, match=f"^{kind.value} encoding requires {c}_bins$"):
+            StateEncoder(kind=kind, **{**specs, f"{c}_bins": None})
+    needed = " and ".join(f"{c}_bins" for c in columns)
+    if columns:
+        with pytest.raises(ValueError, match=f"^{kind.value} encoding requires {needed}$"):
+            StateEncoder(kind=kind)
+    else:
+        assert StateEncoder(kind=kind).dims() == dims
+
+
 def test_flat_index_is_row_major_bijection():
     # (((h·S + s)·L + l)·P + p)·W + w over every coordinate of the wind
     # encoding (S = 11 levels, L = 5, P = 3 and W = 2 bins), each index of
@@ -258,7 +285,14 @@ def test_for_series_uses_percentile(synthetic_week):
 
 def test_for_series_wind_needs_wind_column(synthetic_week):
     windless = synthetic_week.without_wind()
-    with pytest.raises(ValueError, match="wind"):
+    for kind in (EncodingKind.HOUR_SOC, EncodingKind.HOUR_SOC_LOAD_PV):
+        assert StateEncoder.for_series(kind, windless, POWERWALL) == StateEncoder.for_series(
+            kind, synthetic_week, POWERWALL
+        )
+    with pytest.raises(
+        ValueError,
+        match="^hour-soc-load-pv-wind encoding requires a series with a wind_kwh column$",
+    ):
         StateEncoder.for_series(
             EncodingKind.HOUR_SOC_LOAD_PV_WIND, windless, POWERWALL
         )
