@@ -398,8 +398,10 @@ def _numpy_columns(text: str, header: list[str], names: list[str]) -> list[np.nd
     a subset of the cells Python's do, with the same values, and numpy skips
     the empty lines the walker skips as blank rows."""
     # numpy has no field size limit, and the csv module refuses a longer field.
+    # Lines end at \r as well as \n; str.splitlines would also end them at
+    # \v and \f, which the csv module keeps inside a line.
     if (not text.isascii() or any(c in text for c in _WALKER_ONLY)
-            or max(map(len, text.split("\n"))) > csv.field_size_limit()):
+            or max(map(len, text.replace("\r", "\n").split("\n"))) > csv.field_size_limit()):
         return None
     dtype = [(name, np.int64 if name == "hour" else np.float64) for name in header]
     try:

@@ -247,6 +247,18 @@ def test_load_csv_checks_rows_one_by_one_only_off_numpys_path(tmp_path, tariff, 
         series = load_csv(_write(tmp_path / "walked.csv", _csv_text(rows)), tariff=tariff)
         assert calls == list(range(1, 25)), case
         assert _same_series(series, clean), case
+    # A file longer than the field limit whose lines are all short is numpy's,
+    # whatever its line ends.
+    long = tmp_path / "long.csv"
+    write_csv(generate_synthetic(SyntheticProfileConfig(days=120, rng_seed=3), tariff), long)
+    text = long.read_text(encoding="utf-8")
+    assert len(text) > csv.field_size_limit()
+    reference = load_csv(long)
+    for end in ("\r", "\r\n"):
+        calls.clear()
+        long.write_bytes(text.replace("\n", end).encode("utf-8"))
+        assert _same_series(load_csv(long), reference), repr(end)
+        assert calls == [], repr(end)
 
 
 def test_load_csv_rejects_partial_day(tmp_path, tariff):
