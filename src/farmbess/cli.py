@@ -2,9 +2,12 @@
 `compare [--ablation]`, driven by a YAML config file.
 
 Precedence for every setting: command-line flag, then config file, then the
-built-in default. The FARMBESS_OUTPUT_DIR environment variable overrides the
-configured output directory (but not an explicit --out flag). All output
-files are written atomically and every run is reproducible from its manifest.
+built-in default. Each flag that overrides a setting stores its value under
+the setting's dotted config key ("hyperparams.total_episodes"), which
+`--help` shows, and every command passes those keys to `load_config`. The
+FARMBESS_OUTPUT_DIR environment variable overrides the configured output
+directory (but not an explicit --out flag). All output files are written
+atomically and every run is reproducible from its manifest.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .agent import QTableFormatError, load_qtable, save_qtable, train
 from .baselines import BaselineKind
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .encoding import EncodingKind
 from .evaluation import (
     EvalReport,
@@ -31,12 +34,7 @@ from .evaluation import (
     rollout,
 )
 from .ioutil import atomic_write_text, refuse_directory
-from .timeseries import (
-    DataValidationError,
-    SyntheticProfileConfig,
-    generate_synthetic,
-    write_csv,
-)
+from .timeseries import SyntheticProfileConfig, generate_synthetic, write_csv
 
 OUTPUT_DIR_ENV = "FARMBESS_OUTPUT_DIR"
 
@@ -54,30 +52,14 @@ def _output_dir(config: RunConfig, out_flag: str | None) -> Path:
     return Path(config.output_dir)
 
 
-def _hyperparam_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "episodes", None) is not None:
-        overrides["hyperparams.total_episodes"] = args.episodes
-    return overrides
+def _overrides(args) -> dict:
+    """The config keys the given flags set: an override flag's dest is its
+    dotted key, and an absent flag leaves no attribute."""
+    return {key: value for key, value in vars(args).items() if "." in key}
 
 
 def cmd_gen_data(args) -> int:
-    overrides = {}
-    for flag, key in (
-        ("days", "days"),
-        ("seed", "rng_seed"),
-        ("base_load", "base_load_kwh"),
-        ("load_amplitude", "load_amplitude_kwh"),
-        ("pv_peak", "pv_peak_kwh"),
-        ("wind_mean", "wind_mean_kwh"),
-        ("noise", "noise_fraction"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[f"dataset.synthetic.{key}"] = value
-    if args.no_wind:
-        overrides["dataset.include_wind"] = False
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, _overrides(args))
     out = Path(args.out) if args.out else _output_dir(config, None) / "synthetic.csv"
     refuse_directory(out)
     series = generate_synthetic(config.synthetic or SyntheticProfileConfig(), config.tariff)
@@ -128,7 +110,7 @@ def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, st
 def cmd_train(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
-    config = load_config(args.config, overrides=_hyperparam_overrides(args))
+    config = load_config(args.config, _overrides(args))
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1 and len(config.seeds) > 1:
@@ -243,7 +225,7 @@ def cmd_compare(args) -> int:
         raise CliError(
             f"compare --ablation takes no controller references, got {' '.join(args.refs)}"
         )
-    config = load_config(args.config, overrides=_hyperparam_overrides(args))
+    config = load_config(args.config, _overrides(args))
     series = config.load_series()
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,6 +267,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _override(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """A flag that sets the config key `key`; absent, it sets nothing."""
+    kwargs.setdefault("help", f"set {key}")
+    parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
@@ -298,21 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="write a synthetic hourly-year CSV")
     gen.add_argument("--config", help="YAML config supplying dataset.synthetic and tariff")
-    gen.add_argument("--days", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--base-load", dest="base_load", type=float)
-    gen.add_argument("--load-amplitude", dest="load_amplitude", type=float)
-    gen.add_argument("--pv-peak", dest="pv_peak", type=float)
-    gen.add_argument("--wind-mean", dest="wind_mean", type=float)
-    gen.add_argument("--noise", type=float)
-    gen.add_argument("--no-wind", action="store_true", help="omit the wind column")
+    for flag, key, kind in (
+        ("--days", "days", int),
+        ("--seed", "rng_seed", int),
+        ("--base-load", "base_load_kwh", float),
+        ("--load-amplitude", "load_amplitude_kwh", float),
+        ("--pv-peak", "pv_peak_kwh", float),
+        ("--wind-mean", "wind_mean_kwh", float),
+        ("--noise", "noise_fraction", float),
+    ):
+        _override(gen, flag, f"dataset.synthetic.{key}", type=kind, metavar=kind.__name__.upper())
+    _override(gen, "--no-wind", "dataset.include_wind", action="store_false",
+              help="set dataset.include_wind to false: omit the wind column")
     gen.add_argument("--out", help="output CSV path (default: <output dir>/synthetic.csv)")
     gen.set_defaults(func=cmd_gen_data)
 
     tr = sub.add_parser("train", help="train one Q-table per configured seed")
     tr.add_argument("--config", required=True)
     tr.add_argument("--out", help="output directory override")
-    tr.add_argument("--episodes", type=int, help="override hyperparams.total_episodes")
+    _override(tr, "--episodes", "hyperparams.total_episodes", type=int, metavar="INT")
     tr.add_argument("--workers", type=int, default=1, help="parallel seed workers")
     tr.set_defaults(func=cmd_train)
 
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="train and compare every encoding the series supports, the wind one only with "
         "wind data (first seed of run.seeds; no references)",
     )
-    cp.add_argument("--episodes", type=int, help="override hyperparams.total_episodes")
+    _override(cp, "--episodes", "hyperparams.total_episodes", type=int, metavar="INT")
     cp.add_argument("--out", help="output directory override")
     cp.set_defaults(func=cmd_compare)
     return parser
@@ -342,14 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        ConfigError,
-        DataValidationError,
-        QTableFormatError,
-        OSError,
-        ValueError,
-    ) as exc:
+    # CliError, ConfigError, DataValidationError and QTableFormatError are
+    # all ValueErrors.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,21 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from farmbess import EncodingKind, QTable, StateEncoder, cli
+from farmbess import EncodingKind, QTable, StateEncoder, SyntheticProfileConfig, cli
 from farmbess.agent import load_qtable, save_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
-from farmbess.config import ConfigError, load_config
+from farmbess.config import _SECTIONS, ConfigError, load_config
 from farmbess.encoding import BinSpec
 from farmbess.evaluation import qtable_controller, rollout
 
@@ -259,6 +261,27 @@ def test_each_main_call_sees_only_its_own_flags(tmp_path):
     assert main(["gen-data", "--days", "1", "--out", str(tmp_path / "b.csv")]) == 0
     assert "wind_kwh" not in (tmp_path / "a.csv").read_text().splitlines()[0]
     assert "wind_kwh" in (tmp_path / "b.csv").read_text().splitlines()[0]
+
+
+def test_every_override_flag_sets_a_field_of_its_config_section():
+    """An override flag's dest is the dotted config key it sets, so a
+    mistyped key fails here rather than in a run."""
+    sections = {**_SECTIONS, "dataset.synthetic": SyntheticProfileConfig}
+    commands = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    keys = {
+        action.dest
+        for command in commands.values()
+        for action in command._actions
+        if "." in action.dest
+    }
+    assert {"dataset.synthetic.days", "dataset.include_wind", "hyperparams.total_episodes"} <= keys
+    for key in keys:
+        section, _, name = key.rpartition(".")
+        assert name in {f.name for f in fields(sections[section])}, key
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
