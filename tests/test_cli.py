@@ -79,6 +79,34 @@ def test_config_digest_stable(tmp_path):
     assert load_config(path).digest() == load_config(path).digest()
 
 
+# The tariff section of each config; the default config sets none of it.
+TARIFF_CONFIG_DIGESTS = {
+    None: "39bffe4427fb63b23dfb97333bf0f86c7ae5e257cde46f5a91eb3cd8996fb4d9",
+    # every key
+    "  off_peak_hours: [0, 1, 2, 3, 4, 5]\n"
+    "  standard_hours: [6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 21, 22, 23]\n"
+    "  peak_hours: [16, 17, 18, 19, 20]\n"
+    "  off_peak_rate: 0.04\n"
+    "  standard_rate: 0.12\n"
+    "  peak_rate: 0.3\n": "03af99b87d7b5442c096b6c48d6ff94e82a240790c371b71026637324617a5c7",
+    # standard hours left to be the rest of the day
+    "  off_peak_hours: [0, 1, 2, 3, 4, 5]\n"
+    "  peak_hours: [16, 17, 18, 19, 20]\n"
+    "  peak_rate: 0.3\n": "32d57e6c40e3233f3e70dea43d5d70cad53618b9bbc173903cba72556603e778",
+}
+
+
+@pytest.mark.parametrize("tariff", list(TARIFF_CONFIG_DIGESTS), ids=["default", "all", "derived"])
+def test_config_digest_is_pinned(tmp_path, tariff):
+    """The resolved config, and so every manifest's digest, is unchanged
+    byte for byte by how the tariff section is built."""
+    if tariff is None:
+        config = load_config(None)
+    else:
+        config = load_config(_config(tmp_path, f"dataset:\n  synthetic: {{}}\ntariff:\n{tariff}"))
+    assert config.digest() == TARIFF_CONFIG_DIGESTS[tariff]
+
+
 def test_config_custom_tariff_hours(tmp_path):
     path = _config(
         tmp_path,
