@@ -52,7 +52,6 @@ from .timeseries import (
     SyntheticProfileConfig,
     TariffSchedule,
     Tier,
-    default_tariff,
     generate_synthetic,
     load_csv,
     month_of_hour,

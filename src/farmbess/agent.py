@@ -3,6 +3,7 @@ day-episode training loop, and Q-table persistence."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import asdict, dataclass
@@ -12,11 +13,14 @@ import numpy as np
 
 from .battery import Action, BatterySpec, PenaltyTable, transition
 from .encoding import BinSpec, EncodingKind, StateEncoder, soc_level_energy
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_chunks
 from .timeseries import HourlySeries, TariffSchedule
 
 QTABLE_MAGIC = "farmbess-qtable"
 QTABLE_FORMAT_VERSION = 1
+
+# Rows of a training log formatted and written at a time.
+_LOG_CHUNK_ROWS = 4096
 
 
 # The actions in index order, so a greedy pick is a tuple lookup rather than
@@ -87,20 +91,23 @@ class TrainingLog:
         # The pinned logs hold numpy's float64 scalar repr, `np.float64(x)`
         # under numpy 2 and bare `x` under 1.x: the float's own repr inside a
         # wrapper taken from numpy, which costs less than each scalar's repr.
-        # `map(float, …)` makes one float at a time, where `.tolist()` would
-        # hold every column's floats at once.
+        # `map(float, …)` makes one float at a time. The rows are formatted
+        # and written a chunk at a time, so no more than a chunk's text is
+        # held.
         value = repr(np.float64(0.5)).replace("0.5", "{!r}")
-        rows = map(
-            f"{{}},{{}},{{}},{value},{value},{value}".format,
-            range(len(self)),
-            self.day_indices.tolist(),
-            self.soc_levels.tolist(),
-            map(float, self.alphas),
-            map(float, self.epsilons),
-            map(float, self.episode_returns),
+        row = f"{{}},{{}},{{}},{value},{value},{value}\n".format
+
+        def rows(start: int) -> str:
+            end = start + _LOG_CHUNK_ROWS
+            ints = (column[start:end].tolist() for column in (self.day_indices, self.soc_levels))
+            floats = (self.alphas, self.epsilons, self.episode_returns)
+            floats = (map(float, column[start:end]) for column in floats)
+            return "".join(map(row, range(start, end), *ints, *floats))
+
+        header = "episode,day_index,initial_soc_level,alpha,epsilon,episode_return\n"
+        atomic_write_chunks(
+            path, itertools.chain([header], map(rows, range(0, len(self), _LOG_CHUNK_ROWS)))
         )
-        lines = ["episode,day_index,initial_soc_level,alpha,epsilon,episode_return", *rows]
-        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def greedy_action(q: QTable, state: int) -> Action:

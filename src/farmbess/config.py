@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
+import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -26,7 +26,6 @@ from .timeseries import (
     HourlySeries,
     SyntheticProfileConfig,
     TariffSchedule,
-    default_tariff,
     generate_synthetic,
     load_csv,
 )
@@ -110,7 +109,8 @@ def _check_type(value, hint, name: str) -> None:
     elif kind is int:
         ok, expected = is_int, "an integer"
     elif kind is float:
-        ok = (is_int or isinstance(value, float)) and math.isfinite(value)
+        # Compared, not converted: an int too large for a float is refused.
+        ok = (is_int or isinstance(value, float)) and abs(value) <= sys.float_info.max
         expected = "a finite number"
     elif kind is str:
         ok, expected = isinstance(value, str), "a string"
@@ -205,23 +205,6 @@ class RunConfig:
         ).hexdigest()
 
 
-def _build_tariff(value) -> TariffSchedule:
-    section = _section(TariffSchedule, value, "tariff")
-    rates = {k: v for k, v in section.items() if k.endswith("_rate")}
-    hours = {k: frozenset(v) for k, v in section.items() if k.endswith("_hours")}
-    if list(hours) == ["standard_hours"]:
-        raise ConfigError("standard_hours given without off_peak_hours/peak_hours")
-    try:
-        base = default_tariff(**rates)
-        if hours and "standard_hours" not in hours:
-            off_peak = hours.get("off_peak_hours", base.off_peak_hours)
-            peak = hours.get("peak_hours", base.peak_hours)
-            hours["standard_hours"] = frozenset(range(24)) - off_peak - peak
-        return replace(base, **hours)
-    except ValueError as exc:
-        raise ConfigError(f"tariff: {exc}") from None
-
-
 def _yaml_problem(exc: yaml.YAMLError) -> str:
     """A YAML error in one line: where and what when PyYAML marks the
     problem, else the first line of its message."""
@@ -262,7 +245,7 @@ def _validate(raw: dict, where: str) -> RunConfig:
     synthetic = None
     if dataset.path is None:
         synthetic = _build(SyntheticProfileConfig, dataset.synthetic, "dataset.synthetic")
-    tariff = _build_tariff(raw.get("tariff"))
+    tariff = _build(TariffSchedule, raw.get("tariff"), "tariff")
     battery = _build(BatterySpec, raw.get("battery"), "battery")
     # Training seeds come from run.seeds, so rng_seed is not a key.
     hyperparams = _build(Hyperparams, raw.get("hyperparams"), "hyperparams", skip=("rng_seed",))

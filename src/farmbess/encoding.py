@@ -4,6 +4,7 @@ bins) onto flat table indices for the three state-space designs."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +46,7 @@ class BinSpec:
         if (
             isinstance(top, bool)
             or not isinstance(top, (int, float))
-            or not (math.isfinite(top) and top > 0)
+            or not 0 < top <= sys.float_info.max
         ):
             raise ValueError(f"max_value must be a finite number > 0, got {top!r}")
 

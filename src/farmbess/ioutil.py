@@ -6,11 +6,19 @@ from __future__ import annotations
 import errno
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks in turn, each UTF-8 encoded as it comes, so the
+    whole text is never held at once; the file appears only when all are
+    written."""
+    _atomic_write(path, (chunk.encode("utf-8") for chunk in chunks))
 
 
 def refuse_directory(path: str | Path) -> None:
@@ -21,6 +29,10 @@ def refuse_directory(path: str | Path) -> None:
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    _atomic_write(path, (data,))
+
+
+def _atomic_write(path: str | Path, blocks: Iterable[bytes]) -> None:
     path = Path(path)
     # Refused up front, so the error names the target, not the temp file.
     refuse_directory(path)
@@ -28,7 +40,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -53,24 +53,33 @@ def month_of_hour(hour_index: int) -> int:
 
 @dataclass(frozen=True)
 class TariffSchedule:
-    """Three-tier time-of-use tariff over the 24 hours of a day.
+    """Three-tier time-of-use tariff over the 24 hours of a day. The defaults
+    are a night/day/evening tariff: the night window 23:00-07:00 and the
+    evening peak 17:00-19:00, both [start, end) on whole hours.
 
-    The three hour sets must partition {0..23} and the rates must satisfy
-    off_peak_rate <= standard_rate <= peak_rate.
+    The three hour sets must partition {0..23}; standard_hours left None are
+    the hours in neither other set, and every set is stored as a frozenset.
+    The rates must satisfy off_peak_rate <= standard_rate <= peak_rate. Their
+    defaults are arbitrary (currency/kWh); only their ordering matters to the
+    controllers and reward shaping.
     """
 
-    off_peak_hours: frozenset[int]
-    standard_hours: frozenset[int]
-    peak_hours: frozenset[int]
-    off_peak_rate: float
-    standard_rate: float
-    peak_rate: float
+    off_peak_hours: frozenset[int] = frozenset({23, 0, 1, 2, 3, 4, 5, 6})
+    standard_hours: frozenset[int] | None = None
+    peak_hours: frozenset[int] = frozenset({17, 18})
+    off_peak_rate: float = 0.05
+    standard_rate: float = 0.10
+    peak_rate: float = 0.20
 
     def __post_init__(self) -> None:
-        sets = (self.off_peak_hours, self.standard_hours, self.peak_hours)
-        union = set().union(*sets)
-        total = sum(len(s) for s in sets)
-        if union != set(range(24)) or total != 24:
+        off_peak, peak = frozenset(self.off_peak_hours), frozenset(self.peak_hours)
+        rest = frozenset(range(24)) - off_peak - peak
+        standard = rest if self.standard_hours is None else frozenset(self.standard_hours)
+        object.__setattr__(self, "off_peak_hours", off_peak)
+        object.__setattr__(self, "standard_hours", standard)
+        object.__setattr__(self, "peak_hours", peak)
+        sets = (off_peak, standard, peak)
+        if set().union(*sets) != set(range(24)) or sum(map(len, sets)) != 24:
             raise DataValidationError(
                 "tariff hour sets must partition the 24 hours of a day"
             )
@@ -102,33 +111,6 @@ class TariffSchedule:
         if tier is Tier.OFF_PEAK:
             return self.off_peak_rate
         return self.standard_rate
-
-
-# Night window runs 23:00-07:00 and the evening peak 17:00-19:00, both
-# taken as [start, end) on whole hours so the three sets partition the day.
-DEFAULT_OFF_PEAK_HOURS = frozenset({23, 0, 1, 2, 3, 4, 5, 6})
-DEFAULT_PEAK_HOURS = frozenset({17, 18})
-DEFAULT_STANDARD_HOURS = frozenset(range(24)) - DEFAULT_OFF_PEAK_HOURS - DEFAULT_PEAK_HOURS
-
-
-def default_tariff(
-    off_peak_rate: float = 0.05,
-    standard_rate: float = 0.10,
-    peak_rate: float = 0.20,
-) -> TariffSchedule:
-    """Night/day/evening tariff with configurable rates.
-
-    The rates are arbitrary defaults (currency/kWh); only their ordering
-    matters to the controllers and reward shaping.
-    """
-    return TariffSchedule(
-        off_peak_hours=DEFAULT_OFF_PEAK_HOURS,
-        standard_hours=DEFAULT_STANDARD_HOURS,
-        peak_hours=DEFAULT_PEAK_HOURS,
-        off_peak_rate=off_peak_rate,
-        standard_rate=standard_rate,
-        peak_rate=peak_rate,
-    )
 
 
 def _tariff_prices(tariff: TariffSchedule, n_hours: int) -> np.ndarray:

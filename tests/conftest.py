@@ -25,7 +25,6 @@ from farmbess import (
     HourlySeries,
     SyntheticProfileConfig,
     TariffSchedule,
-    default_tariff,
     generate_synthetic,
     load_csv,
 )
@@ -35,13 +34,13 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session")
 def tariff() -> TariffSchedule:
-    return default_tariff()
+    return TariffSchedule()
 
 
 @pytest.fixture(scope="session")
 def toy_tariff() -> TariffSchedule:
     """Tariff the toy day's price column was generated from."""
-    return default_tariff(off_peak_rate=0.05, standard_rate=0.15, peak_rate=0.50)
+    return TariffSchedule(off_peak_rate=0.05, standard_rate=0.15, peak_rate=0.50)
 
 
 @pytest.fixture(scope="session")

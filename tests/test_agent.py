@@ -37,6 +37,7 @@ from farmbess import (
     train,
     transition,
 )
+from farmbess import agent
 from farmbess.agent import QTableFormatError, _randbelow
 from farmbess.encoding import BinSpec
 
@@ -620,6 +621,45 @@ def test_training_log_csv_bytes_match_the_row_writer(tmp_path):
     path = tmp_path / "log.csv"
     log.write_csv(path)
     assert path.read_bytes() == _reference_log_text(log).encode("utf-8")
+
+
+def _random_log(n: int) -> TrainingLog:
+    rng = np.random.default_rng(8)
+    return TrainingLog(
+        day_indices=rng.integers(0, 365, n),
+        soc_levels=rng.integers(0, 11, n),
+        alphas=np.linspace(0.8, 0.1, n),
+        epsilons=np.linspace(0.8, 0.1, n),
+        episode_returns=rng.normal(-5.0, 2.0, n),
+    )
+
+
+def test_training_log_csv_bytes_hold_across_chunks(tmp_path):
+    """Rows are written a chunk at a time; logs ending one row short of, on
+    and one row past a chunk edge, and one spanning three chunks, write the
+    row writer's bytes."""
+    chunk = agent._LOG_CHUNK_ROWS
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        log = _random_log(n)
+        path = tmp_path / f"log{n}.csv"
+        log.write_csv(path)
+        assert path.read_bytes() == _reference_log_text(log).encode("utf-8")
+
+
+def test_training_log_csv_streams_its_rows(tmp_path):
+    """A 200,000-row log (about 14 MB of text) is written without holding
+    its whole text: the traced peak stays under 20 MB, where joining every
+    row peaked above 60 MB."""
+    log = _random_log(200_000)
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        log.write_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 10_000_000
+    assert peak < 20_000_000
 
 
 # Any finite float64: Hypothesis's own floats, which favour both zeros and

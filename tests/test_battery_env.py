@@ -17,9 +17,9 @@ from farmbess import (
     PenaltyTable,
     StateEncoder,
     SyntheticProfileConfig,
+    TariffSchedule,
     Tier,
     apply_action,
-    default_tariff,
     generate_synthetic,
     lattice_transition,
     soc_bin,
@@ -177,7 +177,7 @@ def _lattice_cases(draw):
 @given(case=_lattice_cases())
 def test_lattice_transition_is_transition_then_soc_bin(case):
     spec, hours, penalties = case
-    tiers = default_tariff().tiers
+    tiers = TariffSchedule().tiers
     loads, renewables, prices = zip(*hours)
     next_level, reward = lattice_transition(spec, loads, renewables, prices, tiers, penalties)
     expected_level, expected_reward = [], []
@@ -217,7 +217,7 @@ _MIXED_DAY = [(float(h % 5) * 2.0, float(h % 3) * 3.0, 0.1 + h / 100) for h in r
 
 
 def test_lattice_transition_returns_fresh_arrays():
-    tiers = default_tariff().tiers
+    tiers = TariffSchedule().tiers
     args = (POWERWALL, *zip(*_MIXED_DAY), tiers, PEN)
     next_level, reward = lattice_transition(*args)
     first = next_level.copy(), reward.copy()
@@ -231,7 +231,7 @@ def test_lattice_transition_returns_fresh_arrays():
 def test_lattice_transition_gives_each_penalty_table_its_own_rewards():
     # The tables share a spec and alternate; the negative-zero table equals
     # the zero one as a dataclass, but a zero-cost reward keeps its sign.
-    tiers = default_tariff().tiers
+    tiers = TariffSchedule().tiers
     tables = [PEN, PenaltyTable.zero(), PenaltyTable(*[-0.0] * 8),
               PenaltyTable(charge_full=-3.5, idle_peak_with_charge=-0.25)]
     expected = [_scalar_lattice(POWERWALL, _MIXED_DAY, tiers, table) for table in tables]

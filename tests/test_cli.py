@@ -14,8 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from farmbess import EncodingKind, QTable, StateEncoder, SyntheticProfileConfig, cli
+from farmbess import (
+    EncodingKind,
+    QTable,
+    StateEncoder,
+    SyntheticProfileConfig,
+    TariffSchedule,
+    cli,
+)
 from farmbess.agent import load_qtable, save_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import _SECTIONS, ConfigError, load_config
@@ -117,6 +125,106 @@ def test_config_custom_tariff_hours(tmp_path):
     config = load_config(path)
     assert 11 in config.tariff.off_peak_hours
     assert config.tariff.standard_hours == frozenset(range(14, 24))
+
+
+def test_config_standard_hours_alone_partition_with_the_default_hours(tmp_path, capsys):
+    rest = "  standard_hours: [7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 19, 20, 21, 22]\n"
+    path = _config(tmp_path, f"dataset:\n  synthetic: {{}}\ntariff:\n{rest}")
+    assert load_config(path).tariff == TariffSchedule()
+    path = _config(tmp_path, "dataset:\n  synthetic: {}\ntariff:\n  standard_hours: [7, 8]\n")
+    code = main(["evaluate", "--config", str(path), "baseline:no-battery"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: tariff: tariff hour sets must partition the 24 hours of a day\n"
+    )
+
+
+# A valid value other than its default for each key of each section (the
+# sections of `_SECTIONS` plus dataset.synthetic), as the built object holds it.
+NON_DEFAULT_KEYS = {
+    "dataset": {"include_wind": False},
+    "dataset.synthetic": {
+        "days": 9, "base_load_kwh": 7.0, "load_amplitude_kwh": 11.0, "pv_peak_kwh": 14.0,
+        "wind_mean_kwh": 3.0, "noise_fraction": 0.1, "rng_seed": 4,
+    },
+    "tariff": {
+        "off_peak_hours": frozenset(range(6)),
+        "standard_hours": frozenset({*range(6, 16), 21, 22, 23}),
+        "peak_hours": frozenset(range(16, 21)),
+        "off_peak_rate": 0.04, "standard_rate": 0.12, "peak_rate": 0.3,
+    },
+    "battery": {
+        "capacity_kwh": 20.0, "charge_rate_kw": 3.0, "discharge_rate_kw": 4.0,
+        "reserve_fraction": 0.2, "soc_levels": 21,
+    },
+    "hyperparams": {
+        "learning_rate_init": 0.7, "epsilon_init": 0.6, "discount_factor": 0.95,
+        "decay": 0.001, "floor": 0.05, "total_episodes": 123, "steps_per_episode": 12,
+        "soc_reset_low": 1,
+    },
+    "encoding": {
+        "kind": "hour-soc-load-pv-wind", "load_bins": 3, "pv_bins": 4, "wind_bins": 6,
+        "load_bin_max": 30.0, "pv_bin_max": 25.0, "wind_bin_max": 9.0, "percentile": 95.0,
+    },
+    "penalties": {
+        "charge_full_peak": -14.0, "charge_full": -9.0, "charge_peak": -8.0,
+        "charge_off_peak_bonus": 4.0, "discharge_empty": -7.0, "discharge_off_peak": -6.0,
+        "discharge_peak_bonus": 3.0, "idle_peak_with_charge": -2.0,
+    },
+    "run": {"output_dir": "elsewhere", "seeds": (3, 1), "initial_soc_level": 2},
+}
+
+# Where a run reads the keys of the sections that build no program object.
+RUN_CONFIG_READS = {
+    "dataset.path": lambda c: c.dataset_path,
+    "dataset.include_wind": lambda c: c.include_wind,
+    "encoding.kind": lambda c: c.encoding_kind.value,
+    "encoding.load_bins": lambda c: c.bin_counts[0],
+    "encoding.pv_bins": lambda c: c.bin_counts[1],
+    "encoding.wind_bins": lambda c: c.bin_counts[2],
+    "encoding.load_bin_max": lambda c: c.bin_maxes[0],
+    "encoding.pv_bin_max": lambda c: c.bin_maxes[1],
+    "encoding.wind_bin_max": lambda c: c.bin_maxes[2],
+    "encoding.percentile": lambda c: c.percentile,
+    "run.output_dir": lambda c: c.output_dir,
+    "run.seeds": lambda c: c.seeds,
+    "run.initial_soc_level": lambda c: c.initial_soc_level,
+}
+
+
+def _read_back(config, section, key):
+    if section == "dataset.synthetic":
+        return getattr(config.synthetic, key)
+    if section in ("tariff", "battery", "hyperparams", "penalties"):
+        return getattr(getattr(config, section), key)
+    return RUN_CONFIG_READS[f"{section}.{key}"](config)
+
+
+def test_every_config_key_reaches_its_object(tmp_path):
+    sections = {**_SECTIONS, "dataset.synthetic": SyntheticProfileConfig}
+    # dataset.synthetic is a section of its own and dataset.path excludes it;
+    # training seeds come from run.seeds.
+    unset = {"dataset": {"path", "synthetic"}, "hyperparams": {"rng_seed"}}
+    for section, cls in sections.items():
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key in unset.get(section, ()):
+            del defaults[key]
+        values = NON_DEFAULT_KEYS[section]
+        assert set(values) == set(defaults), section
+        assert all(values[k] != defaults[k] for k in values), section
+
+    def as_yaml(values):
+        return {k: list(v) if isinstance(v, (frozenset, tuple)) else v for k, v in values.items()}
+
+    raw = {section: as_yaml(values) for section, values in NON_DEFAULT_KEYS.items()}
+    raw["dataset"]["synthetic"] = raw.pop("dataset.synthetic")
+    config = load_config(_config(tmp_path, yaml.safe_dump(raw)))
+    for section, values in NON_DEFAULT_KEYS.items():
+        for key, value in values.items():
+            assert _read_back(config, section, key) == value, f"{section}.{key}"
+
+    path = _config(tmp_path, "dataset:\n  path: farm.csv\n", name="path.yaml")
+    assert _read_back(load_config(path), "dataset", "path") == "farm.csv"
 
 
 # ---------------------------------------------------------------- gen-data
@@ -555,6 +663,7 @@ def test_compare_ablation_rejects_references(tmp_path, capsys):
         ("encoding", "load_bin_max", "-1"),
         ("encoding", "pv_bins", "0"),
         ("battery", "capacity_kwh", ".nan"),
+        pytest.param("battery", "capacity_kwh", "1" + "0" * 400, id="battery-capacity_kwh-1e400"),
         ("encoding", "percentile", "150"),
         ("penalties", "charge_full", "abc"),
     ],
@@ -608,7 +717,15 @@ def test_evaluate_qtable_with_bad_soc_levels_is_one_line(tmp_path, capsys, value
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field, value", [("bin_count", "true"), ("max_value", '"20"')])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bin_count", "true"),
+        ("max_value", '"20"'),
+        # too large for a float, so not finite
+        pytest.param("max_value", "1" + "0" * 400, id="max_value-1e400"),
+    ],
+)
 def test_evaluate_qtable_with_bad_bin_spec_is_one_line(tmp_path, capsys, field, value):
     config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "out"))
     encoder = StateEncoder(EncodingKind.HOUR_SOC_LOAD_PV, load_bins=BinSpec(5, 20.0),

@@ -26,10 +26,10 @@ from farmbess import (
     QTable,
     StateEncoder,
     SyntheticProfileConfig,
+    TariffSchedule,
     apply_action,
     compare,
     day_return,
-    default_tariff,
     dp_oracle,
     generate_synthetic,
     month_of_hour,
@@ -81,7 +81,7 @@ def _hours(series):
 
 
 def _no_battery():
-    return baseline_controller(BaselineKind.NO_BATTERY, POWERWALL, default_tariff())
+    return baseline_controller(BaselineKind.NO_BATTERY, POWERWALL, TariffSchedule())
 
 
 def _report(label, total_import, total_cost, peaks=()):
@@ -624,7 +624,7 @@ def lattice_days(draw, charge_steps=None):
         soc_levels=top + 1,
     )
     hourly = st.lists(st.integers(0, 2 * top), min_size=24, max_size=24)
-    tariff = default_tariff()
+    tariff = TariffSchedule()
     series = HourlySeries(
         load=[x * unit for x in draw(hourly)],
         pv=[x * unit for x in draw(hourly)],
@@ -647,7 +647,7 @@ def off_lattice_days(draw):
         soc_levels=draw(st.integers(2, 17)),
     )
     hourly = st.lists(floats(0.0, 20.0), min_size=24, max_size=24)
-    tariff = default_tariff()
+    tariff = TariffSchedule()
     series = HourlySeries(
         load=draw(hourly),
         pv=draw(hourly),

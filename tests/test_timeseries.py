@@ -22,7 +22,6 @@ from farmbess import (
     SyntheticProfileConfig,
     TariffSchedule,
     Tier,
-    default_tariff,
     generate_synthetic,
     load_csv,
     month_of_hour,
@@ -98,7 +97,41 @@ def test_tariff_rejects_non_partition():
 
 def test_tariff_rejects_unordered_rates():
     with pytest.raises(DataValidationError):
-        default_tariff(off_peak_rate=0.3, standard_rate=0.1, peak_rate=0.2)
+        TariffSchedule(off_peak_rate=0.3, standard_rate=0.1, peak_rate=0.2)
+
+
+def test_default_tariff_is_night_day_evening():
+    night = frozenset({23, 0, 1, 2, 3, 4, 5, 6})
+    evening = frozenset({17, 18})
+    day = frozenset(range(24)) - night - evening
+    assert TariffSchedule() == TariffSchedule(night, day, evening, 0.05, 0.10, 0.20)
+    rates = {"off_peak_rate": 0.05, "standard_rate": 0.15, "peak_rate": 0.50}
+    assert TariffSchedule(**rates) == TariffSchedule(night, day, evening, *rates.values())
+
+
+def test_tariff_stores_hour_sets_as_frozensets():
+    tariff = TariffSchedule(off_peak_hours=[0, 1, 2], peak_hours={12, 13})
+    assert all(
+        type(hours) is frozenset
+        for hours in (tariff.off_peak_hours, tariff.standard_hours, tariff.peak_hours)
+    )
+    assert tariff.standard_hours == frozenset(range(3, 12)) | frozenset(range(14, 24))
+    assert hash(tariff) == hash(TariffSchedule(range(3), None, range(12, 14)))
+
+
+@pytest.mark.parametrize(
+    "hours",
+    [
+        {"standard_hours": range(7, 17)},  # the evening shoulder left out
+        {"peak_hours": {6, 17, 18}},  # 6 is off-peak by default
+        {"off_peak_hours": {24}},
+    ],
+)
+def test_tariff_hours_that_do_not_partition_the_day_are_refused(hours):
+    with pytest.raises(
+        DataValidationError, match="^tariff hour sets must partition the 24 hours of a day$"
+    ):
+        TariffSchedule(**hours)
 
 
 # ---------------------------------------------------------------- csv loading
@@ -520,7 +553,7 @@ def _mutated_csv(draw):
     whether it carries prices."""
     days = draw(st.integers(min_value=1, max_value=2))
     config = SyntheticProfileConfig(days=days, rng_seed=draw(st.integers(0, 2**16)))
-    series = generate_synthetic(config, default_tariff())
+    series = generate_synthetic(config, TariffSchedule())
     if not draw(st.booleans()):
         series = series.without_wind()
     include_price = draw(st.booleans())
@@ -746,7 +779,7 @@ def test_generate_synthetic_pv_zero_at_night(synthetic_year):
 
 def test_diurnal_profiles_match_generator_shape():
     config = SyntheticProfileConfig(days=1, noise_fraction=0.0, rng_seed=0)
-    series = generate_synthetic(config, default_tariff())
+    series = generate_synthetic(config, TariffSchedule())
     for h in range(24):
         assert series.load[h] == pytest.approx(diurnal_load_kwh(config, h))
         assert series.pv[h] == pytest.approx(diurnal_pv_kwh(config, h))
