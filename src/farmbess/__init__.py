@@ -58,4 +58,11 @@ from .timeseries import (
     write_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The names imported above; a submodule is an attribute of the package, and
+# which ones are depends on what has been imported, so none is exported.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

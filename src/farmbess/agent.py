@@ -49,15 +49,20 @@ class Hyperparams:
     soc_reset_low: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("total_episodes", "steps_per_episode", "rng_seed", "soc_reset_low"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if not 0 < self.learning_rate_init <= 1:
             raise ValueError("learning_rate_init must be in (0, 1]")
         if not 0 <= self.epsilon_init <= 1:
             raise ValueError("epsilon_init must be in [0, 1]")
         if not 0 <= self.discount_factor < 1:
             raise ValueError("discount_factor must be in [0, 1)")
-        if self.decay < 0:
+        # Written so that NaN fails each comparison.
+        if not self.decay >= 0:
             raise ValueError("decay must be >= 0")
-        if self.floor > self.learning_rate_init or self.floor > self.epsilon_init:
+        if not (self.floor <= self.learning_rate_init and self.floor <= self.epsilon_init):
             raise ValueError("floor must not exceed the initial rates")
         if self.total_episodes < 0 or self.steps_per_episode <= 0:
             raise ValueError("episode counts must be positive")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Sequence
@@ -51,6 +52,9 @@ class BatterySpec:
             )
         if self.soc_levels < 2:
             raise ValueError(f"soc_levels must be >= 2, got {self.soc_levels}")
+        # Compared, not converted: a level count too large for a float is refused.
+        if self.soc_levels > sys.float_info.max:
+            raise ValueError(f"soc_levels must be at most {sys.float_info.max:g}")
 
     @property
     def soc_min_kwh(self) -> float:
@@ -86,6 +90,11 @@ class PenaltyTable:
     discharge_off_peak: float = -5.0
     discharge_peak_bonus: float = 5.0
     idle_peak_with_charge: float = -10.0
+
+    def __post_init__(self) -> None:
+        # Rows are stored as floats, whatever number type they were given as.
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     @classmethod
     def zero(cls) -> "PenaltyTable":

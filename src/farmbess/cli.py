@@ -49,7 +49,7 @@ def _output_dir(config: RunConfig, out_flag: str | None) -> Path:
     env = os.environ.get(OUTPUT_DIR_ENV)
     if env:
         return Path(env)
-    return Path(config.output_dir)
+    return Path(config.run.output_dir)
 
 
 def _overrides(args) -> dict:
@@ -63,7 +63,7 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out) if args.out else _output_dir(config, None) / "synthetic.csv"
     refuse_directory(out)
     series = generate_synthetic(config.synthetic or SyntheticProfileConfig(), config.tariff)
-    if not config.include_wind:
+    if not config.dataset.include_wind:
         series = series.without_wind()
     write_csv(series, out)
     loads = float(series.load.sum())
@@ -113,21 +113,21 @@ def cmd_train(args) -> int:
     config = load_config(args.config, _overrides(args))
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.workers > 1 and len(config.seeds) > 1:
+    if args.workers > 1 and len(config.run.seeds) > 1:
         # Imported here: it pulls in logging, and no other command needs it.
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             futures = {
                 seed: pool.submit(_train_one_seed, config, seed, str(out_dir))
-                for seed in config.seeds
+                for seed in config.run.seeds
             }
             results = {seed: f.result() for seed, f in futures.items()}
     else:
         results = {
-            seed: _train_one_seed(config, seed, str(out_dir)) for seed in config.seeds
+            seed: _train_one_seed(config, seed, str(out_dir)) for seed in config.run.seeds
         }
-    for seed in config.seeds:
+    for seed in config.run.seeds:
         qtable_path, log_path, manifest_path = results[seed]
         print(f"seed {seed}: wrote {qtable_path}, {log_path}, {manifest_path}")
     return 0
@@ -172,7 +172,7 @@ def _evaluate_ref(ref: str, config: RunConfig, series) -> EvalReport:
         controller,
         series,
         config.battery,
-        initial_soc_level=config.initial_soc_level,
+        initial_soc_level=config.run.initial_soc_level,
         label=ref,
     )
 
@@ -236,13 +236,13 @@ def cmd_compare(args) -> int:
             config.battery,
             config.tariff,
             [
-                replace(config, encoding_kind=kind).encoder_for(series)
+                config.encoder_for(series, kind)
                 for kind in EncodingKind
                 if series.has_wind or kind is not EncodingKind.HOUR_SOC_LOAD_PV_WIND
             ],
-            replace(config.hyperparams, rng_seed=config.seeds[0]),
+            replace(config.hyperparams, rng_seed=config.run.seeds[0]),
             penalties=config.penalties,
-            initial_soc_level=config.initial_soc_level,
+            initial_soc_level=config.run.initial_soc_level,
         )
     else:
         if len(args.refs) < 2:

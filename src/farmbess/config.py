@@ -14,7 +14,7 @@ import json
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -61,6 +61,9 @@ class _Run:
     output_dir: str = "out"
     seeds: tuple[int, ...] = (0,)
     initial_soc_level: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 # Section name -> the dataclass whose fields are its keys.
@@ -126,20 +129,15 @@ def _type_hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _section(cls, value, where: str, skip: tuple[str, ...] = ()) -> dict:
-    """A config section checked against the fields of `cls` (minus `skip`):
-    its keys must be field names and its values must fit their types."""
+def _build(cls, value, where: str, skip: tuple[str, ...] = ()):
+    """An instance of `cls` from a config section checked against its fields
+    (minus `skip`): the keys must be field names and the values must fit
+    their types."""
     section = _require_mapping(value, where)
     _check_keys(section, [f.name for f in fields(cls) if f.name not in skip], where)
     hints = _type_hints(cls)
     for key, item in section.items():
         _check_type(item, hints[key], f"{where}.{key}")
-    return section
-
-
-def _build(cls, value, where: str, skip: tuple[str, ...] = ()):
-    """An instance of `cls` from a checked config section."""
-    section = _section(cls, value, where, skip)
     try:
         return cls(**section)
     except ValueError as exc:
@@ -162,41 +160,55 @@ def _with_overrides(raw: dict, overrides: dict) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one experiment batch."""
+    """Validated configuration for one experiment batch: each section of
+    `_SECTIONS` as built, and the synthetic profile (None with a
+    `dataset.path`)."""
 
-    dataset_path: str | None
-    synthetic: SyntheticProfileConfig | None
-    include_wind: bool
+    dataset: _Dataset
     tariff: TariffSchedule
     battery: BatterySpec
     hyperparams: Hyperparams
-    encoding_kind: EncodingKind
-    bin_counts: tuple[int, int, int]
-    bin_maxes: tuple[float | None, float | None, float | None]
-    percentile: float
+    encoding: _Encoding
     penalties: PenaltyTable
-    output_dir: str
-    seeds: tuple[int, ...]
-    initial_soc_level: int
-    resolved: dict = field(compare=False, repr=False, default_factory=dict)
+    run: _Run
+    synthetic: SyntheticProfileConfig | None
+
+    @property
+    def initial_soc_level(self) -> int:
+        # bench/run.py reads this name; the package reads run.initial_soc_level.
+        return self.run.initial_soc_level
+
+    @property
+    def resolved(self) -> dict:
+        """Every setting, defaults included, as JSON data: a manifest's
+        `config`, and what `digest` hashes."""
+        resolved = {name: asdict(getattr(self, name)) for name in _SECTIONS}
+        resolved["dataset"]["synthetic"] = asdict(self.synthetic) if self.synthetic else None
+        resolved["tariff"] = {
+            k: sorted(v) if isinstance(v, frozenset) else v for k, v in resolved["tariff"].items()
+        }
+        return resolved
 
     def load_series(self) -> HourlySeries:
-        if self.dataset_path is not None:
-            series = load_csv(self.dataset_path, tariff=self.tariff)
+        if self.dataset.path is not None:
+            series = load_csv(self.dataset.path, tariff=self.tariff)
         else:
             series = generate_synthetic(self.synthetic, self.tariff)
-        if not self.include_wind and series.has_wind:
+        if not self.dataset.include_wind and series.has_wind:
             series = series.without_wind()
         return series
 
-    def encoder_for(self, series: HourlySeries) -> StateEncoder:
+    def encoder_for(self, series: HourlySeries, kind: EncodingKind | None = None) -> StateEncoder:
+        """The configured encoder fitted to `series`, of `kind` when given
+        and else of `encoding.kind`."""
+        encoding = self.encoding
         return StateEncoder.for_series(
-            self.encoding_kind,
+            EncodingKind(kind or encoding.kind),
             series,
             self.battery,
-            bin_counts=self.bin_counts,
-            bin_maxes=self.bin_maxes,
-            percentile=self.percentile,
+            bin_counts=(encoding.load_bins, encoding.pv_bins, encoding.wind_bins),
+            bin_maxes=(encoding.load_bin_max, encoding.pv_bin_max, encoding.wind_bin_max),
+            percentile=float(encoding.percentile),
         )
 
     def digest(self) -> str:
@@ -231,7 +243,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    # PyYAML raises a plain ValueError for an integer too long to convert.
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid YAML{_yaml_problem(exc)}") from None
     raw = _require_mapping(raw, str(path))
     return _validate(_with_overrides(raw, overrides or {}), str(path))
@@ -239,23 +252,21 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
 
 def _validate(raw: dict, where: str) -> RunConfig:
     _check_keys(raw, _SECTIONS, where)
-    dataset = _build(_Dataset, raw.get("dataset"), "dataset")
+    # Training seeds come from run.seeds, so rng_seed is not a key.
+    sections = {
+        name: _build(cls, raw.get(name), name, ("rng_seed",) if cls is Hyperparams else ())
+        for name, cls in _SECTIONS.items()
+    }
+    dataset, encoding, run = sections["dataset"], sections["encoding"], sections["run"]
     if dataset.path is not None and dataset.synthetic is not None:
         raise ConfigError("dataset.path and dataset.synthetic are mutually exclusive")
     synthetic = None
     if dataset.path is None:
         synthetic = _build(SyntheticProfileConfig, dataset.synthetic, "dataset.synthetic")
-    tariff = _build(TariffSchedule, raw.get("tariff"), "tariff")
-    battery = _build(BatterySpec, raw.get("battery"), "battery")
-    # Training seeds come from run.seeds, so rng_seed is not a key.
-    hyperparams = _build(Hyperparams, raw.get("hyperparams"), "hyperparams", skip=("rng_seed",))
 
-    encoding = _build(_Encoding, raw.get("encoding"), "encoding")
-    try:
-        kind = EncodingKind(encoding.kind)
-    except ValueError:
-        valid = ", ".join(k.value for k in EncodingKind)
-        raise ConfigError(f"encoding.kind must be one of: {valid}") from None
+    kinds = [k.value for k in EncodingKind]
+    if encoding.kind not in kinds:
+        raise ConfigError(f"encoding.kind must be one of: {', '.join(kinds)}")
     if not 0 <= encoding.percentile <= 100:
         raise ConfigError(f"encoding.percentile must be in [0, 100], got {encoding.percentile}")
     for column in ("load", "pv", "wind"):
@@ -266,10 +277,6 @@ def _validate(raw: dict, where: str) -> RunConfig:
         if bin_max is not None and not bin_max > 0:
             raise ConfigError(f"encoding.{column}_bin_max must be > 0, got {bin_max}")
 
-    pen_section = _section(PenaltyTable, raw.get("penalties"), "penalties")
-    penalties = PenaltyTable(**{k: float(v) for k, v in pen_section.items()})
-
-    run = _build(_Run, raw.get("run"), "run")
     if not run.seeds:
         raise ConfigError("run.seeds must be a non-empty list of integers")
     # random.Random(-s) draws the stream of Random(s), so a negative seed
@@ -278,36 +285,7 @@ def _validate(raw: dict, where: str) -> RunConfig:
         raise ConfigError(
             f"run.seeds must be distinct integers >= 0, got {list(run.seeds)}"
         )
-    if not 0 <= run.initial_soc_level < battery.soc_levels:
-        raise ConfigError(
-            f"run.initial_soc_level must be in 0..{battery.soc_levels - 1}"
-        )
-
-    resolved = {
-        "dataset": {**asdict(dataset), "synthetic": asdict(synthetic) if synthetic else None},
-        "tariff": {
-            k: sorted(v) if isinstance(v, frozenset) else v for k, v in asdict(tariff).items()
-        },
-        "battery": asdict(battery),
-        "hyperparams": asdict(hyperparams),
-        "encoding": asdict(encoding),
-        "penalties": asdict(penalties),
-        "run": asdict(run),
-    }
-    return RunConfig(
-        dataset_path=dataset.path,
-        synthetic=synthetic,
-        include_wind=dataset.include_wind,
-        tariff=tariff,
-        battery=battery,
-        hyperparams=hyperparams,
-        encoding_kind=kind,
-        bin_counts=(encoding.load_bins, encoding.pv_bins, encoding.wind_bins),
-        bin_maxes=(encoding.load_bin_max, encoding.pv_bin_max, encoding.wind_bin_max),
-        percentile=float(encoding.percentile),
-        penalties=penalties,
-        output_dir=run.output_dir,
-        seeds=tuple(run.seeds),
-        initial_soc_level=run.initial_soc_level,
-        resolved=resolved,
-    )
+    soc_levels = sections["battery"].soc_levels
+    if not 0 <= run.initial_soc_level < soc_levels:
+        raise ConfigError(f"run.initial_soc_level must be in 0..{soc_levels - 1}")
+    return RunConfig(**sections, synthetic=synthetic)

@@ -540,6 +540,22 @@ def test_load_rejects_bad_bin_specs(tmp_path, synthetic_week, field, value):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("decay", b"NaN"), ("floor", b"NaN"), ("total_episodes", b"2.5"),
+     ("steps_per_episode", b"true"), ("rng_seed", b"1.0"), ("soc_reset_low", b'"1"')],
+)
+def test_load_rejects_bad_hyperparams(tmp_path, toy_problem, toy_encoder, field, value):
+    path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)
+    data = json.loads(header)
+    data["hyperparams"][field] = "VALUE"
+    header = json.dumps(data, sort_keys=True).encode().replace(b'"VALUE"', value)
+    path.write_bytes(header + b"\n" + payload)
+    with pytest.raises(QTableFormatError, match=f"{path.name}: bad header \\({field} ") as info:
+        load_qtable(path)
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("header", [b"[1]", b'"x"', b"5", b"null"])
 def test_load_rejects_header_that_is_not_an_object(tmp_path, header):
     path = tmp_path / "t.qt"

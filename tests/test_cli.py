@@ -23,10 +23,11 @@ from farmbess import (
     SyntheticProfileConfig,
     TariffSchedule,
     cli,
+    generate_synthetic,
 )
 from farmbess.agent import load_qtable, save_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
-from farmbess.config import _SECTIONS, ConfigError, load_config
+from farmbess.config import _SECTIONS, ConfigError, RunConfig, load_config
 from farmbess.encoding import BinSpec
 from farmbess.evaluation import qtable_controller, rollout
 
@@ -70,8 +71,10 @@ def test_config_defaults(tmp_path):
     config = load_config(path)
     assert config.battery.capacity_kwh == 13.5
     assert config.hyperparams.total_episodes == 1_000_000
-    assert config.encoding_kind.value == "hour-soc"
-    assert config.seeds == (0,)
+    assert config.encoding.kind == "hour-soc"
+    assert config.run.seeds == (0,)
+    assert {f.name for f in fields(RunConfig)} == set(_SECTIONS) | {"synthetic"}
+    assert config.synthetic == SyntheticProfileConfig()
 
 
 def test_config_path_and_synthetic_are_exclusive(tmp_path):
@@ -113,6 +116,28 @@ def test_config_digest_is_pinned(tmp_path, tariff):
     else:
         config = load_config(_config(tmp_path, f"dataset:\n  synthetic: {{}}\ntariff:\n{tariff}"))
     assert config.digest() == TARIFF_CONFIG_DIGESTS[tariff]
+
+
+# Integers in float keys and the run's seeds: penalty rows are stored as
+# floats, every other key as the file gives it.
+INT_VALUED_CONFIG = """
+dataset:
+  synthetic: {days: 3, rng_seed: 2}
+  include_wind: false
+penalties: {charge_full: -9, discharge_empty: 0}
+encoding: {percentile: 95, load_bins: 3, load_bin_max: 7}
+battery: {capacity_kwh: 20, soc_levels: 21}
+hyperparams: {decay: 0, total_episodes: 5}
+run: {seeds: [3, 1], initial_soc_level: 2}
+tariff: {peak_rate: 1}
+"""
+
+
+def test_config_digest_of_int_valued_keys_is_pinned(tmp_path):
+    config = load_config(_config(tmp_path, INT_VALUED_CONFIG))
+    assert config.penalties.charge_full == -9.0 and type(config.penalties.charge_full) is float
+    assert config.run.seeds == (3, 1)
+    assert config.digest() == "4de0aed6ea8fa8daaf122c897a0cbdc70fc2b652d7ed99d19e5ef8170b08699d"
 
 
 def test_config_custom_tariff_hours(tmp_path):
@@ -174,30 +199,10 @@ NON_DEFAULT_KEYS = {
     "run": {"output_dir": "elsewhere", "seeds": (3, 1), "initial_soc_level": 2},
 }
 
-# Where a run reads the keys of the sections that build no program object.
-RUN_CONFIG_READS = {
-    "dataset.path": lambda c: c.dataset_path,
-    "dataset.include_wind": lambda c: c.include_wind,
-    "encoding.kind": lambda c: c.encoding_kind.value,
-    "encoding.load_bins": lambda c: c.bin_counts[0],
-    "encoding.pv_bins": lambda c: c.bin_counts[1],
-    "encoding.wind_bins": lambda c: c.bin_counts[2],
-    "encoding.load_bin_max": lambda c: c.bin_maxes[0],
-    "encoding.pv_bin_max": lambda c: c.bin_maxes[1],
-    "encoding.wind_bin_max": lambda c: c.bin_maxes[2],
-    "encoding.percentile": lambda c: c.percentile,
-    "run.output_dir": lambda c: c.output_dir,
-    "run.seeds": lambda c: c.seeds,
-    "run.initial_soc_level": lambda c: c.initial_soc_level,
-}
-
-
 def _read_back(config, section, key):
     if section == "dataset.synthetic":
         return getattr(config.synthetic, key)
-    if section in ("tariff", "battery", "hyperparams", "penalties"):
-        return getattr(getattr(config, section), key)
-    return RUN_CONFIG_READS[f"{section}.{key}"](config)
+    return getattr(getattr(config, section), key)
 
 
 def test_every_config_key_reaches_its_object(tmp_path):
@@ -222,6 +227,13 @@ def test_every_config_key_reaches_its_object(tmp_path):
     for section, values in NON_DEFAULT_KEYS.items():
         for key, value in values.items():
             assert _read_back(config, section, key) == value, f"{section}.{key}"
+    # The encoder a run builds carries the encoding keys.
+    encoder = config.encoder_for(generate_synthetic(config.synthetic, config.tariff))
+    assert encoder.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND
+    assert encoder.soc_levels == 21
+    assert [encoder.load_bins, encoder.pv_bins, encoder.wind_bins] == [
+        BinSpec(3, 30.0), BinSpec(4, 25.0), BinSpec(6, 9.0)
+    ]
 
     path = _config(tmp_path, "dataset:\n  path: farm.csv\n", name="path.yaml")
     assert _read_back(load_config(path), "dataset", "path") == "farm.csv"
@@ -506,7 +518,7 @@ def test_evaluate_uses_the_tables_own_bin_maxes(tmp_path):
     ref = f"qtable:{path}"
     assert main(["evaluate", "--config", str(other), ref]) == 0
     expected = rollout(qtable_controller(table, config.battery), series, config.battery,
-                       initial_soc_level=config.initial_soc_level, label=ref)
+                       initial_soc_level=config.run.initial_soc_level, label=ref)
     written = json.loads((out / "eval_qtable-qtable_seed7.json").read_text())
     assert written == json.loads(json.dumps(expected.to_json_dict()))
 
@@ -681,6 +693,17 @@ def test_bad_config_value_is_one_line_naming_the_key(tmp_path, capsys, section, 
     assert f"{section}.{key}" in err
 
 
+def test_soc_levels_too_large_for_a_float_is_one_line(tmp_path, capsys):
+    config = _config(tmp_path, "dataset:\n  synthetic:\n    days: 1\n"
+                               "battery:\n  soc_levels: 1" + "0" * 400 + "\n")
+    code = main(["evaluate", "--config", str(config), "baseline:no-battery",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: battery: soc_levels must be at most")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -689,10 +712,22 @@ def test_bad_config_value_is_one_line_naming_the_key(tmp_path, capsys, section, 
         ("\ta: 1\n", " at line 1, column 1: found character '\\t'"),
         # a reader error has no mark: its first line stands for it
         ("a: \x00\n", ": unacceptable character #x0000"),
+        # a file that is not UTF-8 cannot be YAML
+        ("a: \xa3\n".encode("latin-1"), ": 'utf-8' codec can't decode byte 0xa3"),
+        # an integer too long to convert is a plain ValueError
+        pytest.param(
+            "battery:\n  capacity_kwh: " + "1" * 5001 + "\n", ": Exceeds the limit",
+            id="int-over-digit-limit",
+            marks=pytest.mark.skipif(
+                not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                reason="no limit on the digits of an integer string",
+            ),
+        ),
     ],
 )
 def test_invalid_yaml_is_one_line_naming_the_file(tmp_path, capsys, text, where):
-    config = _config(tmp_path, text)
+    config = tmp_path / "run.yaml"
+    config.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     code = main(["evaluate", "--config", str(config), "baseline:no-battery"])
     err = capsys.readouterr().err
     assert code == 2
