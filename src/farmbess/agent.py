@@ -6,13 +6,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .battery import Action, BatterySpec, PenaltyTable, transition
-from .encoding import BinSpec, EncodingKind, StateEncoder, soc_level_energy
+from .encoding import StateEncoder, soc_level_energy
 from .ioutil import atomic_write_bytes, atomic_write_chunks
 from .timeseries import HourlySeries, TariffSchedule
 
@@ -49,10 +49,6 @@ class Hyperparams:
     soc_reset_low: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("total_episodes", "steps_per_episode", "rng_seed", "soc_reset_low"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
         if not 0 < self.learning_rate_init <= 1:
             raise ValueError("learning_rate_init must be in (0, 1]")
         if not 0 <= self.epsilon_init <= 1:
@@ -282,22 +278,6 @@ def train(
     return table, log
 
 
-def _bins_from_json(name: str, data: dict | None) -> BinSpec | None:
-    if data is None:
-        return None
-    try:
-        return BinSpec(**data)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _encoder_from_json(data: dict) -> StateEncoder:
-    bins = {
-        name: _bins_from_json(name, data[name]) for name in ("load_bins", "pv_bins", "wind_bins")
-    }
-    return StateEncoder(kind=EncodingKind(data["kind"]), soc_levels=data["soc_levels"], **bins)
-
-
 def save_qtable(q: QTable, path: str | Path) -> None:
     """Write a Q-table as a one-line JSON header followed by raw row-major
     little-endian float64 values. The format is versioned and deterministic:
@@ -320,6 +300,9 @@ def save_qtable(q: QTable, path: str | Path) -> None:
 def load_qtable(path: str | Path) -> QTable:
     """Read a Q-table written by save_qtable, with the encoding it was
     trained under."""
+    # Imported here: config imports this module.
+    from .config import _build
+
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
@@ -337,10 +320,14 @@ def load_qtable(path: str | Path) -> QTable:
             f"(this build reads version {QTABLE_FORMAT_VERSION})"
         )
     try:
-        encoder = _encoder_from_json(header["encoding"])
+        encoder = _build(StateEncoder, header["encoding"], "encoding")
+        # save_qtable writes every field, so none may take its default.
+        missing = [f.name for f in fields(StateEncoder) if f.name not in header["encoding"]]
+        if missing:
+            raise ValueError(f"encoding.{missing[0]} is missing")
         shape = tuple(header["shape"])
         hp = header.get("hyperparams")
-        hyperparams = Hyperparams(**hp) if hp else None
+        hyperparams = None if hp is None else _build(Hyperparams, hp, "hyperparams")
     except (KeyError, TypeError, ValueError) as exc:
         raise QTableFormatError(f"{path}: bad header ({exc})") from None
     expected_shape = (encoder.size(), len(Action))

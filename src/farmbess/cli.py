@@ -62,7 +62,7 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config, _overrides(args))
     out = Path(args.out) if args.out else _output_dir(config, None) / "synthetic.csv"
     refuse_directory(out)
-    series = generate_synthetic(config.synthetic or SyntheticProfileConfig(), config.tariff)
+    series = generate_synthetic(config.dataset.synthetic or SyntheticProfileConfig(), config.tariff)
     if not config.dataset.include_wind:
         series = series.without_wind()
     write_csv(series, out)
@@ -117,7 +117,9 @@ def cmd_train(args) -> int:
         # Imported here: it pulls in logging, and no other command needs it.
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # The pool may start all its workers at the first submit: no more than the seeds.
+        workers = min(args.workers, len(config.run.seeds))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 seed: pool.submit(_train_one_seed, config, seed, str(out_dir))
                 for seed in config.run.seeds

@@ -8,6 +8,7 @@ where the file is read, with a one-line `ConfigError` naming `section.key`.
 
 from __future__ import annotations
 
+import enum
 import functools
 import hashlib
 import json
@@ -40,8 +41,14 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class _Dataset:
     path: str | None = None
-    synthetic: dict | None = None
+    synthetic: SyntheticProfileConfig | None = None
     include_wind: bool = True
+
+    def __post_init__(self) -> None:
+        # With neither a path nor a profile, the dataset is a default
+        # synthetic year.
+        if self.path is None and self.synthetic is None:
+            object.__setattr__(self, "synthetic", SyntheticProfileConfig())
 
 
 @dataclass(frozen=True)
@@ -77,15 +84,12 @@ _SECTIONS = {
     "run": _Run,
 }
 
-# Config file read when no path is given: a default synthetic year.
-_DEFAULT_CONFIG = {"dataset": {"synthetic": {}}}
-
 
 def _require_mapping(value, where: str) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping")
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
     return value
 
 
@@ -95,19 +99,16 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
-def _check_type(value, hint, name: str) -> None:
-    """Reject a value that does not fit a dataclass field's type hint."""
+def _check_type(value, hint, name: str):
+    """The value a dataclass field typed `hint` holds for `value`: `value`
+    itself once it fits the type, an enum member from its value, or a
+    dataclass built from its mapping."""
     options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     if value is None and type(None) in options:
-        return
+        return None
     kind = options[0]
     is_int = isinstance(value, int) and not isinstance(value, bool)
-    if typing.get_origin(kind) in (tuple, frozenset):
-        ok = isinstance(value, (list, tuple)) and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        )
-        expected = "a list of integers"
-    elif kind is bool:
+    if kind is bool:
         ok, expected = isinstance(value, bool), "a boolean"
     elif kind is int:
         ok, expected = is_int, "an integer"
@@ -117,30 +118,39 @@ def _check_type(value, hint, name: str) -> None:
         expected = "a finite number"
     elif kind is str:
         ok, expected = isinstance(value, str), "a string"
+    elif typing.get_origin(kind) in (tuple, frozenset):
+        ok = isinstance(value, (list, tuple)) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value
+        )
+        expected = "a list of integers"
+    elif isinstance(kind, enum.EnumMeta):
+        values = [member.value for member in kind]
+        ok, expected = value in values, f"one of: {', '.join(values)}"
     else:
-        ok, expected = isinstance(value, dict), "a mapping"
+        return _build(kind, value, name)
     if not ok:
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return kind(value) if isinstance(kind, enum.EnumMeta) else value
 
 
 @functools.cache
 def _type_hints(cls) -> dict:
-    """`typing.get_type_hints` of a section class, resolved once per process."""
+    """`typing.get_type_hints` of a dataclass, resolved once per process."""
     return typing.get_type_hints(cls)
 
 
 def _build(cls, value, where: str, skip: tuple[str, ...] = ()):
-    """An instance of `cls` from a config section checked against its fields
-    (minus `skip`): the keys must be field names and the values must fit
-    their types."""
+    """An instance of `cls` from a mapping checked against its fields (minus
+    `skip`): the keys must be field names and the values must fit their
+    types. Errors name the field by its dotted path under `where`."""
     section = _require_mapping(value, where)
     _check_keys(section, [f.name for f in fields(cls) if f.name not in skip], where)
     hints = _type_hints(cls)
-    for key, item in section.items():
-        _check_type(item, hints[key], f"{where}.{key}")
+    section = {k: _check_type(v, hints[k], f"{where}.{k}") for k, v in section.items()}
     try:
         return cls(**section)
-    except ValueError as exc:
+    # A TypeError is a field without a default left out.
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -161,8 +171,7 @@ def _with_overrides(raw: dict, overrides: dict) -> dict:
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration for one experiment batch: each section of
-    `_SECTIONS` as built, and the synthetic profile (None with a
-    `dataset.path`)."""
+    `_SECTIONS` as built."""
 
     dataset: _Dataset
     tariff: TariffSchedule
@@ -171,7 +180,6 @@ class RunConfig:
     encoding: _Encoding
     penalties: PenaltyTable
     run: _Run
-    synthetic: SyntheticProfileConfig | None
 
     @property
     def initial_soc_level(self) -> int:
@@ -179,11 +187,15 @@ class RunConfig:
         return self.run.initial_soc_level
 
     @property
+    def synthetic(self) -> SyntheticProfileConfig | None:
+        # bench/run.py reads this name; the package reads dataset.synthetic.
+        return self.dataset.synthetic
+
+    @property
     def resolved(self) -> dict:
         """Every setting, defaults included, as JSON data: a manifest's
         `config`, and what `digest` hashes."""
         resolved = {name: asdict(getattr(self, name)) for name in _SECTIONS}
-        resolved["dataset"]["synthetic"] = asdict(self.synthetic) if self.synthetic else None
         resolved["tariff"] = {
             k: sorted(v) if isinstance(v, frozenset) else v for k, v in resolved["tariff"].items()
         }
@@ -193,7 +205,7 @@ class RunConfig:
         if self.dataset.path is not None:
             series = load_csv(self.dataset.path, tariff=self.tariff)
         else:
-            series = generate_synthetic(self.synthetic, self.tariff)
+            series = generate_synthetic(self.dataset.synthetic, self.tariff)
         if not self.dataset.include_wind and series.has_wind:
             series = series.without_wind()
         return series
@@ -237,7 +249,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     (used for command-line flags).
     """
     if path is None:
-        return _validate(_with_overrides(_DEFAULT_CONFIG, overrides or {}), "config")
+        return _validate(_with_overrides({}, overrides or {}), "config")
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -260,9 +272,6 @@ def _validate(raw: dict, where: str) -> RunConfig:
     dataset, encoding, run = sections["dataset"], sections["encoding"], sections["run"]
     if dataset.path is not None and dataset.synthetic is not None:
         raise ConfigError("dataset.path and dataset.synthetic are mutually exclusive")
-    synthetic = None
-    if dataset.path is None:
-        synthetic = _build(SyntheticProfileConfig, dataset.synthetic, "dataset.synthetic")
 
     kinds = [k.value for k in EncodingKind]
     if encoding.kind not in kinds:
@@ -288,4 +297,4 @@ def _validate(raw: dict, where: str) -> RunConfig:
     soc_levels = sections["battery"].soc_levels
     if not 0 <= run.initial_soc_level < soc_levels:
         raise ConfigError(f"run.initial_soc_level must be in 0..{soc_levels - 1}")
-    return RunConfig(**sections, synthetic=synthetic)
+    return RunConfig(**sections)

@@ -40,15 +40,11 @@ class BinSpec:
     max_value: float
 
     def __post_init__(self) -> None:
-        count, top = self.bin_count, self.max_value
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError(f"bin_count must be an integer >= 1, got {count!r}")
-        if (
-            isinstance(top, bool)
-            or not isinstance(top, (int, float))
-            or not 0 < top <= sys.float_info.max
-        ):
-            raise ValueError(f"max_value must be a finite number > 0, got {top!r}")
+        if self.bin_count < 1:
+            raise ValueError(f"bin_count must be >= 1, got {self.bin_count!r}")
+        # Written so that NaN fails it.
+        if not 0 < self.max_value <= sys.float_info.max:
+            raise ValueError(f"max_value must be a finite number > 0, got {self.max_value!r}")
 
 
 def _floor_bin(x: float) -> int:
@@ -121,9 +117,8 @@ class StateEncoder:
     wind_bins: BinSpec | None = None
 
     def __post_init__(self) -> None:
-        levels = self.soc_levels
-        if isinstance(levels, bool) or not isinstance(levels, int) or levels < 2:
-            raise ValueError(f"soc_levels must be an integer >= 2, got {levels!r}")
+        if self.soc_levels < 2:
+            raise ValueError(f"soc_levels must be >= 2, got {self.soc_levels!r}")
         missing = [f"{c}_bins" for c, spec in self._binned() if spec is None]
         if missing:
             raise ValueError(f"{self.kind.value} encoding requires {' and '.join(missing)}")

@@ -510,7 +510,7 @@ def test_load_rejects_non_finite_values(tmp_path, toy_problem, toy_encoder):
         load_qtable(path)
 
 
-@pytest.mark.parametrize("value", [b"-1", b'"11"', b"2.5", b"true", b"1"])
+@pytest.mark.parametrize("value", [b"-1", b'"11"', b"2.5", b"true", b"1", b"null"])
 def test_load_rejects_bad_soc_levels(tmp_path, toy_problem, toy_encoder, value):
     path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)
     assert header.count(b'"soc_levels": 11') == 1
@@ -523,8 +523,9 @@ def test_load_rejects_bad_soc_levels(tmp_path, toy_problem, toy_encoder, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("bin_count", b"true"), ("bin_count", b"2.5"), ("bin_count", b'"5"'),
-     ("max_value", b'"20"'), ("max_value", b"Infinity")],
+    [("bin_count", b"true"), ("bin_count", b"2.5"), ("bin_count", b'"5"'), ("bin_count", b"0"),
+     ("max_value", b'"20"'), ("max_value", b"Infinity"), ("max_value", b"true"),
+     ("max_value", b"NaN"), ("max_value", b"0")],
 )
 def test_load_rejects_bad_bin_specs(tmp_path, synthetic_week, field, value):
     encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV, synthetic_week, BatterySpec())
@@ -535,7 +536,10 @@ def test_load_rejects_bad_bin_specs(tmp_path, synthetic_week, field, value):
     data["encoding"]["pv_bins"][field] = "VALUE"
     header = json.dumps(data, sort_keys=True).encode().replace(b'"VALUE"', value)
     path.write_bytes(header + b"\n" + payload)
-    with pytest.raises(QTableFormatError, match=f"{path.name}.*pv_bins: {field} must be") as info:
+    # A wrong type is refused by the field builder, a value out of range by
+    # the BinSpec it builds.
+    match = f"{path.name}: bad header \\(encoding\\.pv_bins(\\.|: ){field} must be"
+    with pytest.raises(QTableFormatError, match=match) as info:
         load_qtable(path)
     assert "\n" not in str(info.value)
 
@@ -543,7 +547,9 @@ def test_load_rejects_bad_bin_specs(tmp_path, synthetic_week, field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("decay", b"NaN"), ("floor", b"NaN"), ("total_episodes", b"2.5"),
-     ("steps_per_episode", b"true"), ("rng_seed", b"1.0"), ("soc_reset_low", b'"1"')],
+     ("steps_per_episode", b"true"), ("rng_seed", b"1.0"), ("soc_reset_low", b'"1"'),
+     ("learning_rate_init", b'"x"'), ("decay", b"true"), ("epsilon_init", b"[1]"),
+     ("discount_factor", b"NaN")],
 )
 def test_load_rejects_bad_hyperparams(tmp_path, toy_problem, toy_encoder, field, value):
     path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)
@@ -551,7 +557,30 @@ def test_load_rejects_bad_hyperparams(tmp_path, toy_problem, toy_encoder, field,
     data["hyperparams"][field] = "VALUE"
     header = json.dumps(data, sort_keys=True).encode().replace(b'"VALUE"', value)
     path.write_bytes(header + b"\n" + payload)
-    with pytest.raises(QTableFormatError, match=f"{path.name}: bad header \\({field} ") as info:
+    match = f"{path.name}: bad header \\(hyperparams\\.{field} must be"
+    with pytest.raises(QTableFormatError, match=match) as info:
+        load_qtable(path)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "where", ["kind", "soc_levels", "load_bins", "pv_bins", "wind_bins", "pv_bins.max_value"]
+)
+def test_load_rejects_an_encoding_field_left_out(tmp_path, synthetic_week, where):
+    """save_qtable writes every encoding field, so one left out is refused by
+    name rather than given its default."""
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV, synthetic_week, BatterySpec())
+    path = tmp_path / "t.qt"
+    save_qtable(QTable(np.zeros((encoder.size(), 3)), encoder), path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    data = json.loads(header)
+    *parents, name = where.split(".")
+    node = data["encoding"]
+    for parent in parents:
+        node = node[parent]
+    del node[name]
+    path.write_bytes(json.dumps(data).encode() + b"\n" + payload)
+    with pytest.raises(QTableFormatError, match=f"{path.name}: bad header .*{name}") as info:
         load_qtable(path)
     assert "\n" not in str(info.value)
 

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
 import errno
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, seed, settings, strategies as st
 
 from farmbess import (
     EncodingKind,
@@ -73,8 +80,12 @@ def test_config_defaults(tmp_path):
     assert config.hyperparams.total_episodes == 1_000_000
     assert config.encoding.kind == "hour-soc"
     assert config.run.seeds == (0,)
-    assert {f.name for f in fields(RunConfig)} == set(_SECTIONS) | {"synthetic"}
-    assert config.synthetic == SyntheticProfileConfig()
+    assert {f.name for f in fields(RunConfig)} == set(_SECTIONS)
+    assert config.dataset.synthetic == SyntheticProfileConfig()
+    assert hash(config) == hash(load_config(path))
+    # The default config is the same default synthetic year; bench/run.py
+    # reads its profile as `synthetic`.
+    assert load_config(None).synthetic == SyntheticProfileConfig()
 
 
 def test_config_path_and_synthetic_are_exclusive(tmp_path):
@@ -200,9 +211,7 @@ NON_DEFAULT_KEYS = {
 }
 
 def _read_back(config, section, key):
-    if section == "dataset.synthetic":
-        return getattr(config.synthetic, key)
-    return getattr(getattr(config, section), key)
+    return getattr(functools.reduce(getattr, section.split("."), config), key)
 
 
 def test_every_config_key_reaches_its_object(tmp_path):
@@ -228,7 +237,7 @@ def test_every_config_key_reaches_its_object(tmp_path):
         for key, value in values.items():
             assert _read_back(config, section, key) == value, f"{section}.{key}"
     # The encoder a run builds carries the encoding keys.
-    encoder = config.encoder_for(generate_synthetic(config.synthetic, config.tariff))
+    encoder = config.encoder_for(generate_synthetic(config.dataset.synthetic, config.tariff))
     assert encoder.kind is EncodingKind.HOUR_SOC_LOAD_PV_WIND
     assert encoder.soc_levels == 21
     assert [encoder.load_bins, encoder.pv_bins, encoder.wind_bins] == [
@@ -377,6 +386,35 @@ def test_train_worker_pool_matches_sequential(tmp_path):
     assert sorted(p.name for p in out_pool.iterdir()) == sorted(names)
     for name in names:
         assert (out_pool / name).read_bytes() == (out_seq / name).read_bytes(), name
+
+
+def test_train_starts_no_more_workers_than_seeds(tmp_path, monkeypatch):
+    """The pool may start every worker at its first submit, so `--workers`
+    above the seed count asks for one worker a seed."""
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    text = SMALL_SYNTH.replace("days: 4", "days: 2").replace("seeds: [7]", "seeds: [7, 8]")
+    config = _config(tmp_path, text.format(out=tmp_path / "out"))
+    assert main(["train", "--config", str(config), "--workers", "64"]) == 0
+    assert asked == [2]
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
@@ -748,7 +786,10 @@ def test_evaluate_qtable_with_bad_soc_levels_is_one_line(tmp_path, capsys, value
     code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: {path}: bad header (soc_levels must be an integer >= 2")
+    # A wrong type is refused by the field builder, a value below 2 by
+    # StateEncoder.
+    where = re.escape(f"error: {path}: bad header (encoding")
+    assert re.match(rf"{where}(\.|: )soc_levels must be", err)
     assert err.count("\n") == 1
 
 
@@ -775,8 +816,70 @@ def test_evaluate_qtable_with_bad_bin_spec_is_one_line(tmp_path, capsys, field, 
     code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith(f"error: {path}: bad header (load_bins: {field} must be")
+    assert err.startswith(f"error: {path}: bad header (encoding.load_bins.{field} must be")
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def saved_load_pv_table(tmp_path_factory):
+    """A config with the hour-soc-load-pv encoding, the header of a saved
+    table that matches it, and the table's payload."""
+    folder = tmp_path_factory.mktemp("header")
+    text = SMALL_SYNTH.format(out=folder / "out") + "encoding:\n  kind: hour-soc-load-pv\n"
+    config = _config(folder, text)
+    loaded = load_config(config)
+    encoder = loaded.encoder_for(loaded.load_series())
+    path = folder / "table.qt"
+    save_qtable(QTable(np.zeros((encoder.size(), 3)), encoder, loaded.hyperparams), path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    return config, json.loads(header), payload
+
+
+def _leaves(node, where=()):
+    """The key path of every value in a JSON document that is not an object
+    or an array."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*where, key))
+    else:
+        yield where
+
+
+# What a mutated header leaf becomes: JSON null, true, numbers (one too large
+# for a float, one NaN), a string, an empty array and an empty object.
+_LEAF_SWAPS = (None, True, -1, 0, 2.5, 10**400, float("nan"), "x", [], {})
+
+
+@seed(2403)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_evaluate_with_a_mutated_qtable_header_is_one_line(saved_load_pv_table, data):
+    """One header leaf deleted, swapped or given an unknown key beside it:
+    the table is used, or refused in one line that names the file."""
+    config, header, payload = saved_load_pv_table
+    header = copy.deepcopy(header)
+    *parents, key = data.draw(st.sampled_from(list(_leaves(header))))
+    node = functools.reduce(operator.getitem, parents, header)
+    mutation = data.draw(st.sampled_from(["delete", "unknown key", "swap"]))
+    if mutation == "delete":
+        del node[key]
+    elif mutation == "swap":
+        node[key] = data.draw(st.sampled_from(_LEAF_SWAPS))
+    elif isinstance(node, dict):
+        node["unknown"] = 0
+    else:
+        node.append(0)
+    path = config.parent / "mutated.qt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
 
 
 def _not_utf8_csv(tmp_path):

@@ -18,6 +18,7 @@ from farmbess import (
     soc_level_energy,
     value_bin,
 )
+from farmbess.config import _build
 
 POWERWALL = BatterySpec()  # 13.5 kWh, 11 levels
 
@@ -88,10 +89,11 @@ def test_value_bin_boundary_value_goes_up():
 
 
 def test_bin_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bin_count must be >= 1"):
         BinSpec(0, 1.0)
-    with pytest.raises(ValueError):
-        BinSpec(5, 0.0)
+    for top in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="^max_value must be a finite number > 0"):
+            BinSpec(5, top)
 
 
 @pytest.mark.parametrize(
@@ -107,8 +109,9 @@ def test_bin_spec_validation():
     ],
 )
 def test_bin_spec_rejects_values_of_the_wrong_type(count, top, field):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        BinSpec(count, top)
+    # Types are checked where a file is read, by the field builder.
+    with pytest.raises(ValueError, match=f"^load_bins\\.{field} must be"):
+        _build(BinSpec, {"bin_count": count, "max_value": top}, "load_bins")
 
 
 # ---------------------------------------------------------------- encode
@@ -312,8 +315,9 @@ def test_for_series_zero_field_falls_back(tariff):
 
 @pytest.mark.parametrize("levels", [-1, 1, 0, True, 2.5, "11", None])
 def test_encoder_rejects_bad_soc_levels(levels):
-    with pytest.raises(ValueError, match="soc_levels must be an integer >= 2"):
-        StateEncoder(kind=EncodingKind.HOUR_SOC, soc_levels=levels)
+    # The field builder refuses a wrong type, StateEncoder a value below 2.
+    with pytest.raises(ValueError, match="^encoding(\\.|: )soc_levels must be"):
+        _build(StateEncoder, {"kind": "hour-soc", "soc_levels": levels}, "encoding")
 
 
 @st.composite
