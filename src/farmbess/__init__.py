@@ -29,6 +29,7 @@ from .battery import (
 )
 from .encoding import (
     BinSpec,
+    EncodingConfig,
     EncodingKind,
     StateEncoder,
     soc_bin,

@@ -314,9 +314,10 @@ def load_qtable(path: str | Path) -> QTable:
     if not isinstance(header, dict) or header.get("format") != QTABLE_MAGIC:
         raise QTableFormatError(f"{path}: not a q-table file")
     version = header.get("format_version")
-    if version != QTABLE_FORMAT_VERSION:
+    # Checked by type as well: True and 1.0 compare equal to 1.
+    if type(version) is not int or version != QTABLE_FORMAT_VERSION:
         raise QTableFormatError(
-            f"{path}: format version {version} is not supported "
+            f"{path}: format version {version!r} is not supported "
             f"(this build reads version {QTABLE_FORMAT_VERSION})"
         )
     try:
@@ -330,6 +331,12 @@ def load_qtable(path: str | Path) -> QTable:
         hyperparams = None if hp is None else _build(Hyperparams, hp, "hyperparams")
     except (KeyError, TypeError, ValueError) as exc:
         raise QTableFormatError(f"{path}: bad header ({exc})") from None
+    # Compared as JSON text, so that 11.0 or true does not pass for an int.
+    dims = [list(d) for d in encoder.dims()]
+    if json.dumps(header.get("dims")) != json.dumps(dims):
+        raise QTableFormatError(
+            f"{path}: header dims {header.get('dims')!r} do not match the encoding's {dims}"
+        )
     expected_shape = (encoder.size(), len(Action))
     if shape != expected_shape:
         raise QTableFormatError(

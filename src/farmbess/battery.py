@@ -106,7 +106,8 @@ class EnergyFlows:
     """Per-hour energy accounting for one applied action.
 
     Satisfies load + battery_charge_in == renewables_used +
-    battery_discharge_out + grid_import (all in kWh over the hour).
+    battery_discharge_out + grid_import (all in kWh over the hour). The
+    fields are, in order, the first six items of `transition`'s result.
     """
 
     renewables_used_kwh: float
@@ -335,23 +336,8 @@ def apply_action(
     battery may accept this hour, used by controllers that charge from
     renewable surplus only.
     """
-    used, charged, discharged, grid_import, curtailed, next_energy, *_ = transition(
-        spec.limits,
-        energy_kwh,
-        load_kwh,
-        renewables_kwh,
-        0.0,  # the flows do not depend on the price
-        Tier.STANDARD,
-        action,
-        charge_cap,
-        _NO_SHAPING,
-    )
-    return EnergyFlows(
-        renewables_used_kwh=used,
-        battery_charge_in_kwh=charged,
-        battery_discharge_out_kwh=discharged,
-        grid_import_kwh=grid_import,
-        curtailed_kwh=curtailed,
-        next_energy_kwh=next_energy,
-    )
-
+    # The flows depend on neither the price nor the tier.
+    return EnergyFlows(*transition(
+        spec.limits, energy_kwh, load_kwh, renewables_kwh, 0.0, Tier.STANDARD, action,
+        charge_cap, _NO_SHAPING,
+    )[:6])

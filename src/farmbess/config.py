@@ -22,7 +22,7 @@ import yaml
 
 from .agent import Hyperparams
 from .battery import BatterySpec, PenaltyTable
-from .encoding import EncodingKind, StateEncoder
+from .encoding import EncodingConfig, EncodingKind, StateEncoder
 from .timeseries import (
     HourlySeries,
     SyntheticProfileConfig,
@@ -52,25 +52,10 @@ class _Dataset:
 
 
 @dataclass(frozen=True)
-class _Encoding:
-    kind: str = EncodingKind.HOUR_SOC.value
-    load_bins: int = 5
-    pv_bins: int = 5
-    wind_bins: int = 5
-    load_bin_max: float | None = None
-    pv_bin_max: float | None = None
-    wind_bin_max: float | None = None
-    percentile: float = 99.0
-
-
-@dataclass(frozen=True)
 class _Run:
     output_dir: str = "out"
     seeds: tuple[int, ...] = (0,)
     initial_soc_level: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 # Section name -> the dataclass whose fields are its keys.
@@ -79,7 +64,7 @@ _SECTIONS = {
     "tariff": TariffSchedule,
     "battery": BatterySpec,
     "hyperparams": Hyperparams,
-    "encoding": _Encoding,
+    "encoding": EncodingConfig,
     "penalties": PenaltyTable,
     "run": _Run,
 }
@@ -101,8 +86,9 @@ def _check_keys(section: dict, allowed, where: str) -> None:
 
 def _check_type(value, hint, name: str):
     """The value a dataclass field typed `hint` holds for `value`: `value`
-    itself once it fits the type, an enum member from its value, or a
-    dataclass built from its mapping."""
+    itself once it fits a bool, int, float or str type, the tuple or
+    frozenset of its items, an enum member from its value, or a dataclass
+    built from its mapping."""
     options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     if value is None and type(None) in options:
         return None
@@ -123,6 +109,7 @@ def _check_type(value, hint, name: str):
             isinstance(v, int) and not isinstance(v, bool) for v in value
         )
         expected = "a list of integers"
+        kind = typing.get_origin(kind)
     elif isinstance(kind, enum.EnumMeta):
         values = [member.value for member in kind]
         ok, expected = value in values, f"one of: {', '.join(values)}"
@@ -130,7 +117,7 @@ def _check_type(value, hint, name: str):
         return _build(kind, value, name)
     if not ok:
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
-    return kind(value) if isinstance(kind, enum.EnumMeta) else value
+    return value if kind in (bool, int, float, str) else kind(value)
 
 
 @functools.cache
@@ -168,6 +155,15 @@ def _with_overrides(raw: dict, overrides: dict) -> dict:
     return raw
 
 
+def _json_fields(pairs) -> dict:
+    """`asdict`'s dict of a dataclass's fields as JSON data: an enum as its
+    value, a frozenset as its sorted list."""
+    return {
+        k: v.value if isinstance(v, enum.Enum) else sorted(v) if isinstance(v, frozenset) else v
+        for k, v in pairs
+    }
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration for one experiment batch: each section of
@@ -177,7 +173,7 @@ class RunConfig:
     tariff: TariffSchedule
     battery: BatterySpec
     hyperparams: Hyperparams
-    encoding: _Encoding
+    encoding: EncodingConfig
     penalties: PenaltyTable
     run: _Run
 
@@ -195,11 +191,7 @@ class RunConfig:
     def resolved(self) -> dict:
         """Every setting, defaults included, as JSON data: a manifest's
         `config`, and what `digest` hashes."""
-        resolved = {name: asdict(getattr(self, name)) for name in _SECTIONS}
-        resolved["tariff"] = {
-            k: sorted(v) if isinstance(v, frozenset) else v for k, v in resolved["tariff"].items()
-        }
-        return resolved
+        return {name: asdict(getattr(self, name), dict_factory=_json_fields) for name in _SECTIONS}
 
     def load_series(self) -> HourlySeries:
         if self.dataset.path is not None:
@@ -213,15 +205,7 @@ class RunConfig:
     def encoder_for(self, series: HourlySeries, kind: EncodingKind | None = None) -> StateEncoder:
         """The configured encoder fitted to `series`, of `kind` when given
         and else of `encoding.kind`."""
-        encoding = self.encoding
-        return StateEncoder.for_series(
-            EncodingKind(kind or encoding.kind),
-            series,
-            self.battery,
-            bin_counts=(encoding.load_bins, encoding.pv_bins, encoding.wind_bins),
-            bin_maxes=(encoding.load_bin_max, encoding.pv_bin_max, encoding.wind_bin_max),
-            percentile=float(encoding.percentile),
-        )
+        return StateEncoder.for_series(kind or self.encoding.kind, series, self.battery, self.encoding)
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -273,9 +257,6 @@ def _validate(raw: dict, where: str) -> RunConfig:
     if dataset.path is not None and dataset.synthetic is not None:
         raise ConfigError("dataset.path and dataset.synthetic are mutually exclusive")
 
-    kinds = [k.value for k in EncodingKind]
-    if encoding.kind not in kinds:
-        raise ConfigError(f"encoding.kind must be one of: {', '.join(kinds)}")
     if not 0 <= encoding.percentile <= 100:
         raise ConfigError(f"encoding.percentile must be in [0, 100], got {encoding.percentile}")
     for column in ("load", "pv", "wind"):

@@ -32,6 +32,22 @@ _BINNED_COLUMNS = {
 
 
 @dataclass(frozen=True)
+class EncodingConfig:
+    """The `encoding` config section: the kind a run trains, and for each
+    column c in `_BINNED_COLUMNS` its bin count `c_bins` and bin max
+    `c_bin_max`. An unset max is the series' `percentile` of the column."""
+
+    kind: EncodingKind = EncodingKind.HOUR_SOC
+    load_bins: int = 5
+    pv_bins: int = 5
+    wind_bins: int = 5
+    load_bin_max: float | None = None
+    pv_bin_max: float | None = None
+    wind_bin_max: float | None = None
+    percentile: float = 99.0
+
+
+@dataclass(frozen=True)
 class BinSpec:
     """Uniform binning of a non-negative quantity; values >= max_value clamp
     into the top bin."""
@@ -181,25 +197,21 @@ class StateEncoder:
         kind: EncodingKind,
         series,
         battery_spec,
-        bin_counts: tuple[int, int, int] = (5, 5, 5),
-        bin_maxes: tuple[float | None, float | None, float | None] = (None, None, None),
-        percentile: float = 99.0,
+        config: EncodingConfig = EncodingConfig(),
     ) -> "StateEncoder":
-        """Build an encoder with bin ranges taken from the series.
-
-        `bin_counts` and `bin_maxes` hold the load, pv and wind values in that
-        order. Each unset max defaults to the series' given percentile of the
-        column (1.0 when the column is identically zero).
+        """Build an encoder of `kind` (`config.kind` is not read) binned as
+        `config` sets. An unset `c_bin_max` is the series'
+        `config.percentile` of column c, or 1.0 when the column is
+        identically zero.
         """
         bins = {}
         for c in _BINNED_COLUMNS[kind]:
             values = getattr(series, c)
             if values is None:
                 raise ValueError(f"{kind.value} encoding requires a series with a {c}_kwh column")
-            i = ("load", "pv", "wind").index(c)
-            top = bin_maxes[i]
+            top = getattr(config, f"{c}_bin_max")
             if top is None:
-                top = float(np.percentile(values, percentile))
+                top = float(np.percentile(values, config.percentile))
                 top = top if top > 0 else 1.0
-            bins[f"{c}_bins"] = BinSpec(bin_counts[i], top)
+            bins[f"{c}_bins"] = BinSpec(getattr(config, f"{c}_bins"), top)
         return cls(kind=kind, soc_levels=battery_spec.soc_levels, **bins)

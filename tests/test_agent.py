@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 from farmbess import (
     Action,
     BatterySpec,
+    EncodingConfig,
     EncodingKind,
     Hyperparams,
     PenaltyTable,
@@ -359,7 +360,9 @@ def test_train_matches_public_op_composition_per_encoding(kind, synthetic_week, 
     problem = (synthetic_week, BatterySpec(), tariff, PenaltyTable())
     # The synthetic wind stays within 5 % of its mean: with 5 bins every hour
     # lands in the top one, with 20 the hours split between the top two.
-    encoder = StateEncoder.for_series(kind, synthetic_week, BatterySpec(), bin_counts=(5, 5, 20))
+    encoder = StateEncoder.for_series(
+        kind, synthetic_week, BatterySpec(), EncodingConfig(wind_bins=20)
+    )
     _assert_matches_reference(problem, Hyperparams(total_episodes=400, rng_seed=13), encoder)
 
 

@@ -9,13 +9,14 @@ import farmbess
 
 PUBLIC_API = [
     "Action", "BaselineKind", "BatterySpec", "BinSpec", "ComparisonReport",
-    "DataValidationError", "EncodingKind", "EnergyFlows", "EvalReport", "HourlySeries",
-    "Hyperparams", "PenaltyTable", "QTable", "StateEncoder", "SyntheticProfileConfig",
-    "TariffSchedule", "Tier", "TrainingLog", "ablation_run", "apply_action",
-    "baseline_controller", "baseline_decision", "compare", "day_return", "decayed",
-    "dp_oracle", "generate_synthetic", "greedy_action", "lattice_transition", "load_csv",
-    "load_qtable", "month_of_hour", "qtable_controller", "rollout", "save_qtable",
-    "soc_bin", "soc_level_energy", "train", "transition", "value_bin", "write_csv",
+    "DataValidationError", "EncodingConfig", "EncodingKind", "EnergyFlows", "EvalReport",
+    "HourlySeries", "Hyperparams", "PenaltyTable", "QTable", "StateEncoder",
+    "SyntheticProfileConfig", "TariffSchedule", "Tier", "TrainingLog", "ablation_run",
+    "apply_action", "baseline_controller", "baseline_decision", "compare", "day_return",
+    "decayed", "dp_oracle", "generate_synthetic", "greedy_action", "lattice_transition",
+    "load_csv", "load_qtable", "month_of_hour", "qtable_controller", "rollout",
+    "save_qtable", "soc_bin", "soc_level_energy", "train", "transition", "value_bin",
+    "write_csv",
 ]
 
 

@@ -78,7 +78,7 @@ def test_config_defaults(tmp_path):
     config = load_config(path)
     assert config.battery.capacity_kwh == 13.5
     assert config.hyperparams.total_episodes == 1_000_000
-    assert config.encoding.kind == "hour-soc"
+    assert config.encoding.kind is EncodingKind.HOUR_SOC
     assert config.run.seeds == (0,)
     assert {f.name for f in fields(RunConfig)} == set(_SECTIONS)
     assert config.dataset.synthetic == SyntheticProfileConfig()
@@ -199,7 +199,7 @@ NON_DEFAULT_KEYS = {
         "soc_reset_low": 1,
     },
     "encoding": {
-        "kind": "hour-soc-load-pv-wind", "load_bins": 3, "pv_bins": 4, "wind_bins": 6,
+        "kind": EncodingKind.HOUR_SOC_LOAD_PV_WIND, "load_bins": 3, "pv_bins": 4, "wind_bins": 6,
         "load_bin_max": 30.0, "pv_bin_max": 25.0, "wind_bin_max": 9.0, "percentile": 95.0,
     },
     "penalties": {
@@ -228,7 +228,11 @@ def test_every_config_key_reaches_its_object(tmp_path):
         assert all(values[k] != defaults[k] for k in values), section
 
     def as_yaml(values):
-        return {k: list(v) if isinstance(v, (frozenset, tuple)) else v for k, v in values.items()}
+        return {
+            k: v.value if isinstance(v, EncodingKind)
+            else list(v) if isinstance(v, (frozenset, tuple)) else v
+            for k, v in values.items()
+        }
 
     raw = {section: as_yaml(values) for section, values in NON_DEFAULT_KEYS.items()}
     raw["dataset"]["synthetic"] = raw.pop("dataset.synthetic")
@@ -539,6 +543,49 @@ def test_evaluate_encoding_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def _evaluate_edited_table(tmp_path, capsys, key, value):
+    """`evaluate` of a table saved for the configured hour-soc-load-pv
+    encoding, with its header's `key` set to the JSON text `value`: the path,
+    the exit code and what was printed to stderr."""
+    text = SMALL_SYNTH.format(out=tmp_path / "out") + "encoding:\n  kind: hour-soc-load-pv\n"
+    config = _config(tmp_path, text)
+    loaded = load_config(config)
+    encoder = loaded.encoder_for(loaded.load_series())
+    path = tmp_path / "t.qt"
+    save_qtable(QTable(np.zeros((encoder.size(), 3)), encoder), path)
+    header, _, payload = path.read_bytes().partition(b"\n")
+    data = json.loads(header)
+    data[key] = "VALUE"
+    path.write_bytes(
+        json.dumps(data, sort_keys=True).encode().replace(b'"VALUE"', value) + b"\n" + payload
+    )
+    code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
+    return path, code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [b"true", b"1.0", b'"1"'])
+def test_evaluate_refuses_a_format_version_that_is_not_the_integer_1(tmp_path, capsys, value):
+    path, code, err = _evaluate_edited_table(tmp_path, capsys, "format_version", value)
+    assert code == 2
+    assert err == (
+        f"error: {path}: format version {json.loads(value)!r} is not supported "
+        "(this build reads version 1)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [b'[["x", 5]]', b"null", b'[["hour", 24], ["soc", 11], ["load", 5], ["pv", 4]]',
+     b'[["hour", 24], ["soc", 11.0], ["load", 5], ["pv", 5]]'],
+    ids=["unknown", "null", "bin-count", "float"],
+)
+def test_evaluate_refuses_header_dims_unlike_the_encodings(tmp_path, capsys, value):
+    path, code, err = _evaluate_edited_table(tmp_path, capsys, "dims", value)
+    assert code == 2
+    assert err.startswith(f"error: {path}: header dims ")
+    assert "\n" not in err[:-1]
+
+
 def test_evaluate_uses_the_tables_own_bin_maxes(tmp_path):
     # evaluate checks the encoding kind and bin counts only: a table binned
     # on one series is applied to another series with its stored bin maxes
@@ -715,6 +762,7 @@ def test_compare_ablation_rejects_references(tmp_path, capsys):
         ("battery", "capacity_kwh", ".nan"),
         pytest.param("battery", "capacity_kwh", "1" + "0" * 400, id="battery-capacity_kwh-1e400"),
         ("encoding", "percentile", "150"),
+        ("encoding", "kind", "hour-soc-wind"),
         ("penalties", "charge_full", "abc"),
     ],
 )

@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from farmbess import (
     BatterySpec,
     BinSpec,
+    EncodingConfig,
     EncodingKind,
     HourlySeries,
     StateEncoder,
@@ -308,6 +310,27 @@ def test_for_series_zero_field_falls_back(tariff):
     series = generate_synthetic(config, tariff)
     encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV, series, POWERWALL)
     assert encoder.pv_bins.max_value == 1.0
+
+
+def test_for_series_reads_every_encoding_config_field(synthetic_week):
+    """Each column's bin count and max come from the config's fields for that
+    column; an unset max is the series' configured percentile of the column,
+    1.0 for a column of zeros."""
+    load, pv, price = synthetic_week.load, synthetic_week.pv, synthetic_week.price
+    series = HourlySeries(load, pv, np.zeros(len(load)), price)
+    kind = EncodingKind.HOUR_SOC_LOAD_PV_WIND
+    config = EncodingConfig(load_bins=2, pv_bins=3, wind_bins=4, percentile=80.0)
+    encoder = StateEncoder.for_series(kind, series, POWERWALL, config)
+    assert (encoder.load_bins, encoder.pv_bins, encoder.wind_bins) == (
+        BinSpec(2, float(np.percentile(load, 80.0))),
+        BinSpec(3, float(np.percentile(pv, 80.0))),
+        BinSpec(4, 1.0),
+    )
+    config = EncodingConfig(load_bin_max=7.0, pv_bin_max=8.0, wind_bin_max=9.0, percentile=80.0)
+    encoder = StateEncoder.for_series(kind, series, POWERWALL, config)
+    assert (encoder.load_bins, encoder.pv_bins, encoder.wind_bins) == (
+        BinSpec(5, 7.0), BinSpec(5, 8.0), BinSpec(5, 9.0)
+    )
 
 
 # ---------------------------------------------------------------- state_bases

@@ -536,6 +536,26 @@ def test_oracle_quarter_is_pinned(synthetic_quarter, tariff, mode):
     assert digest.hexdigest() == ORACLE_QUARTER_DIGESTS[mode]
 
 
+def test_cost_only_day_return_is_minus_the_rollout_cost(synthetic_quarter, tariff):
+    """A cost-only day return is minus the total cost of the same day's
+    rollout, for the rule-based controllers and a trained table, on every day
+    of a quarter and from several charge levels. Compared with `==`: a day
+    with no cost gives 0.0 against -0.0."""
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC_LOAD_PV, synthetic_quarter, POWERWALL)
+    table, _ = train(
+        synthetic_quarter, POWERWALL, tariff, PenaltyTable(),
+        Hyperparams(total_episodes=2_000, rng_seed=11), encoder,
+    )
+    controllers = [baseline_controller(kind, POWERWALL, tariff) for kind in BaselineKind]
+    controllers.append(qtable_controller(table, POWERWALL))
+    for d in range(synthetic_quarter.n_days):
+        day = synthetic_quarter.day(d)
+        for controller in controllers:
+            for level in (0, 1, 5, 10):
+                cost = rollout(controller, day, POWERWALL, initial_soc_level=level).total_cost
+                assert day_return(controller, day, POWERWALL, tariff, level, "cost-only") == -cost
+
+
 def _enumerate_best(day, spec, tariff, penalties, level):
     """Independent forward enumeration over action sequences with
     memoization on (hour, charge level)."""
