@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery import Action, BatterySpec, PenaltyTable, transition
-from .encoding import StateEncoder, soc_level_energy
+from .encoding import _EDGE_SNAP, StateEncoder, soc_level_energy
 from .ioutil import atomic_write_bytes, atomic_write_chunks
 from .timeseries import HourlySeries, TariffSchedule
 
@@ -202,7 +202,8 @@ def train(
     limits = spec.limits
     gamma = hp.discount_factor
     steps = hp.steps_per_episode
-    bin_scale = top / spec.capacity_kwh
+    capacity = spec.capacity_kwh
+    below_edge = 1.0 - _EDGE_SNAP
 
     rng = random.Random(hp.rng_seed)
     rng_random = rng.random
@@ -241,9 +242,10 @@ def train(
                 limits, energy, loads[idx], renews[idx], prices[idx], tiers[idx], action, None,
                 penalties,
             )
-            x = energy * bin_scale
+            # soc_bin(spec, energy), inlined in its order of operations.
+            x = energy / capacity * top
             soc = int(x)
-            if x - soc > 1.0 - 1e-9:
+            if x - soc > below_edge:
                 soc += 1
             if soc > top:
                 soc = top

@@ -1,9 +1,10 @@
 """Run configuration: a single YAML file with nested sections, validated
 strictly before any run starts.
 
-The keys of each section are the fields of one dataclass (`_SECTIONS`).
-Unknown keys, values of the wrong type and non-finite numbers are rejected
-where the file is read, with a one-line `ConfigError` naming `section.key`.
+The sections are the fields of `RunConfig`, and the keys of each section
+are the fields of its dataclass. Unknown keys, values of the wrong type and
+non-finite numbers are rejected where the file is read, with a one-line
+`ConfigError` naming `section.key`.
 """
 
 from __future__ import annotations
@@ -56,18 +57,6 @@ class _Run:
     output_dir: str = "out"
     seeds: tuple[int, ...] = (0,)
     initial_soc_level: int = 1
-
-
-# Section name -> the dataclass whose fields are its keys.
-_SECTIONS = {
-    "dataset": _Dataset,
-    "tariff": TariffSchedule,
-    "battery": BatterySpec,
-    "hyperparams": Hyperparams,
-    "encoding": EncodingConfig,
-    "penalties": PenaltyTable,
-    "run": _Run,
-}
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -166,8 +155,8 @@ def _json_fields(pairs) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one experiment batch: each section of
-    `_SECTIONS` as built."""
+    """Validated configuration for one experiment batch: each field is a
+    section of the file, built as the dataclass it is typed."""
 
     dataset: _Dataset
     tariff: TariffSchedule
@@ -191,7 +180,7 @@ class RunConfig:
     def resolved(self) -> dict:
         """Every setting, defaults included, as JSON data: a manifest's
         `config`, and what `digest` hashes."""
-        return {name: asdict(getattr(self, name), dict_factory=_json_fields) for name in _SECTIONS}
+        return {f.name: asdict(getattr(self, f.name), dict_factory=_json_fields) for f in fields(self)}
 
     def load_series(self) -> HourlySeries:
         if self.dataset.path is not None:
@@ -247,11 +236,12 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
 
 
 def _validate(raw: dict, where: str) -> RunConfig:
-    _check_keys(raw, _SECTIONS, where)
+    section_types = _type_hints(RunConfig)
+    _check_keys(raw, section_types, where)
     # Training seeds come from run.seeds, so rng_seed is not a key.
     sections = {
         name: _build(cls, raw.get(name), name, ("rng_seed",) if cls is Hyperparams else ())
-        for name, cls in _SECTIONS.items()
+        for name, cls in section_types.items()
     }
     dataset, encoding, run = sections["dataset"], sections["encoding"], sections["run"]
     if dataset.path is not None and dataset.synthetic is not None:

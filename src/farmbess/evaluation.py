@@ -24,7 +24,7 @@ from .baselines import BaselineKind, baseline_decision
 from .battery import Action, BatterySpec, PenaltyTable, lattice_transition, transition
 from .encoding import StateEncoder, soc_bin, soc_level_energy
 from .ioutil import atomic_write_text
-from .timeseries import HourlySeries, TariffSchedule, Tier
+from .timeseries import HourlySeries, TariffSchedule, Tier, month_of_hour
 
 # A controller binds to a series: controller(series) returns a decide(i,
 # stored energy in kWh) that gives the series' hour i its (action, optional
@@ -200,13 +200,14 @@ def rollout(
     energies: list[float] = []
     total_import = 0.0
     total_cost = 0.0
-    # A month that comes back (a series longer than a year wraps to January)
-    # resumes from its stored sums, so every month is summed in hour order,
-    # as one running sum per month would be.
+    # A day's month is its first hour's. Each day resumes its month's stored
+    # sums, so every month is summed in hour order, as one running sum per
+    # month would be, also when a series longer than a year wraps to January.
     months: dict[int, tuple[float, float, float]] = {}
-    for month, start, stop in series.month_runs():
+    for start in range(0, len(series), 24):
+        month = month_of_hour(start)
         month_import, month_cost, month_peak = months.get(month, (0.0, 0.0, 0.0))
-        for i in range(start, stop):
+        for i in range(start, start + 24):
             action, cap = decide(i, energy)
             _, _, _, grid_import, _, energy, cost, _, _ = transition(
                 limits, energy, loads[i], renewables[i], prices[i], standard, action, cap,

@@ -181,18 +181,6 @@ class HourlySeries:
         wind = self.wind[hours] if self.has_wind else None
         return HourlySeries(self.load[hours], self.pv[hours], wind, self.price[hours])
 
-    def month_runs(self) -> list[list[int]]:
-        """[month, first hour, end hour] of each run of consecutive hours in
-        one calendar month (`month_of_hour`), in hour order."""
-        runs: list[list[int]] = []
-        for day in range(self.n_days):
-            month = _MONTH_OF_DAY[day % 365]
-            if runs and runs[-1][0] == month:
-                runs[-1][2] += 24
-            else:
-                runs.append([month, day * 24, day * 24 + 24])
-        return runs
-
     def loads(self) -> np.ndarray:
         return self.load
 

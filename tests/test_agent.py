@@ -24,6 +24,7 @@ from farmbess import (
     BatterySpec,
     EncodingConfig,
     EncodingKind,
+    HourlySeries,
     Hyperparams,
     PenaltyTable,
     QTable,
@@ -31,6 +32,7 @@ from farmbess import (
     TrainingLog,
     decayed,
     greedy_action,
+    lattice_transition,
     load_qtable,
     save_qtable,
     soc_bin,
@@ -366,6 +368,22 @@ def test_train_matches_public_op_composition_per_encoding(kind, synthetic_week, 
     _assert_matches_reference(problem, Hyperparams(total_episodes=400, rng_seed=13), encoder)
 
 
+def test_train_bins_the_next_charge_as_soc_bin(tariff):
+    """Discharging 1.3500000013499984 kWh from level 6 of the default spec
+    leaves 6.749999998650001 kWh, within an ulp of the snap below level 5:
+    energy / capacity * top snaps it up to 5, energy * (top / capacity) does
+    not. train bins it with soc_bin's arithmetic, as the reference does."""
+    spec = BatterySpec()
+    day = HourlySeries(
+        load=[1.3500000013499984] * 24, pv=[0.0] * 24, wind=None,
+        price=[tariff.price_at(h) for h in range(24)],
+    )
+    assert soc_bin(spec, soc_level_energy(spec, 6) - 1.3500000013499984) == 5
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, day, spec)
+    problem = (day, spec, tariff, PenaltyTable())
+    _assert_matches_reference(problem, Hyperparams(total_episodes=50, rng_seed=13), encoder)
+
+
 def test_train_q_values_bounded(toy_problem, toy_encoder, toy_day, toy_spec):
     hp = Hyperparams(total_episodes=5_000, rng_seed=5)
     table, _ = train(*toy_problem, hp, toy_encoder)
@@ -375,6 +393,54 @@ def test_train_q_values_bounded(toy_problem, toy_encoder, toy_day, toy_spec):
         toy_spec.charge_rate_kw * max(toy_day.price)
     bound = (15.0 + max_cost) / (1 - hp.discount_factor) + 1e-9
     assert np.max(np.abs(table.values)) <= bound
+
+
+def _cyclic_day_optimum(next_level, reward, discount):
+    """V* over (hour, level) of the discounted cyclic day on `lattice_transition`'s
+    arrays, by value iteration: the state after hour 23 is read at hour 0."""
+    hours = np.arange(len(next_level))[:, None, None]
+    value = np.zeros(next_level.shape[:2])
+    while True:
+        following = np.roll(value, -1, axis=0)[hours, next_level]
+        updated = (reward + discount * following).max(axis=2)
+        if np.max(np.abs(updated - value)) <= 1e-13 * np.max(np.abs(updated)):
+            return updated
+        value = updated
+
+
+def _cyclic_day_policy_values(next_level, reward, discount, policy):
+    """V^policy over (hour, level) of the same day, exactly: the solution of
+    (I - discount * P) V = r for the policy's (hour, level) -> action."""
+    n_hours, n_levels = policy.shape
+    hour, level = np.divmod(np.arange(policy.size), n_levels)
+    action = policy.ravel()
+    following = (hour + 1) % n_hours * n_levels + next_level[hour, level, action]
+    system = np.eye(policy.size)
+    system[np.arange(policy.size), following] -= discount
+    return np.linalg.solve(system, reward[hour, level, action]).reshape(policy.shape)
+
+
+@pytest.mark.parametrize("penalties", [PenaltyTable(), PenaltyTable.zero()], ids=["shaped", "cost"])
+def test_train_greedy_policy_reaches_the_exact_optimum(penalties, toy_day, toy_spec, toy_tariff):
+    """On the toy day every trajectory stays on the charge lattice, so hour-soc
+    training is a finite deterministic MDP over (hour, level). The greedy
+    policy of a 20,000-episode table earns V* from hour 0 at every start
+    level, valued exactly on the same arrays. A defect that train shares
+    with _reference_train, such as a bootstrap read at the wrong hour or
+    without the discount, shows here."""
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, toy_day, toy_spec)
+    hp = Hyperparams(total_episodes=20_000, rng_seed=0)
+    table, _ = train(toy_day, toy_spec, toy_tariff, penalties, hp, encoder)
+    next_level, reward = lattice_transition(
+        toy_spec, toy_day.load, toy_day.renewables, toy_day.price, toy_tariff.tiers, penalties
+    )
+    policy = np.array([
+        [greedy_action(table, encoder.encode(h, level)) for level in range(toy_spec.soc_levels)]
+        for h in range(24)
+    ])
+    optimum = _cyclic_day_optimum(next_level, reward, hp.discount_factor)
+    achieved = _cyclic_day_policy_values(next_level, reward, hp.discount_factor, policy)
+    np.testing.assert_allclose(achieved[0], optimum[0], rtol=1e-9, atol=0.0)
 
 
 def test_train_log_schedules_per_episode(toy_problem, toy_encoder, toy_day):

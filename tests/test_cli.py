@@ -34,7 +34,7 @@ from farmbess import (
 )
 from farmbess.agent import load_qtable, save_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
-from farmbess.config import _SECTIONS, ConfigError, RunConfig, load_config
+from farmbess.config import ConfigError, RunConfig, _type_hints, load_config
 from farmbess.encoding import BinSpec
 from farmbess.evaluation import qtable_controller, rollout
 
@@ -80,7 +80,6 @@ def test_config_defaults(tmp_path):
     assert config.hyperparams.total_episodes == 1_000_000
     assert config.encoding.kind is EncodingKind.HOUR_SOC
     assert config.run.seeds == (0,)
-    assert {f.name for f in fields(RunConfig)} == set(_SECTIONS)
     assert config.dataset.synthetic == SyntheticProfileConfig()
     assert hash(config) == hash(load_config(path))
     # The default config is the same default synthetic year; bench/run.py
@@ -176,7 +175,7 @@ def test_config_standard_hours_alone_partition_with_the_default_hours(tmp_path, 
 
 
 # A valid value other than its default for each key of each section (the
-# sections of `_SECTIONS` plus dataset.synthetic), as the built object holds it.
+# fields of `RunConfig` plus dataset.synthetic), as the built object holds it.
 NON_DEFAULT_KEYS = {
     "dataset": {"include_wind": False},
     "dataset.synthetic": {
@@ -215,7 +214,7 @@ def _read_back(config, section, key):
 
 
 def test_every_config_key_reaches_its_object(tmp_path):
-    sections = {**_SECTIONS, "dataset.synthetic": SyntheticProfileConfig}
+    sections = {**_type_hints(RunConfig), "dataset.synthetic": SyntheticProfileConfig}
     # dataset.synthetic is a section of its own and dataset.path excludes it;
     # training seeds come from run.seeds.
     unset = {"dataset": {"path", "synthetic"}, "hyperparams": {"rng_seed"}}
@@ -456,7 +455,7 @@ def test_each_main_call_sees_only_its_own_flags(tmp_path):
 def test_every_override_flag_sets_a_field_of_its_config_section():
     """An override flag's dest is the dotted config key it sets, so a
     mistyped key fails here rather than in a run."""
-    sections = {**_SECTIONS, "dataset.synthetic": SyntheticProfileConfig}
+    sections = {**_type_hints(RunConfig), "dataset.synthetic": SyntheticProfileConfig}
     commands = next(
         action.choices
         for action in cli.build_parser()._actions

@@ -673,17 +673,6 @@ def test_series_day_is_a_one_day_series():
                 series.day(bad)
 
 
-def test_series_month_runs_follow_month_of_hour():
-    for days in (1, 31, 32, 365, 400):
-        series = HourlySeries(load=[1.0] * days * 24, pv=[0.0] * days * 24, wind=None,
-                              price=[0.1] * days * 24)
-        runs = series.month_runs()
-        hours = [h for _, start, stop in runs for h in range(start, stop)]
-        assert hours == list(range(days * 24))
-        assert all(month_of_hour(h) == m for m, start, stop in runs for h in range(start, stop))
-        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
-
-
 def test_series_rejects_non_finite_or_negative_column():
     names = {"load": "load_kwh", "pv": "pv_kwh", "wind": "wind_kwh", "price": "price_per_kwh"}
     for column, name in names.items():
