@@ -60,8 +60,10 @@ class Hyperparams:
             raise ValueError("decay must be >= 0")
         if not (self.floor <= self.learning_rate_init and self.floor <= self.epsilon_init):
             raise ValueError("floor must not exceed the initial rates")
-        if self.total_episodes < 0 or self.steps_per_episode <= 0:
-            raise ValueError("episode counts must be positive")
+        if self.total_episodes < 0:
+            raise ValueError(f"total_episodes must be >= 0, got {self.total_episodes}")
+        if self.steps_per_episode < 1:
+            raise ValueError(f"steps_per_episode must be >= 1, got {self.steps_per_episode}")
         if self.soc_reset_low < 0:
             raise ValueError("soc_reset_low must be >= 0")
 
@@ -121,16 +123,6 @@ def greedy_action(q: QTable, state: int) -> Action:
     if row[2] > row[best]:
         best = 2
     return _ACTIONS[best]
-
-
-def _greedy_indices(rows: np.ndarray) -> np.ndarray:
-    """`greedy_action`'s index for each row of action values along the last
-    axis, with its comparisons: strict >, ties to the lowest index."""
-    charge, discharge, idle = rows[..., 0], rows[..., 1], rows[..., 2]
-    later = discharge > charge
-    best = later.astype(np.intp)
-    best[idle > np.where(later, discharge, charge)] = 2
-    return best
 
 
 def decayed(initial: float, decay: float, floor: float, steps: int) -> float:

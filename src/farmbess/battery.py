@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 import sys
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -92,9 +91,11 @@ class PenaltyTable:
     idle_peak_with_charge: float = -10.0
 
     def __post_init__(self) -> None:
-        # Rows are stored as floats, whatever number type they were given as.
+        # Rows are stored as floats, whatever number type they were given as,
+        # and a zero row as +0.0: tables equal as dataclasses are then equal
+        # bit for bit, so a table can key `_level_terms`'s cache.
         for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            object.__setattr__(self, f.name, float(getattr(self, f.name)) + 0.0)
 
     @classmethod
     def zero(cls) -> "PenaltyTable":
@@ -225,16 +226,12 @@ def transition(
 # code is its index here: `tuple.index` finds it by identity in C, where a
 # dict would run `Enum.__hash__` in Python for every hour.
 _TIERS = tuple(Tier)
-# A penalty table's rows as bytes. Tables equal as dataclasses may still
-# differ in the sign of a zero row, which -cost + penalty keeps, so
-# `_level_terms` is keyed on the rows' bits.
-_PENALTY_ROWS = struct.Struct(f"<{len(fields(PenaltyTable))}d")
 
 
 @functools.lru_cache(maxsize=8)
-def _level_terms(spec: BatterySpec, penalty_rows: bytes) -> tuple[np.ndarray, ...]:
+def _level_terms(spec: BatterySpec, penalties: PenaltyTable) -> tuple[np.ndarray, ...]:
     """What `lattice_transition` reads that depends on the charge level alone,
-    under the penalty table packed in `penalty_rows`.
+    under the penalty table.
 
     Returns, each of shape (soc_levels,): the level's energy; the energy a
     charge takes and the level it leads to; the idle next level; the
@@ -245,7 +242,6 @@ def _level_terms(spec: BatterySpec, penalty_rows: bytes) -> tuple[np.ndarray, ..
     unbounded deficit, where a discharge meets only its rate and the
     reserve. The arrays are shared between calls, so they are read-only.
     """
-    penalties = PenaltyTable(*_PENALTY_ROWS.unpack(penalty_rows))
     limits = spec.limits
     soc_min = limits[1]
     energy = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
@@ -293,7 +289,7 @@ def lattice_transition(
     `transition` and `soc_bin` give.
     """
     energy, charged, charge_level, idle_level, discharge_limit, available, penalty = (
-        _level_terms(spec, _PENALTY_ROWS.pack(*vars(penalties).values()))
+        _level_terms(spec, penalties)
     )
     soc_min = spec.soc_min_kwh
     load = np.asarray(load, dtype=float)[:, None]

@@ -137,8 +137,8 @@ def _with_overrides(raw: dict, overrides: dict) -> dict:
     for dotted, value in overrides.items():
         *parents, name = dotted.split(".")
         node = raw
-        for part in parents:
-            node[part] = dict(_require_mapping(node.get(part), part))
+        for depth, part in enumerate(parents, 1):
+            node[part] = dict(_require_mapping(node.get(part), ".".join(parents[:depth])))
             node = node[part]
         node[name] = value
     return raw
@@ -265,7 +265,10 @@ def _validate(raw: dict, where: str) -> RunConfig:
         raise ConfigError(
             f"run.seeds must be distinct integers >= 0, got {list(run.seeds)}"
         )
-    soc_levels = sections["battery"].soc_levels
-    if not 0 <= run.initial_soc_level < soc_levels:
-        raise ConfigError(f"run.initial_soc_level must be in 0..{soc_levels - 1}")
+    top = sections["battery"].soc_levels - 1
+    if not 0 <= run.initial_soc_level <= top:
+        raise ConfigError(f"run.initial_soc_level must be in 0..{top}")
+    # Hyperparams refuses a negative level; the top one is the battery's.
+    if sections["hyperparams"].soc_reset_low > top:
+        raise ConfigError(f"hyperparams.soc_reset_low must be in 0..{top}")
     return RunConfig(**sections)

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .agent import _ACTIONS, Hyperparams, QTable, _greedy_indices, train
+from .agent import _ACTIONS, Hyperparams, QTable, train
 from .baselines import BaselineKind, baseline_decision
-from .battery import Action, BatterySpec, PenaltyTable, lattice_transition, transition
+from .battery import _NO_SHAPING, Action, BatterySpec, PenaltyTable, lattice_transition, transition
 from .encoding import StateEncoder, soc_bin, soc_level_energy
 from .ioutil import atomic_write_text
 from .timeseries import HourlySeries, TariffSchedule, Tier, month_of_hour
@@ -139,7 +139,8 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
     Bound to a series, it takes each hour's states from
     `StateEncoder.state_bases` and their greedy actions at every charge level
     in one array pass, so deciding an hour is a lookup at `soc_bin` of the
-    stored energy.
+    stored energy. `argmax` picks the first maximum, which on a table's
+    finite values is `greedy_action`'s pick.
     """
     if q.encoder.soc_levels != spec.soc_levels:
         raise ValueError(
@@ -153,7 +154,7 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
         # Hours share few distinct states, so each distinct base is looked up once.
         bases = encoder.state_bases(series).tolist()
         distinct = np.fromiter(dict.fromkeys(bases), dtype=np.intp)
-        rows = _ACTION_OBJECTS[_greedy_indices(q.values[distinct[:, None] + offsets])].tolist()
+        rows = _ACTION_OBJECTS[q.values[distinct[:, None] + offsets].argmax(axis=2)].tolist()
         row_of = dict(zip(distinct.tolist(), rows))
         picks = [row_of[base] for base in bases]
 
@@ -165,12 +166,10 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
     return bind
 
 
-def _resolve_penalties(penalty_mode: str, penalties: PenaltyTable | None) -> PenaltyTable:
+def _resolve_penalties(penalty_mode: str) -> PenaltyTable:
     if penalty_mode not in PENALTY_MODES:
         raise ValueError(f"penalty_mode must be one of {PENALTY_MODES}, got {penalty_mode!r}")
-    if penalty_mode == "cost-only":
-        return PenaltyTable.zero()
-    return penalties if penalties is not None else PenaltyTable()
+    return _NO_SHAPING if penalty_mode == "cost-only" else PenaltyTable()
 
 
 def rollout(
@@ -187,7 +186,6 @@ def rollout(
     aggregates are running sums and maxima over the hours, in hour order.
     """
     limits = spec.limits
-    no_shaping = PenaltyTable.zero()
     standard = Tier.STANDARD
     decide = controller(series)
     loads = series.load.tolist()
@@ -211,7 +209,7 @@ def rollout(
             action, cap = decide(i, energy)
             _, _, _, grid_import, _, energy, cost, _, _ = transition(
                 limits, energy, loads[i], renewables[i], prices[i], standard, action, cap,
-                no_shaping,
+                _NO_SHAPING,
             )
             actions.append(action)
             imports.append(grid_import)
@@ -245,12 +243,11 @@ def day_return(
     tariff: TariffSchedule,
     initial_soc_level: int,
     penalty_mode: str = "shaped",
-    penalties: PenaltyTable | None = None,
 ) -> float:
     """Episode return of a controller over a day (a one-day series, or any
     series read as consecutive days), under the same reward the oracle
     scores (shaped or cost-only)."""
-    table = _resolve_penalties(penalty_mode, penalties)
+    table = _resolve_penalties(penalty_mode)
     limits = spec.limits
     energy = soc_level_energy(spec, initial_soc_level)
     decide = controller(day)
@@ -312,7 +309,6 @@ def dp_oracle(
     tariff: TariffSchedule,
     initial_soc_level: int,
     penalty_mode: str = "shaped",
-    penalties: PenaltyTable | None = None,
 ) -> tuple[float, list[Action]]:
     """Exact backward induction over the day's (hour, charge level) lattice.
 
@@ -329,7 +325,7 @@ def dp_oracle(
     charge. MSC and TOU charge under a surplus cap; they are covered only
     when the charge rate is one lattice step, where the cap cannot bind.
     """
-    table = _resolve_penalties(penalty_mode, penalties)
+    table = _resolve_penalties(penalty_mode)
     soc_level_energy(spec, initial_soc_level)  # rejects a level off the lattice
     next_level, returns = lattice_transition(
         spec, day.load, day.renewables, day.price, tariff.tiers * day.n_days, table

@@ -27,6 +27,7 @@ from farmbess import (
     train,
     transition,
 )
+from farmbess.battery import _level_terms
 
 POWERWALL = BatterySpec()  # 13.5 kWh, 5 kW, reserve 0.1
 PEN = PenaltyTable()
@@ -229,8 +230,8 @@ def test_lattice_transition_returns_fresh_arrays():
 
 
 def test_lattice_transition_gives_each_penalty_table_its_own_rewards():
-    # The tables share a spec and alternate; the negative-zero table equals
-    # the zero one as a dataclass, but a zero-cost reward keeps its sign.
+    # The tables share a spec and alternate; the negative-zero table stores
+    # its rows as +0.0, so it is the zero one and shares its cache entry.
     tiers = TariffSchedule().tiers
     tables = [PEN, PenaltyTable.zero(), PenaltyTable(*[-0.0] * 8),
               PenaltyTable(charge_full=-3.5, idle_peak_with_charge=-0.25)]
@@ -242,6 +243,17 @@ def test_lattice_transition_gives_each_penalty_table_its_own_rewards():
             )
             assert next_level.ravel().tolist() == levels
             assert reward.tobytes() == rewards
+
+
+def test_a_negative_zero_row_is_stored_as_zero_and_shares_its_cache_entry():
+    table = PenaltyTable(*[-0.0] * 8)
+    assert np.array(list(vars(table).values())).tobytes() == bytes(8 * 8)
+    day = (POWERWALL, *zip(*_MIXED_DAY), TariffSchedule().tiers)
+    lattice_transition(*day, PenaltyTable.zero())
+    before = _level_terms.cache_info()
+    lattice_transition(*day, table)
+    after = _level_terms.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_more_pv_never_increases_import():

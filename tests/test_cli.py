@@ -437,6 +437,23 @@ def test_train_episodes_override_flag(tmp_path):
     assert manifest["total_episodes"] == 50
 
 
+def test_train_refuses_negative_episodes_naming_the_field(tmp_path, capsys):
+    config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "out"))
+    code = main(["train", "--config", str(config), "--episodes", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: hyperparams: total_episodes must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--days", "2"]], ids=["file", "flag"])
+def test_a_bare_section_is_named_by_its_dotted_path(tmp_path, capsys, flags):
+    # With --days the override path walks into dataset.synthetic before the
+    # section is built, and must name the section as the build does.
+    config = _config(tmp_path, "dataset:\n  synthetic: 5\n")
+    code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x.csv"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == "error: dataset.synthetic must be a mapping, got 5\n"
+
+
 def test_each_main_call_sees_only_its_own_flags(tmp_path):
     # main shares one parser across calls in a process; a flag of one call
     # must not leak into the next.
@@ -583,6 +600,16 @@ def test_evaluate_refuses_header_dims_unlike_the_encodings(tmp_path, capsys, val
     assert code == 2
     assert err.startswith(f"error: {path}: header dims ")
     assert "\n" not in err[:-1]
+
+
+def test_evaluate_refuses_a_header_with_zero_steps_per_episode(tmp_path, capsys):
+    path, code, err = _evaluate_edited_table(
+        tmp_path, capsys, "hyperparams", b'{"steps_per_episode": 0}'
+    )
+    assert code == 2
+    assert err == (
+        f"error: {path}: bad header (hyperparams: steps_per_episode must be >= 1, got 0)\n"
+    )
 
 
 def test_evaluate_uses_the_tables_own_bin_maxes(tmp_path):
@@ -763,6 +790,7 @@ def test_compare_ablation_rejects_references(tmp_path, capsys):
         ("encoding", "percentile", "150"),
         ("encoding", "kind", "hour-soc-wind"),
         ("penalties", "charge_full", "abc"),
+        ("hyperparams", "soc_reset_low", "11"),
     ],
 )
 def test_bad_config_value_is_one_line_naming_the_key(tmp_path, capsys, section, key, value):

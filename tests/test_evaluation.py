@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import random
 from typing import NamedTuple
 
@@ -334,6 +336,32 @@ def test_qtable_controller_matches_greedy_on_the_encoded_state(synthetic_week, t
     assert ties > 100
 
 
+# Action values that tie exactly, differ only in the sign of a zero, sit a
+# subnormal apart or are infinite.
+_TIE_VALUES = (-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, math.inf)
+
+
+def test_qtable_controller_breaks_ties_as_greedy_action(tariff):
+    series = generate_synthetic(SyntheticProfileConfig(days=2, rng_seed=1), tariff)
+    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, series, POWERWALL)
+    rows = list(itertools.product(_TIE_VALUES, repeat=3))
+    size = encoder.size()
+    # Every row of values sits in one of the tables at some state.
+    for start in range(0, len(rows), size):
+        table = QTable(
+            values=np.array([rows[(start + k) % len(rows)] for k in range(size)]),
+            encoder=encoder,
+        )
+        decide = qtable_controller(table, POWERWALL)(series)
+        for i, record in enumerate(_hours(series)):
+            for level in range(POWERWALL.soc_levels):
+                state = encoder.encode(
+                    record.hour_of_day, level, record.load_kwh, record.pv_kwh, record.wind_kwh
+                )
+                expected = greedy_action(table, state)
+                assert decide(i, soc_level_energy(POWERWALL, level)) == (expected, None)
+
+
 def test_qtable_controller_keeps_the_range_checks(synthetic_week):
     encoder = StateEncoder.for_series(
         EncodingKind.HOUR_SOC_LOAD_PV_WIND, synthetic_week, POWERWALL
@@ -455,11 +483,10 @@ def test_oracle_and_day_return_reject_an_empty_day(synthetic_week):
         synthetic_week.day(7)
 
 
-def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="shaped",
-                         penalties=None):
+def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="shaped"):
     """The oracle as a scalar backward pass: `transition` and `soc_bin` for
     each (hour, level, action), ties going to the lowest action index."""
-    table = _resolve_penalties(penalty_mode, penalties)
+    table = _resolve_penalties(penalty_mode)
     limits = spec.limits
     energies = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
 
