@@ -181,14 +181,12 @@ def train(
     renews = series.renewables.tolist()
     prices = series.price.tolist()
     tiers = tariff.tiers * series.n_days
-    # Only the states the series can reach get a row: each distinct per-hour
-    # base (its flat index at level 0) owns soc_levels contiguous rows, so
-    # series hour i at charge level s is row rows[i] + s, and flat state
-    # bases[i] + s * stride of the dense table.
-    bases = encoder.state_bases(series).tolist()
-    block = {base: k * levels for k, base in enumerate(dict.fromkeys(bases))}
-    rows = [block[base] for base in bases]
-    q = [[0.0, 0.0, 0.0] for _ in range(len(block) * levels)]
+    # Only the states the series can reach get a row: reached context k owns
+    # soc_levels contiguous rows, so series hour i at charge level s is row
+    # rows[i] + s, and flat state states[contexts[i], s] of the dense table.
+    states, contexts = encoder.reached(series)
+    rows = [k * levels for k in contexts]
+    q = [[0.0, 0.0, 0.0] for _ in range(states.size)]
     energies = [soc_level_energy(spec, s) for s in range(levels)]
     n_days = series.n_days
     limits = spec.limits
@@ -258,9 +256,7 @@ def train(
         log_returns[episode] = episode_return
 
     values = np.zeros((encoder.size(), len(Action)))
-    stride = encoder.soc_stride()
-    reached = np.fromiter(block, dtype=np.intp, count=len(block))
-    values[(reached[:, None] + np.arange(levels) * stride).ravel()] = q
+    values[states.ravel()] = q
     table = QTable(values=values, encoder=encoder, hyperparams=hp)
     log = TrainingLog(
         day_indices=log_days,

@@ -41,15 +41,18 @@ class BatterySpec:
     soc_levels: int = 11
 
     def __post_init__(self) -> None:
-        if self.capacity_kwh <= 0:
+        # Written so that NaN fails each comparison.
+        if not self.capacity_kwh > 0:
             raise ValueError(f"capacity_kwh must be > 0, got {self.capacity_kwh}")
-        if self.charge_rate_kw <= 0 or self.discharge_rate_kw <= 0:
+        if not self.capacity_kwh <= sys.float_info.max:
+            raise ValueError(f"capacity_kwh must be finite, got {self.capacity_kwh}")
+        if not (self.charge_rate_kw > 0 and self.discharge_rate_kw > 0):
             raise ValueError("charge and discharge rates must be > 0")
         if not 0 <= self.reserve_fraction < 1:
             raise ValueError(
                 f"reserve_fraction must be in [0, 1), got {self.reserve_fraction}"
             )
-        if self.soc_levels < 2:
+        if not self.soc_levels >= 2:
             raise ValueError(f"soc_levels must be >= 2, got {self.soc_levels}")
         # Compared, not converted: a level count too large for a float is refused.
         if self.soc_levels > sys.float_info.max:

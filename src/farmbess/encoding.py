@@ -151,11 +151,6 @@ class StateEncoder:
         """Product of the dimension cardinalities."""
         return math.prod(cardinality for _, cardinality in self.dims())
 
-    def soc_stride(self) -> int:
-        """Distance between the flat indices of two states that differ by one
-        charge level only: the product of the cardinalities after it."""
-        return self.size() // (24 * self.soc_levels)
-
     def _compose(self, index, value_of, to_bins):
         """`index` extended row-major by each binned column's bin:
         `to_bins(spec, value_of(column))`, refused when the value is None."""
@@ -183,13 +178,20 @@ class StateEncoder:
         values = {"load": load_kwh, "pv": pv_kwh, "wind": wind_kwh}
         return self._compose(hour_of_day * self.soc_levels + soc_level, values.get, value_bin)
 
-    def state_bases(self, series) -> np.ndarray:
-        """Flat index at charge level 0 of every hour i of a series, in one
-        array pass: `encode(i % 24, 0, load[i], pv[i], wind[i])`, bit for bit,
-        as `_soc_bins` is `soc_bin`. Hour i at level s is index
-        bases[i] + s * soc_stride()."""
+    def reached(self, series) -> tuple[np.ndarray, list[int]]:
+        """The states a series can reach, binned in one array pass:
+        `states[k, s]` is the flat index of the series' k-th distinct hour
+        context (first seen first) at charge level s, and `contexts[i]` is
+        hour i's row of `states`. So `states[contexts[i], s]` is
+        `encode(i % 24, s, load[i], pv[i], wind[i])`, bit for bit, as
+        `_value_bins` is `value_bin`."""
         index = np.arange(len(series)) % 24 * self.soc_levels
-        return self._compose(index, lambda c: getattr(series, c), _value_bins)
+        bases = self._compose(index, lambda c: getattr(series, c), _value_bins).tolist()
+        row_of = {base: k for k, base in enumerate(dict.fromkeys(bases))}
+        # Charge levels one apart are the product of the binned cardinalities apart.
+        stride = math.prod(spec.bin_count for _, spec in self._binned())
+        states = np.fromiter(row_of, dtype=np.intp, count=len(row_of))[:, None]
+        return states + np.arange(self.soc_levels) * stride, [row_of[base] for base in bases]
 
     @classmethod
     def for_series(

@@ -136,27 +136,21 @@ def baseline_controller(
 def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
     """Greedy policy of a trained table as a rollout controller.
 
-    Bound to a series, it takes each hour's states from
-    `StateEncoder.state_bases` and their greedy actions at every charge level
-    in one array pass, so deciding an hour is a lookup at `soc_bin` of the
-    stored energy. `argmax` picks the first maximum, which on a table's
-    finite values is `greedy_action`'s pick.
+    Bound to a series, it takes the greedy action of every state in
+    `StateEncoder.reached` in one array pass, so deciding an hour is a lookup
+    at its context and `soc_bin` of the stored energy. `argmax` picks the
+    first maximum, which on a table's finite values is `greedy_action`'s pick.
     """
     if q.encoder.soc_levels != spec.soc_levels:
         raise ValueError(
             "q-table charge levels do not match the battery spec "
             f"({q.encoder.soc_levels} vs {spec.soc_levels})"
         )
-    encoder = q.encoder
-    offsets = np.arange(spec.soc_levels) * encoder.soc_stride()
 
     def bind(series: HourlySeries) -> Decide:
-        # Hours share few distinct states, so each distinct base is looked up once.
-        bases = encoder.state_bases(series).tolist()
-        distinct = np.fromiter(dict.fromkeys(bases), dtype=np.intp)
-        rows = _ACTION_OBJECTS[q.values[distinct[:, None] + offsets].argmax(axis=2)].tolist()
-        row_of = dict(zip(distinct.tolist(), rows))
-        picks = [row_of[base] for base in bases]
+        states, contexts = q.encoder.reached(series)
+        greedy = _ACTION_OBJECTS[q.values[states].argmax(axis=2)].tolist()
+        picks = [greedy[k] for k in contexts]
 
         def decide(i: int, energy_kwh: float):
             return picks[i][soc_bin(spec, energy_kwh)], None

@@ -127,6 +127,9 @@ class HourlySeries:
 
     def __init__(self, load, pv, wind, price) -> None:
         columns = {"load_kwh": load, "pv_kwh": pv, "wind_kwh": wind, "price_per_kwh": price}
+        for name, values in columns.items():
+            if values is None and name != "wind_kwh":
+                raise DataValidationError(f"{name} is missing; only wind_kwh may be None")
         n = len(load)
         if n == 0 or n % 24 != 0:
             raise DataValidationError(

@@ -29,6 +29,7 @@ from farmbess import (
     PenaltyTable,
     QTable,
     StateEncoder,
+    TariffSchedule,
     TrainingLog,
     decayed,
     greedy_action,
@@ -420,27 +421,56 @@ def _cyclic_day_policy_values(next_level, reward, discount, policy):
     return np.linalg.solve(system, reward[hour, level, action]).reshape(policy.shape)
 
 
+# Days drawn once in `lattice_days`' shape (tests/test_evaluation.py) under the
+# default tariff: a battery whose limits sit on its charge lattice, and whole
+# lattice steps of load and PV in kWh.
+_LATTICE_DAYS = [
+    (
+        BatterySpec(capacity_kwh=8.0, charge_rate_kw=8.0, discharge_rate_kw=8.0,
+                    reserve_fraction=0.25, soc_levels=5),
+        [4, 16, 14, 4, 2, 14, 8, 4, 2, 16, 0, 12, 14, 4, 0, 16, 2, 0, 0, 6, 6, 0, 14, 10],
+        [14, 6, 16, 6, 8, 14, 0, 2, 14, 8, 12, 16, 2, 8, 10, 6, 16, 8, 0, 2, 2, 12, 2, 8],
+    ),
+    (
+        BatterySpec(capacity_kwh=16.0, charge_rate_kw=6.0, discharge_rate_kw=10.0,
+                    reserve_fraction=0.125, soc_levels=9),
+        [20, 10, 0, 26, 26, 4, 6, 8, 20, 30, 28, 26, 12, 12, 20, 20, 20, 26, 4, 32, 30, 24, 4, 12],
+        [14, 2, 12, 6, 4, 12, 16, 18, 18, 16, 10, 6, 0, 16, 14, 14, 14, 2, 0, 18, 16, 8, 20, 28],
+    ),
+]
+
+
 @pytest.mark.parametrize("penalties", [PenaltyTable(), PenaltyTable.zero()], ids=["shaped", "cost"])
 def test_train_greedy_policy_reaches_the_exact_optimum(penalties, toy_day, toy_spec, toy_tariff):
-    """On the toy day every trajectory stays on the charge lattice, so hour-soc
-    training is a finite deterministic MDP over (hour, level). The greedy
-    policy of a 20,000-episode table earns V* from hour 0 at every start
-    level, valued exactly on the same arrays. A defect that train shares
-    with _reference_train, such as a bootstrap read at the wrong hour or
-    without the discount, shows here."""
-    encoder = StateEncoder.for_series(EncodingKind.HOUR_SOC, toy_day, toy_spec)
-    hp = Hyperparams(total_episodes=20_000, rng_seed=0)
-    table, _ = train(toy_day, toy_spec, toy_tariff, penalties, hp, encoder)
-    next_level, reward = lattice_transition(
-        toy_spec, toy_day.load, toy_day.renewables, toy_day.price, toy_tariff.tiers, penalties
-    )
-    policy = np.array([
-        [greedy_action(table, encoder.encode(h, level)) for level in range(toy_spec.soc_levels)]
-        for h in range(24)
-    ])
-    optimum = _cyclic_day_optimum(next_level, reward, hp.discount_factor)
-    achieved = _cyclic_day_policy_values(next_level, reward, hp.discount_factor, policy)
-    np.testing.assert_allclose(achieved[0], optimum[0], rtol=1e-9, atol=0.0)
+    """On the toy day and on each lattice day every trajectory stays on the
+    charge lattice, so training is a finite deterministic MDP over (hour,
+    level). The greedy policy of the trained table, read at `encode`'s
+    index, earns V* from hour 0 at every start level, valued exactly on the
+    same arrays. A defect that train shares with _reference_train, such as
+    a bootstrap read at the wrong hour or without the discount, shows here;
+    the lattice days are trained on load and PV bins, so a table row stored
+    away from `encode`'s index does too."""
+    tariff = TariffSchedule()
+    prices = [tariff.price_at(h) for h in range(24)]
+    cases = [(toy_day, toy_spec, toy_tariff, EncodingKind.HOUR_SOC, 20_000)] + [
+        (HourlySeries(load, pv, None, prices), spec, tariff, EncodingKind.HOUR_SOC_LOAD_PV, 10_000)
+        for spec, load, pv in _LATTICE_DAYS
+    ]
+    for day, spec, day_tariff, kind, episodes in cases:
+        encoder = StateEncoder.for_series(kind, day, spec)
+        hp = Hyperparams(total_episodes=episodes, rng_seed=0)
+        table, _ = train(day, spec, day_tariff, penalties, hp, encoder)
+        next_level, reward = lattice_transition(
+            spec, day.load, day.renewables, day.price, day_tariff.tiers, penalties
+        )
+        policy = np.array([
+            [greedy_action(table, encoder.encode(h, level, day.load[h], day.pv[h]))
+             for level in range(spec.soc_levels)]
+            for h in range(24)
+        ])
+        optimum = _cyclic_day_optimum(next_level, reward, hp.discount_factor)
+        achieved = _cyclic_day_policy_values(next_level, reward, hp.discount_factor, policy)
+        np.testing.assert_allclose(achieved[0], optimum[0], rtol=1e-9, atol=0.0)
 
 
 def test_train_log_schedules_per_episode(toy_problem, toy_encoder, toy_day):

@@ -75,6 +75,23 @@ def test_discharge_covers_residual_deficit():
     assert flows.next_energy_kwh == 1.75
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("capacity_kwh", float("nan"), "capacity_kwh must be > 0, got nan"),
+        ("capacity_kwh", float("inf"), "capacity_kwh must be finite, got inf"),
+        ("capacity_kwh", 0.0, "capacity_kwh must be > 0, got 0.0"),
+        ("charge_rate_kw", float("nan"), "charge and discharge rates must be > 0"),
+        ("discharge_rate_kw", float("nan"), "charge and discharge rates must be > 0"),
+        ("discharge_rate_kw", -1.0, "charge and discharge rates must be > 0"),
+        ("soc_levels", float("nan"), "soc_levels must be >= 2, got nan"),
+    ],
+)
+def test_battery_spec_refuses_nan_and_infinite_limits(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BatterySpec(**{field: value})
+
+
 def test_discharge_respects_reserve():
     spec = BatterySpec(capacity_kwh=10.0, reserve_fraction=0.1)
     flows = apply_action(spec, 2.0, *_hour(9, 0), Action.DISCHARGE)

@@ -271,12 +271,13 @@ def test_flat_index_is_row_major_bijection():
     ids=lambda v: v.kind.value if isinstance(v, StateEncoder) else str(v),
 )
 def test_soc_stride_is_one_charge_level_apart(encoder, stride):
-    assert encoder.soc_stride() == stride
-    for hour, soc in itertools.product(range(24), range(encoder.soc_levels - 1)):
-        values = (0.95, 0.35, 0.6)
-        assert encoder.encode(hour, soc + 1, *values) - encoder.encode(
-            hour, soc, *values
-        ) == stride
+    """The states `reached` gives an hour context, one per charge level, are
+    `stride` apart: the product of the cardinalities after the level."""
+    series = HourlySeries([0.95] * 24, [0.35] * 24, [0.6] * 24, [0.1] * 24)
+    states, contexts = encoder.reached(series)
+    assert contexts == list(range(24))
+    assert states.shape == (24, encoder.soc_levels)
+    assert (np.diff(states, axis=1) == stride).all()
 
 
 def test_for_series_uses_percentile(synthetic_week):
@@ -333,7 +334,7 @@ def test_for_series_reads_every_encoding_config_field(synthetic_week):
     )
 
 
-# ---------------------------------------------------------------- state_bases
+# ---------------------------------------------------------------- reached
 
 
 @pytest.mark.parametrize("levels", [-1, 1, 0, True, 2.5, "11", None])
@@ -385,11 +386,14 @@ def _encoded_series(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(case=_encoded_series())
-def test_state_bases_match_encode(case):
+def test_reached_matches_encode_at_every_level(case):
+    """Hour i at charge level s is state states[contexts[i], s], which is
+    `encode`'s index; the rows are distinct and numbered in first-seen order."""
     encoder, series = case
+    states, contexts = encoder.reached(series)
     winds = series.wind.tolist() if series.has_wind else [None] * len(series)
-    expected = [
-        encoder.encode(i % 24, 0, load, pv, wind)
-        for i, (load, pv, wind) in enumerate(zip(series.load.tolist(), series.pv.tolist(), winds))
-    ]
-    assert encoder.state_bases(series).tolist() == expected
+    for i, (load, pv, wind) in enumerate(zip(series.load.tolist(), series.pv.tolist(), winds)):
+        expected = [encoder.encode(i % 24, s, load, pv, wind) for s in range(encoder.soc_levels)]
+        assert states[contexts[i]].tolist() == expected
+    assert list(dict.fromkeys(contexts)) == list(range(len(states)))
+    assert len(set(states[:, 0].tolist())) == len(states)

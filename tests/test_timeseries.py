@@ -683,6 +683,18 @@ def test_series_rejects_non_finite_or_negative_column():
                 HourlySeries(**columns)
 
 
+@pytest.mark.parametrize("column", ["load", "pv", "price"])
+def test_series_refuses_a_missing_column_other_than_wind(column):
+    columns = {c: [1.0] * 24 for c in ("load", "pv", "wind", "price")}
+    columns[column] = None
+    message = f"^{column}_(kwh|per_kwh) is missing; only wind_kwh may be None$"
+    with pytest.raises(DataValidationError, match=message):
+        HourlySeries(**columns)
+    columns["wind"] = None
+    with pytest.raises(DataValidationError, match=message):
+        HourlySeries(**columns)
+
+
 def test_series_columns_are_read_only(synthetic_week):
     with pytest.raises(ValueError):
         synthetic_week.loads()[0] = 1.0
