@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -58,6 +59,11 @@ class Hyperparams:
         # Written so that NaN fails each comparison.
         if not self.decay >= 0:
             raise ValueError("decay must be >= 0")
+        # An infinite decay makes the first episode's rates inf * 0, NaN.
+        if not self.decay <= sys.float_info.max:
+            raise ValueError(f"decay must be finite, got {self.decay}")
+        if not self.floor >= 0:
+            raise ValueError(f"floor must be >= 0, got {self.floor}")
         if not (self.floor <= self.learning_rate_init and self.floor <= self.epsilon_init):
             raise ValueError("floor must not exceed the initial rates")
         if self.total_episodes < 0:

@@ -47,7 +47,7 @@ class BatterySpec:
         if not self.capacity_kwh <= sys.float_info.max:
             raise ValueError(f"capacity_kwh must be finite, got {self.capacity_kwh}")
         if not (self.charge_rate_kw > 0 and self.discharge_rate_kw > 0):
-            raise ValueError("charge and discharge rates must be > 0")
+            raise ValueError("charge_rate_kw and discharge_rate_kw must be > 0")
         if not 0 <= self.reserve_fraction < 1:
             raise ValueError(
                 f"reserve_fraction must be in [0, 1), got {self.reserve_fraction}"
@@ -246,25 +246,17 @@ def _level_terms(spec: BatterySpec, penalties: PenaltyTable) -> tuple[np.ndarray
     reserve. The arrays are shared between calls, so they are read-only.
     """
     limits = spec.limits
-    soc_min = limits[1]
-    energy = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
-    steps = [
-        [
-            [transition(limits, e, math.inf, 0.0, 0.0, tier, action, None, penalties)
-             for action in Action]
-            for e in energy
-        ]
+    energy = np.array([soc_level_energy(spec, level) for level in range(spec.soc_levels)])
+    # Shape (tiers, levels, actions, 9): the `transition` result of each.
+    out = np.array([
+        [[transition(limits, e, math.inf, 0.0, 0.0, tier, action, None, penalties)
+          for action in Action] for e in energy.tolist()]
         for tier in Tier
-    ]
-    charge, discharge, idle = zip(*steps[0])
+    ])
+    charge, discharge, idle = out[0].swapaxes(0, 1)
     terms = (
-        np.array(energy),
-        np.array([out[1] for out in charge]),
-        _soc_bins(spec, np.array([out[5] for out in charge])),
-        _soc_bins(spec, np.array([out[5] for out in idle])),
-        np.array([out[2] for out in discharge]),
-        np.array([e - soc_min if e > soc_min else 0.0 for e in energy]),
-        np.array([[[out[7] for out in level] for level in tier] for tier in steps]),
+        energy, charge[:, 1], _soc_bins(spec, charge[:, 5]), _soc_bins(spec, idle[:, 5]),
+        discharge[:, 2], np.maximum(energy - spec.soc_min_kwh, 0.0), out[..., 7],
     )
     for array in terms:
         array.setflags(write=False)

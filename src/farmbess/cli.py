@@ -120,18 +120,15 @@ def cmd_train(args) -> int:
         # The pool may start all its workers at the first submit: no more than the seeds.
         workers = min(args.workers, len(config.run.seeds))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                seed: pool.submit(_train_one_seed, config, seed, str(out_dir))
+            futures = [
+                pool.submit(_train_one_seed, config, seed, str(out_dir))
                 for seed in config.run.seeds
-            }
-            results = {seed: f.result() for seed, f in futures.items()}
+            ]
+            results = [future.result() for future in futures]
     else:
-        results = {
-            seed: _train_one_seed(config, seed, str(out_dir)) for seed in config.run.seeds
-        }
-    for seed in config.run.seeds:
-        qtable_path, log_path, manifest_path = results[seed]
-        print(f"seed {seed}: wrote {qtable_path}, {log_path}, {manifest_path}")
+        results = [_train_one_seed(config, seed, str(out_dir)) for seed in config.run.seeds]
+    for seed, paths in zip(config.run.seeds, results):
+        print(f"seed {seed}: wrote {', '.join(paths)}")
     return 0
 
 
@@ -202,8 +199,7 @@ def _format_pct(value: float | None) -> str:
 
 
 def _comparison_text(rows) -> str:
-    headers = ("candidate", "import_reduction", "cost_reduction", "peak_reduction")
-    table = [
+    table = [("candidate", "import_reduction", "cost_reduction", "peak_reduction")] + [
         (
             row.candidate_label,
             _format_pct(row.import_reduction_pct),
@@ -212,14 +208,8 @@ def _comparison_text(rows) -> str:
         )
         for row in rows
     ]
-    widths = [
-        max(len(headers[i]), *(len(entry[i]) for entry in table)) if table else len(headers[i])
-        for i in range(4)
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    for entry in table:
-        lines.append("  ".join(entry[i].ljust(widths[i]) for i in range(4)))
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join("  ".join(map(str.ljust, entry, widths)) for entry in table)
 
 
 def cmd_compare(args) -> int:

@@ -81,11 +81,12 @@ class TariffSchedule:
         sets = (off_peak, standard, peak)
         if set().union(*sets) != set(range(24)) or sum(map(len, sets)) != 24:
             raise DataValidationError(
-                "tariff hour sets must partition the 24 hours of a day"
+                "off_peak_hours, standard_hours and peak_hours must partition the 24 hours "
+                "of a day"
             )
         if not 0 < self.off_peak_rate <= self.standard_rate <= self.peak_rate:
             raise DataValidationError(
-                "tariff rates must satisfy 0 < off_peak <= standard <= peak"
+                "rates must satisfy 0 < off_peak_rate <= standard_rate <= peak_rate"
             )
 
     def tier_of(self, hour_of_day: int) -> Tier:
@@ -227,6 +228,8 @@ class SyntheticProfileConfig:
             raise DataValidationError(
                 f"noise_fraction must be in [0, 1), got {self.noise_fraction}"
             )
+        if self.rng_seed < 0:
+            raise DataValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 # Diurnal shape constants: load humps centred on the two milking blocks,

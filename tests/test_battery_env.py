@@ -81,9 +81,9 @@ def test_discharge_covers_residual_deficit():
         ("capacity_kwh", float("nan"), "capacity_kwh must be > 0, got nan"),
         ("capacity_kwh", float("inf"), "capacity_kwh must be finite, got inf"),
         ("capacity_kwh", 0.0, "capacity_kwh must be > 0, got 0.0"),
-        ("charge_rate_kw", float("nan"), "charge and discharge rates must be > 0"),
-        ("discharge_rate_kw", float("nan"), "charge and discharge rates must be > 0"),
-        ("discharge_rate_kw", -1.0, "charge and discharge rates must be > 0"),
+        ("charge_rate_kw", float("nan"), "charge_rate_kw and discharge_rate_kw must be > 0"),
+        ("discharge_rate_kw", float("nan"), "charge_rate_kw and discharge_rate_kw must be > 0"),
+        ("discharge_rate_kw", -1.0, "charge_rate_kw and discharge_rate_kw must be > 0"),
         ("soc_levels", float("nan"), "soc_levels must be >= 2, got nan"),
     ],
 )

@@ -10,6 +10,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import operator
 import os
 import re
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from farmbess import (
     EncodingKind,
@@ -36,7 +37,7 @@ from farmbess.agent import load_qtable, save_qtable
 from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import ConfigError, RunConfig, _type_hints, load_config
 from farmbess.encoding import BinSpec
-from farmbess.evaluation import qtable_controller, rollout
+from farmbess.evaluation import ComparisonReport, qtable_controller, rollout
 
 
 def _config(tmp_path, text, name="run.yaml") -> Path:
@@ -170,7 +171,8 @@ def test_config_standard_hours_alone_partition_with_the_default_hours(tmp_path, 
     code = main(["evaluate", "--config", str(path), "baseline:no-battery"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: tariff: tariff hour sets must partition the 24 hours of a day\n"
+        "error: tariff: off_peak_hours, standard_hours and peak_hours must partition the 24 "
+        "hours of a day\n"
     )
 
 
@@ -209,6 +211,20 @@ NON_DEFAULT_KEYS = {
     "run": {"output_dir": "elsewhere", "seeds": (3, 1), "initial_soc_level": 2},
 }
 
+def _non_default_raw() -> dict:
+    """NON_DEFAULT_KEYS as the mapping a YAML file holds."""
+    raw = {
+        section: {
+            k: v.value if isinstance(v, EncodingKind)
+            else list(v) if isinstance(v, (frozenset, tuple)) else v
+            for k, v in values.items()
+        }
+        for section, values in NON_DEFAULT_KEYS.items()
+    }
+    raw["dataset"]["synthetic"] = raw.pop("dataset.synthetic")
+    return raw
+
+
 def _read_back(config, section, key):
     return getattr(functools.reduce(getattr, section.split("."), config), key)
 
@@ -226,16 +242,7 @@ def test_every_config_key_reaches_its_object(tmp_path):
         assert set(values) == set(defaults), section
         assert all(values[k] != defaults[k] for k in values), section
 
-    def as_yaml(values):
-        return {
-            k: v.value if isinstance(v, EncodingKind)
-            else list(v) if isinstance(v, (frozenset, tuple)) else v
-            for k, v in values.items()
-        }
-
-    raw = {section: as_yaml(values) for section, values in NON_DEFAULT_KEYS.items()}
-    raw["dataset"]["synthetic"] = raw.pop("dataset.synthetic")
-    config = load_config(_config(tmp_path, yaml.safe_dump(raw)))
+    config = load_config(_config(tmp_path, yaml.safe_dump(_non_default_raw())))
     for section, values in NON_DEFAULT_KEYS.items():
         for key, value in values.items():
             assert _read_back(config, section, key) == value, f"{section}.{key}"
@@ -442,6 +449,19 @@ def test_train_refuses_negative_episodes_naming_the_field(tmp_path, capsys):
     code = main(["train", "--config", str(config), "--episodes", "-1"])
     assert code == 2
     assert capsys.readouterr().err == "error: hyperparams: total_episodes must be >= 0, got -1\n"
+
+
+def test_train_refuses_a_floor_below_zero_naming_the_field(tmp_path, capsys):
+    """A negative floor used to train on negative rates and write a table
+    that `load_qtable` refuses as non-finite."""
+    text = SMALL_SYNTH.replace("days: 4", "days: 2").replace(
+        "total_episodes: 500", "total_episodes: 3000\n  floor: -0.5\n  decay: 0.05"
+    )
+    out = tmp_path / "out"
+    config = _config(tmp_path, text.format(out=out))
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: hyperparams: floor must be >= 0, got -0.5\n"
+    assert not (out / "qtable_seed7.qt").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--days", "2"]], ids=["file", "flag"])
@@ -706,6 +726,64 @@ def test_compare_two_baselines_and_qtable(tmp_path):
     assert "candidate" in text and "import_reduction" in text
 
 
+def _reference_comparison_text(rows) -> str:
+    """The comparison text as its header and rows were once formatted one
+    column index at a time; `cli._comparison_text` must match it byte for
+    byte."""
+    headers = ("candidate", "import_reduction", "cost_reduction", "peak_reduction")
+    table = [
+        (
+            row.candidate_label,
+            cli._format_pct(row.import_reduction_pct),
+            cli._format_pct(row.cost_reduction_pct),
+            cli._format_pct(row.peak_reduction_pct),
+        )
+        for row in rows
+    ]
+    widths = [
+        max(len(headers[i]), *(len(entry[i]) for entry in table)) if table else len(headers[i])
+        for i in range(4)
+    ]
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
+    for entry in table:
+        lines.append("  ".join(entry[i].ljust(widths[i]) for i in range(4)))
+    return "\n".join(lines)
+
+
+_LONG_QTABLE = "qtable:" + "/very/long/path/to/a/trained" * 3 + "/qtable_seed12345.qt"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [ComparisonReport("baseline:no-battery", "baseline:msc", 12.345, -3.0, 0.0)],
+        [
+            ComparisonReport("baseline:no-battery", "baseline:tou", None, None, None),
+            ComparisonReport("baseline:no-battery", _LONG_QTABLE, 1234.5678, None, -0.004),
+            ComparisonReport("baseline:no-battery", "q", 5.0, 100.0, None),
+        ],
+    ],
+    ids=["no-rows", "one-row", "undefined-and-long-label"],
+)
+def test_comparison_text_bytes(rows):
+    assert cli._comparison_text(rows) == _reference_comparison_text(rows)
+
+
+def test_comparison_text_pads_each_column_to_its_widest_cell():
+    rows = [
+        ComparisonReport("baseline:no-battery", "baseline:msc", 12.345, None, -0.004),
+        ComparisonReport("baseline:no-battery", _LONG_QTABLE, 1234.5678, 5.0, 100.0),
+    ]
+    width = len(_LONG_QTABLE)
+    assert cli._comparison_text(rows).split("\n") == [
+        f"{'candidate':{width}}  import_reduction  cost_reduction  peak_reduction",
+        f"{'baseline:msc':{width}}  12.35%            undefined       -0.00%        ",
+        f"{_LONG_QTABLE}  1234.57%          5.00%           100.00%       ",
+    ]
+    assert cli._comparison_text([]) == "candidate  import_reduction  cost_reduction  peak_reduction"
+
+
 def test_compare_with_itself_is_zero(tmp_path):
     out = tmp_path / "out"
     config = _config(tmp_path, SMALL_SYNTH.format(out=out))
@@ -955,6 +1033,82 @@ def test_evaluate_with_a_mutated_qtable_header_is_one_line(saved_load_pv_table, 
     else:
         assert code == 2
         assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+
+def _config_keys(node, where=()):
+    """The key path of every key in a YAML mapping, sections included."""
+    for key, child in node.items():
+        yield (*where, key)
+        if isinstance(child, dict):
+            yield from _config_keys(child, (*where, key))
+
+
+# What a mutated config key becomes: YAML null, a boolean, numbers (NaN and
+# both infinities among them), a string, an empty list and an empty mapping;
+# or a huge number, drawn for no key that sizes an array.
+_KEY_SWAPS = (None, True, -1, 0, 2.5, math.nan, math.inf, -math.inf, "x", [], {})
+_HUGE = (10**400, -(10**400), 1e308, 2**64)
+_SIZING_KEYS = {
+    ("dataset", "synthetic", "days"), ("hyperparams", "total_episodes"),
+    ("battery", "soc_levels"), *(("encoding", f"{c}_bins") for c in ("load", "pv", "wind")),
+}
+# A valid one-day config that sets every key but dataset.path.
+_DAY_CONFIG = _non_default_raw()
+_DAY_CONFIG["dataset"]["synthetic"]["days"] = 1
+
+
+@seed(2716)
+@settings(max_examples=100, deadline=None)
+@given(
+    where=st.sampled_from(list(_config_keys(_DAY_CONFIG))),
+    mutation=st.sampled_from(["drop", "unknown key"]).map(lambda m: (m, None))
+    | st.tuples(st.just("set"), st.sampled_from(_KEY_SWAPS + _HUGE)),
+)
+# Found by this property: numpy's "expected non-negative integer", and
+# messages that named no key of their section.
+@example(where=("dataset", "synthetic", "rng_seed"), mutation=("set", -1))
+@example(where=("tariff", "peak_hours"), mutation=("drop", None))
+@example(where=("tariff", "peak_rate"), mutation=("set", 0))
+@example(where=("battery", "charge_rate_kw"), mutation=("set", 0))
+@example(where=("hyperparams", "floor"), mutation=("set", -1))
+def test_evaluate_with_a_mutated_config_is_one_line(tmp_path_factory, where, mutation):
+    """One key of a valid config dropped, set to a value of another type, a
+    non-finite or a huge one, or given an unknown key beside it: the run
+    works, or is refused in one line that names the file or the section and
+    the key."""
+    change, value = mutation
+    if change == "set" and value in _HUGE and where in _SIZING_KEYS:
+        return
+    folder = tmp_path_factory.mktemp("config")
+    raw = copy.deepcopy(_DAY_CONFIG)
+    raw["run"]["output_dir"] = str(folder / "out")
+    *parents, key = where
+    node = functools.reduce(operator.getitem, parents, raw)
+    if change == "drop":
+        del node[key]
+    elif change == "set":
+        node[key] = value
+    else:
+        node[key := "unknown"] = 0
+    path = _config(folder, yaml.safe_dump(raw))
+    err = io.StringIO()
+    # A relative output directory, "x" say, is made in the working directory.
+    cwd = os.getcwd()
+    os.chdir(folder)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--config", str(path), "baseline:no-battery"])
+    finally:
+        os.chdir(cwd)
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # A cross-key check may name a key other than the mutated one.
+        names = {(w[0], w[-1]) for w in _config_keys(raw) if len(w) > 1} | {(where[0], key)}
+        assert str(path) in err or any(s in err and k in err for s, k in names), err
 
 
 def _not_utf8_csv(tmp_path):

@@ -128,9 +128,8 @@ def test_tariff_stores_hour_sets_as_frozensets():
     ],
 )
 def test_tariff_hours_that_do_not_partition_the_day_are_refused(hours):
-    with pytest.raises(
-        DataValidationError, match="^tariff hour sets must partition the 24 hours of a day$"
-    ):
+    message = "off_peak_hours, standard_hours and peak_hours must partition the 24 hours of a day"
+    with pytest.raises(DataValidationError, match=f"^{message}$"):
         TariffSchedule(**hours)
 
 
