@@ -75,15 +75,23 @@ def test_discharge_covers_residual_deficit():
     assert flows.next_energy_kwh == 1.75
 
 
+_RATES_MESSAGE = "charge_rate_kw and discharge_rate_kw must be > 0"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
         ("capacity_kwh", float("nan"), "capacity_kwh must be > 0, got nan"),
         ("capacity_kwh", float("inf"), "capacity_kwh must be finite, got inf"),
         ("capacity_kwh", 0.0, "capacity_kwh must be > 0, got 0.0"),
-        ("charge_rate_kw", float("nan"), "charge_rate_kw and discharge_rate_kw must be > 0"),
-        ("discharge_rate_kw", float("nan"), "charge_rate_kw and discharge_rate_kw must be > 0"),
-        ("discharge_rate_kw", -1.0, "charge_rate_kw and discharge_rate_kw must be > 0"),
+        # The rate cases keep ids that state the rule, so that they stay
+        # stable when the wording of the message changes.
+        pytest.param("charge_rate_kw", float("nan"), _RATES_MESSAGE,
+                     id="charge_rate_kw-nan-charge and discharge rates must be > 0"),
+        pytest.param("discharge_rate_kw", float("nan"), _RATES_MESSAGE,
+                     id="discharge_rate_kw-nan-charge and discharge rates must be > 0"),
+        pytest.param("discharge_rate_kw", -1.0, _RATES_MESSAGE,
+                     id="discharge_rate_kw--1.0-charge and discharge rates must be > 0"),
         ("soc_levels", float("nan"), "soc_levels must be >= 2, got nan"),
     ],
 )
