@@ -277,7 +277,10 @@ def train(
 def save_qtable(q: QTable, path: str | Path) -> None:
     """Write a Q-table as a one-line JSON header followed by raw row-major
     little-endian float64 values. The format is versioned and deterministic:
-    identical tables produce byte-identical files."""
+    identical tables produce byte-identical files. A table holding a
+    non-finite value, which `load_qtable` refuses, is not written."""
+    if not np.isfinite(q.values).all():
+        raise ValueError(f"{path}: not written: the table holds non-finite values")
     header = {
         "format": QTABLE_MAGIC,
         "format_version": QTABLE_FORMAT_VERSION,

@@ -4,9 +4,10 @@ controller interacts with.
 `transition` is the single step kernel: it turns one hour's charge, demand,
 supply, price and tariff tier plus an action into the energy flows, the next
 charge, the shaping penalty and the reward. `apply_action`, the training
-loop, rollouts and `day_return` call it. `lattice_transition` is its
-uncapped array form over a day's whole charge lattice, which the DP oracle
-calls once per day.
+loop and rollouts call it; `day_return` is minus a rollout's cost.
+`lattice_transition` is its uncapped array form over a day's whole charge
+lattice, which the DP oracle calls once per day with no shaping: the oracle
+and `day_return` score grid cost alone.
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ the setting's dotted config key ("hyperparams.total_episodes"), which
 `--help` shows, and every command passes those keys to `load_config`. The
 FARMBESS_OUTPUT_DIR environment variable overrides the configured output
 directory (but not an explicit --out flag). All output files are written
-atomically and every run is reproducible from its manifest.
+atomically and every run is reproducible from its manifest. No file holds a
+non-finite number: such a report or table is refused in one line, unwritten.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import replace
@@ -33,7 +33,7 @@ from .evaluation import (
     qtable_controller,
     rollout,
 )
-from .ioutil import atomic_write_text, refuse_directory
+from .ioutil import atomic_write_json, atomic_write_text, refuse_directory
 from .timeseries import SyntheticProfileConfig, generate_synthetic, write_csv
 
 OUTPUT_DIR_ENV = "FARMBESS_OUTPUT_DIR"
@@ -103,7 +103,7 @@ def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, st
         "qtable_file": qtable_path.name,
         "training_log_file": log_path.name,
     }
-    atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic_write_json(manifest_path, manifest)
     return str(qtable_path), str(log_path), str(manifest_path)
 
 
@@ -185,8 +185,9 @@ def cmd_evaluate(args) -> int:
     slug = _ref_slug(args.controller)
     csv_path = out_dir / f"eval_{slug}.csv"
     json_path = out_dir / f"eval_{slug}.json"
-    report.write_csv(csv_path)
+    # The JSON first: it refuses a non-finite total, and then no CSV is left.
     report.write_json(json_path)
+    report.write_csv(csv_path)
     print(
         f"{report.label}: total_import_kwh={report.total_import_kwh:.3f} "
         f"total_cost={report.total_cost:.3f} ({csv_path}, {json_path})"
@@ -248,10 +249,7 @@ def cmd_compare(args) -> int:
 
     json_path = out_dir / "comparison.json"
     text_path = out_dir / "comparison.txt"
-    atomic_write_text(
-        json_path,
-        json.dumps([row.to_json_dict() for row in rows], sort_keys=True, indent=2) + "\n",
-    )
+    atomic_write_json(json_path, [row.to_json_dict() for row in rows])
     text = _comparison_text(rows)
     atomic_write_text(text_path, text + "\n")
     print(text)

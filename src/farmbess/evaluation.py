@@ -2,17 +2,16 @@
 controller comparisons, the exact finite-horizon oracle, and the state-space
 ablation harness.
 
-Rollouts and `day_return` step the battery with the shared kernel
-`battery.transition`, and `dp_oracle` with its array form
-`battery.lattice_transition`, reading the series' columns by hour index; a
-day is a one-day series (`HourlySeries.day`). Rollouts score grid cost only;
-`day_return` and the oracle score the shaped or the cost-only reward
-(`penalty_mode`).
+Rollouts step the battery with the shared kernel `battery.transition`, and
+`dp_oracle` with its array form `battery.lattice_transition`, reading the
+series' columns by hour index; a day is a one-day series
+(`HourlySeries.day`). Rollouts, `day_return` and the oracle all score grid
+cost only, the figure the controllers are compared on: `day_return` is minus
+its rollout's total cost.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ from .agent import _ACTIONS, Hyperparams, QTable, train
 from .baselines import BaselineKind, baseline_decision
 from .battery import _NO_SHAPING, Action, BatterySpec, PenaltyTable, lattice_transition, transition
 from .encoding import StateEncoder, soc_bin, soc_level_energy
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_json, atomic_write_text
 from .timeseries import HourlySeries, TariffSchedule, Tier, month_of_hour
 
 # A controller binds to a series: controller(series) returns a decide(i,
@@ -34,8 +33,6 @@ Controller = Callable[[HourlySeries], Decide]
 
 # Greedy action indices to actions, so one fancy index maps a whole array.
 _ACTION_OBJECTS = np.array(_ACTIONS, dtype=object)
-
-PENALTY_MODES = ("shaped", "cost-only")
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,7 @@ class EvalReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        atomic_write_text(
-            path, json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        atomic_write_json(path, self.to_json_dict())
 
     def write_csv(self, path: str | Path) -> None:
         rows = map(
@@ -160,10 +155,11 @@ def qtable_controller(q: QTable, spec: BatterySpec) -> Controller:
     return bind
 
 
-def _resolve_penalties(penalty_mode: str) -> PenaltyTable:
-    if penalty_mode not in PENALTY_MODES:
-        raise ValueError(f"penalty_mode must be one of {PENALTY_MODES}, got {penalty_mode!r}")
-    return _NO_SHAPING if penalty_mode == "cost-only" else PenaltyTable()
+# `penalty_mode` and `day_return`'s `tariff` change nothing. They stay only
+# because bench/run.py passes them (ROADMAP item 2 deletes them).
+def _check_penalty_mode(penalty_mode: str) -> None:
+    if penalty_mode != "cost-only":
+        raise ValueError(f"penalty_mode must be 'cost-only', got {penalty_mode!r}")
 
 
 def rollout(
@@ -236,27 +232,13 @@ def day_return(
     spec: BatterySpec,
     tariff: TariffSchedule,
     initial_soc_level: int,
-    penalty_mode: str = "shaped",
+    penalty_mode: str = "cost-only",
 ) -> float:
     """Episode return of a controller over a day (a one-day series, or any
-    series read as consecutive days), under the same reward the oracle
-    scores (shaped or cost-only)."""
-    table = _resolve_penalties(penalty_mode)
-    limits = spec.limits
-    energy = soc_level_energy(spec, initial_soc_level)
-    decide = controller(day)
-    loads = day.load.tolist()
-    renewables = day.renewables.tolist()
-    prices = day.price.tolist()
-    tiers = tariff.tiers * day.n_days
-    total = 0.0
-    for i in range(len(day)):
-        action, cap = decide(i, energy)
-        _, _, _, _, _, energy, _, _, reward = transition(
-            limits, energy, loads[i], renewables[i], prices[i], tiers[i], action, cap, table
-        )
-        total += reward
-    return total
+    series read as consecutive days) under the reward the oracle scores:
+    minus the grid cost of the day's rollout."""
+    _check_penalty_mode(penalty_mode)
+    return -rollout(controller, day, spec, initial_soc_level).total_cost
 
 
 def compare(base: EvalReport, candidate: EvalReport) -> ComparisonReport:
@@ -302,7 +284,7 @@ def dp_oracle(
     spec: BatterySpec,
     tariff: TariffSchedule,
     initial_soc_level: int,
-    penalty_mode: str = "shaped",
+    penalty_mode: str = "cost-only",
 ) -> tuple[float, list[Action]]:
     """Exact backward induction over the day's (hour, charge level) lattice.
 
@@ -310,19 +292,19 @@ def dp_oracle(
     episodes start from); transitions and rewards use the exact dispatch
     physics, with the continuous next energy re-binned to a level. The whole
     (hour, level, action) table comes from one array pass
-    (`lattice_transition`) before the backward pass over the hours. Returns
-    the maximal episode return and one optimal action sequence, ties broken
-    by action order.
+    (`lattice_transition`) before the backward pass over the hours, scored
+    on grid cost alone. Returns the maximal episode return (minus the least
+    cost) and one optimal action sequence, ties broken by action order.
 
     The oracle charges at the full rate only, so its return bounds, from
     above, every controller that stays on the lattice and never caps a
     charge. MSC and TOU charge under a surplus cap; they are covered only
     when the charge rate is one lattice step, where the cap cannot bind.
     """
-    table = _resolve_penalties(penalty_mode)
+    _check_penalty_mode(penalty_mode)
     soc_level_energy(spec, initial_soc_level)  # rejects a level off the lattice
     next_level, returns = lattice_transition(
-        spec, day.load, day.renewables, day.price, tariff.tiers * day.n_days, table
+        spec, day.load, day.renewables, day.price, tariff.tiers * day.n_days, _NO_SHAPING
     )
 
     # Backward over the hours: value holds V_{h+1}; the hour's returns[level,

@@ -4,6 +4,7 @@ rename into place."""
 from __future__ import annotations
 
 import errno
+import json
 import os
 import tempfile
 from collections.abc import Iterable
@@ -12,6 +13,17 @@ from pathlib import Path
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_json(path: str | Path, data) -> None:
+    """Write `data` as sorted, indented JSON. JSON has no inf or nan, so a
+    non-finite number is refused in a ValueError naming the file, and
+    nothing is written."""
+    try:
+        text = json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{path}: not written: it would hold a non-finite number") from None
+    atomic_write_text(path, text + "\n")
 
 
 def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:

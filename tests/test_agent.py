@@ -609,6 +609,17 @@ def test_load_rejects_non_finite_values(tmp_path, toy_problem, toy_encoder):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_save_refuses_non_finite_values(tmp_path, toy_encoder, value):
+    """A table that `load_qtable` would refuse is not written at all."""
+    values = np.zeros((toy_encoder.size(), 3))
+    values[5, 1] = value
+    path = tmp_path / "t.qt"
+    with pytest.raises(ValueError, match=f"^{path}: not written: the table holds non-finite values$"):
+        save_qtable(QTable(values, toy_encoder), path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("value", [b"-1", b'"11"', b"2.5", b"true", b"1", b"null"])
 def test_load_rejects_bad_soc_levels(tmp_path, toy_problem, toy_encoder, value):
     path, header, payload = _saved_table(tmp_path, toy_problem, toy_encoder)

@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -38,6 +39,16 @@ from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import ConfigError, RunConfig, _type_hints, load_config
 from farmbess.encoding import BinSpec
 from farmbess.evaluation import ComparisonReport, qtable_controller, rollout
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+def _read_strict_json(path: Path):
+    """The file's JSON, refusing the NaN and Infinity that `json` writes by
+    default and that no JSON reader need accept."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def _config(tmp_path, text, name="run.yaml") -> Path:
@@ -797,6 +808,41 @@ def test_compare_with_itself_is_zero(tmp_path):
     assert rows[0]["cost_reduction_pct"] == 0.0
 
 
+# One-day configs whose grid cost overflows to inf, and NaN in a comparison
+# with it: a huge price, or a huge load.
+_OVERFLOWING_CONFIGS = {
+    "peak_rate": "dataset:\n  synthetic:\n    days: 1\ntariff:\n  peak_rate: 1.0e+308\n",
+    "base_load_kwh": "dataset:\n  synthetic:\n    days: 1\n    base_load_kwh: 1.0e+308\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["evaluate", "baseline:msc"], ["compare", "baseline:no-battery", "baseline:msc"],
+     ["compare", "--ablation"]],
+    ids=["train", "evaluate", "compare", "ablation"],
+)
+@pytest.mark.parametrize("key", list(_OVERFLOWING_CONFIGS))
+def test_a_non_finite_result_is_refused_in_one_line(tmp_path, capsys, key, command):
+    """A run whose results overflow writes only files that farmbess reads
+    back, or refuses in one line naming the file and writes nothing."""
+    out = tmp_path / "out"
+    text = _OVERFLOWING_CONFIGS[key] + f"hyperparams:\n  total_episodes: 200\nrun:\n  output_dir: {out}\n"
+    verb, *refs = command
+    code = main([verb, "--config", str(_config(tmp_path, text)), *refs])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert re.fullmatch(rf"error: {re.escape(str(out))}/\S+: not written: [^\n]+\n", err), err
+        assert list(out.iterdir()) == []
+    for path in out.glob("*.json"):
+        _read_strict_json(path)
+    for path in out.glob("*.qt"):
+        load_qtable(path)
+
+
 def test_compare_needs_two_refs(tmp_path, capsys):
     config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "o"))
     assert main(["compare", "--config", str(config), "baseline:tou"]) != 0
@@ -1035,6 +1081,44 @@ def test_evaluate_with_a_mutated_qtable_header_is_one_line(saved_load_pv_table, 
         assert err.startswith(f"error: {path}:") and err.count("\n") == 1
 
 
+# What a mutated payload value becomes: non-finite, the largest and the
+# smallest float64 magnitudes.
+_PAYLOAD_SWAPS = (math.nan, math.inf, -math.inf, 1e308, 5e-324)
+
+
+@seed(2903)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_evaluate_with_a_mutated_qtable_payload_is_one_line(saved_load_pv_table, data):
+    """A payload truncated or extended, one of its values swapped, or one of
+    its bits flipped: the table is used, or refused in one line that names
+    the file."""
+    config, header, payload = saved_load_pv_table
+    payload = bytearray(payload)
+    mutation = data.draw(st.sampled_from(["truncate", "extend", "swap", "flip"]))
+    if mutation == "truncate":
+        del payload[data.draw(st.integers(0, len(payload) - 1)):]
+    elif mutation == "extend":
+        payload += bytes(data.draw(st.integers(1, 16)))
+    elif mutation == "swap":
+        at = 8 * data.draw(st.integers(0, len(payload) // 8 - 1))
+        payload[at:at + 8] = struct.pack("<d", data.draw(st.sampled_from(_PAYLOAD_SWAPS)))
+    else:
+        bit = data.draw(st.integers(0, 8 * len(payload) - 1))
+        payload[bit // 8] ^= 1 << bit % 8
+    path = config.parent / "mutated.qt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--config", str(config), f"qtable:{path}"])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+
 def _config_keys(node, where=()):
     """The key path of every key in a YAML mapping, sections included."""
     for key, child in node.items():
@@ -1071,11 +1155,16 @@ _DAY_CONFIG["dataset"]["synthetic"]["days"] = 1
 @example(where=("tariff", "peak_rate"), mutation=("set", 0))
 @example(where=("battery", "charge_rate_kw"), mutation=("set", 0))
 @example(where=("hyperparams", "floor"), mutation=("set", -1))
+# Found by this property once it read the reports back: an overflowing cost
+# written as Infinity.
+@example(where=("tariff", "peak_rate"), mutation=("set", 1e308))
+@example(where=("dataset", "synthetic", "base_load_kwh"), mutation=("set", 1e308))
 def test_evaluate_with_a_mutated_config_is_one_line(tmp_path_factory, where, mutation):
     """One key of a valid config dropped, set to a value of another type, a
     non-finite or a huge one, or given an unknown key beside it: the run
-    works, or is refused in one line that names the file or the section and
-    the key."""
+    works and writes only strict JSON, or is refused in one line that names
+    the config file, the section and the key, or the report it would not
+    write."""
     change, value = mutation
     if change == "set" and value in _HUGE and where in _SIZING_KEYS:
         return
@@ -1103,12 +1192,18 @@ def test_evaluate_with_a_mutated_config_is_one_line(tmp_path_factory, where, mut
     err = err.getvalue()
     if code == 0:
         assert err == ""
+        # Relative output directories are made in the folder too.
+        for report in folder.rglob("*.json"):
+            _read_strict_json(report)
     else:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         # A cross-key check may name a key other than the mutated one.
         names = {(w[0], w[-1]) for w in _config_keys(raw) if len(w) > 1} | {(where[0], key)}
-        assert str(path) in err or any(s in err and k in err for s, k in names), err
+        refused_report = err.startswith(f"error: {folder / 'out'}/")
+        assert str(path) in err or refused_report or any(
+            s in err and k in err for s, k in names
+        ), err
 
 
 def _not_utf8_csv(tmp_path):

@@ -43,7 +43,6 @@ from farmbess.agent import greedy_action
 from farmbess.encoding import soc_bin, soc_level_energy
 from farmbess.evaluation import (
     MonthlyAggregate,
-    _resolve_penalties,
     baseline_controller,
     qtable_controller,
 )
@@ -155,10 +154,7 @@ def test_rollout_greedy_trace_matches_oracle_actions(toy_day, toy_spec, toy_tari
         Hyperparams(total_episodes=60_000, rng_seed=7),
         encoder,
     )
-    _, optimal_actions = dp_oracle(
-        toy_day, toy_spec, toy_tariff, initial_soc_level=0,
-        penalty_mode="shaped",
-    )
+    _, optimal_actions = _reference_dp_oracle(toy_day, toy_spec, toy_tariff, 0, PenaltyTable())
     decide = qtable_controller(table, toy_spec)(toy_day)
     energy = soc_level_energy(toy_spec, 0)
     for i, expected in enumerate(optimal_actions):
@@ -475,6 +471,16 @@ def test_oracle_rejects_level_off_the_lattice(tariff, level):
         day_return(_no_battery(), day, POWERWALL, tariff, level)
 
 
+def test_oracle_and_day_return_refuse_the_shaped_mode(tariff):
+    day = _day(5.0, 0.0)
+    for call in (
+        lambda: dp_oracle(day, POWERWALL, tariff, 1, penalty_mode="shaped"),
+        lambda: day_return(_no_battery(), day, POWERWALL, tariff, 1, penalty_mode="shaped"),
+    ):
+        with pytest.raises(ValueError, match="^penalty_mode must be 'cost-only', got 'shaped'$"):
+            call()
+
+
 def test_oracle_and_day_return_reject_an_empty_day(synthetic_week):
     # Both take a day as a one-day series, and no series is empty.
     with pytest.raises(DataValidationError, match="positive multiple of 24, got 0"):
@@ -483,10 +489,11 @@ def test_oracle_and_day_return_reject_an_empty_day(synthetic_week):
         synthetic_week.day(7)
 
 
-def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="shaped"):
+def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalties=PenaltyTable.zero()):
     """The oracle as a scalar backward pass: `transition` and `soc_bin` for
-    each (hour, level, action), ties going to the lowest action index."""
-    table = _resolve_penalties(penalty_mode)
+    each (hour, level, action), ties going to the lowest action index. The
+    penalty table defaults to the zero table, the oracle's cost-only
+    reward."""
     limits = spec.limits
     energies = [soc_level_energy(spec, level) for level in range(spec.soc_levels)]
 
@@ -510,7 +517,7 @@ def _reference_dp_oracle(day, spec, tariff, initial_soc_level, penalty_mode="sha
                     tier,
                     action,
                     None,
-                    table,
+                    penalties,
                 )
                 next_level = soc_bin(spec, out[5])
                 candidate = out[8] + value[next_level]
@@ -536,31 +543,30 @@ def synthetic_quarter(tariff):
     return generate_synthetic(SyntheticProfileConfig(days=91, rng_seed=3), tariff)
 
 
-@pytest.mark.parametrize("mode", ["shaped", "cost-only"])
+# The two quarter tests pass the one mode the oracle accepts, as the
+# benchmark does.
+@pytest.mark.parametrize("mode", ["cost-only"])
 def test_oracle_matches_the_scalar_reference_on_a_quarter(synthetic_quarter, tariff, mode):
     for d in range(synthetic_quarter.n_days):
         day = synthetic_quarter.day(d)
         for level in (0, 1, 5, 10):
-            args = (day, POWERWALL, tariff, level, mode)
-            assert dp_oracle(*args) == _reference_dp_oracle(*args)
+            args = (day, POWERWALL, tariff, level)
+            assert dp_oracle(*args, mode) == _reference_dp_oracle(*args)
 
 
 # sha256 over the quarter's days of each day's oracle value (float.hex) and
 # plan, from the default spec at level 1: any change to the oracle's
-# arithmetic, its tie-breaking or its plan moves these.
-ORACLE_QUARTER_DIGESTS = {
-    "shaped": "3fcbe6a0a7ed69373648ab9f403b9ff7ed05c2b1926a430aee6bca7d87077e09",
-    "cost-only": "4217ee429eba3d9503c92b3f6b058831a8fa3c6770eb0f8326aedd1414763d5a",
-}
+# arithmetic, its tie-breaking or its plan moves it.
+ORACLE_QUARTER_DIGEST = "4217ee429eba3d9503c92b3f6b058831a8fa3c6770eb0f8326aedd1414763d5a"
 
 
-@pytest.mark.parametrize("mode", ["shaped", "cost-only"])
+@pytest.mark.parametrize("mode", ["cost-only"])
 def test_oracle_quarter_is_pinned(synthetic_quarter, tariff, mode):
     digest = hashlib.sha256()
     for d in range(synthetic_quarter.n_days):
         value, plan = dp_oracle(synthetic_quarter.day(d), POWERWALL, tariff, 1, mode)
         digest.update(f"{value.hex()} {' '.join(a.name for a in plan)}\n".encode())
-    assert digest.hexdigest() == ORACLE_QUARTER_DIGESTS[mode]
+    assert digest.hexdigest() == ORACLE_QUARTER_DIGEST
 
 
 def test_cost_only_day_return_is_minus_the_rollout_cost(synthetic_quarter, tariff):
@@ -611,25 +617,21 @@ def _enumerate_best(day, spec, tariff, penalties, level):
 
 def test_oracle_matches_brute_force_on_toy_day(toy_day, toy_spec, toy_tariff):
     for level in (0, 3, 10):
-        best, _ = dp_oracle(toy_day, toy_spec, toy_tariff,
-                            initial_soc_level=level, penalty_mode="shaped")
-        expected = _enumerate_best(toy_day, toy_spec, toy_tariff, PenaltyTable(), level)
+        best, _ = dp_oracle(toy_day, toy_spec, toy_tariff, initial_soc_level=level)
+        expected = _enumerate_best(toy_day, toy_spec, toy_tariff, PenaltyTable.zero(), level)
         assert best == pytest.approx(expected, abs=1e-12)
 
 
 def test_oracle_dominates_controllers_and_random_policies(toy_day, toy_spec, toy_tariff):
-    best, _ = dp_oracle(toy_day, toy_spec, toy_tariff,
-                        initial_soc_level=2, penalty_mode="shaped")
+    best, _ = dp_oracle(toy_day, toy_spec, toy_tariff, initial_soc_level=2)
     for kind in BaselineKind:
         controller = baseline_controller(kind, toy_spec, toy_tariff)
-        value = day_return(controller, toy_day, toy_spec, toy_tariff,
-                           initial_soc_level=2, penalty_mode="shaped")
+        value = day_return(controller, toy_day, toy_spec, toy_tariff, initial_soc_level=2)
         assert value <= best + 1e-9
     rng = random.Random(1)
     for _ in range(50):
         controller = lambda series: lambda i, energy: (Action(rng.randrange(3)), None)
-        value = day_return(controller, toy_day, toy_spec, toy_tariff,
-                           initial_soc_level=2, penalty_mode="shaped")
+        value = day_return(controller, toy_day, toy_spec, toy_tariff, initial_soc_level=2)
         assert value <= best + 1e-9
 
 
@@ -704,38 +706,35 @@ def off_lattice_days(draw):
     return spec, tariff, series.day(0), draw(st.integers(0, spec.soc_levels - 1))
 
 
-REWARDS = st.sampled_from(["shaped", "cost-only"])
-
-
 @settings(max_examples=60, deadline=None)
-@given(case=lattice_days(), mode=REWARDS)
-def test_oracle_plan_replays_to_its_return(case, mode):
+@given(case=lattice_days())
+def test_oracle_plan_replays_to_its_return(case):
     spec, tariff, day, level = case
-    best, actions = dp_oracle(day, spec, tariff, level, penalty_mode=mode)
+    best, actions = dp_oracle(day, spec, tariff, level)
     replay = day_return(lambda series: lambda i, energy: (actions[i], None), day, spec,
-                        tariff, level, penalty_mode=mode)
+                        tariff, level)
     assert replay == pytest.approx(best, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=lattice_days(charge_steps=1), mode=REWARDS, seed=st.integers(0, 2**16))
-def test_no_controller_beats_the_oracle(case, mode, seed):
+@given(case=lattice_days(charge_steps=1), seed=st.integers(0, 2**16))
+def test_no_controller_beats_the_oracle(case, seed):
     # The oracle charges at the full rate only. MSC and TOU may charge from
     # the renewable surplus alone, an action outside the oracle's set; at a
     # one-step charge rate that surplus cap never binds, so the bound holds.
     spec, tariff, day, level = case
-    best, _ = dp_oracle(day, spec, tariff, level, penalty_mode=mode)
+    best, _ = dp_oracle(day, spec, tariff, level)
     rng = random.Random(seed)
     controllers = [lambda series: lambda i, energy: (Action(rng.randrange(3)), None)]
     controllers += [baseline_controller(kind, spec, tariff) for kind in BaselineKind]
     for controller in controllers:
-        value = day_return(controller, day, spec, tariff, level, penalty_mode=mode)
+        value = day_return(controller, day, spec, tariff, level)
         assert value <= best + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=lattice_days() | off_lattice_days(), mode=REWARDS)
-def test_oracle_matches_the_scalar_reference(case, mode):
+@given(case=lattice_days() | off_lattice_days())
+def test_oracle_matches_the_scalar_reference(case):
     spec, tariff, day, level = case
-    args = (day, spec, tariff, level, mode)
+    args = (day, spec, tariff, level)
     assert dp_oracle(*args) == _reference_dp_oracle(*args)
