@@ -97,6 +97,12 @@ class TrainingLog:
         return len(self.episode_returns)
 
     def write_csv(self, path: str | Path) -> None:
+        """Write one CSV row per episode. A non-finite rate or return (an
+        episode whose summed reward overflowed) is refused in a ValueError
+        naming the file, and nothing is written."""
+        floats = (self.alphas, self.epsilons, self.episode_returns)
+        if not all(np.isfinite(column).all() for column in floats):
+            raise ValueError(f"{path}: not written: it would hold a non-finite number")
         # The pinned logs hold numpy's float64 scalar repr, `np.float64(x)`
         # under numpy 2 and bare `x` under 1.x: the float's own repr inside a
         # wrapper taken from numpy, which costs less than each scalar's repr.
@@ -109,9 +115,8 @@ class TrainingLog:
         def rows(start: int) -> str:
             end = start + _LOG_CHUNK_ROWS
             ints = (column[start:end].tolist() for column in (self.day_indices, self.soc_levels))
-            floats = (self.alphas, self.epsilons, self.episode_returns)
-            floats = (map(float, column[start:end]) for column in floats)
-            return "".join(map(row, range(start, end), *ints, *floats))
+            cells = (map(float, column[start:end]) for column in floats)
+            return "".join(map(row, range(start, end), *ints, *cells))
 
         header = "episode,day_index,initial_soc_level,alpha,epsilon,episode_return\n"
         atomic_write_chunks(

@@ -80,9 +80,11 @@ class BatterySpec:
 class PenaltyTable:
     """Signed shaping terms added to the cost-based reward.
 
-    Each action has a first-match cascade of rows keyed on the tariff tier
-    and the battery charge before the action; the defaults are punitive for
-    futile or expensive actions and rewarding for tariff-aligned ones.
+    Each action's term depends on the tariff tier and on whether the charge
+    before the action is at its edge: full for a charge, at or below the
+    reserve for a discharge, at or above it for an idle hour. The defaults
+    are punitive for futile or expensive actions and rewarding for
+    tariff-aligned ones. Tiers with no row of their own score 0.
     """
 
     charge_full_peak: float = -15.0
@@ -100,6 +102,16 @@ class PenaltyTable:
         # bit for bit, so a table can key `_level_terms`'s cache.
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)) + 0.0)
+        # Each action's terms, read by `transition` at `tier` away from the
+        # action's edge and at `tier + 3` at it. Derived, not fields, so
+        # equality, hashing and `asdict` see the eight rows alone.
+        full, peak = self.charge_full, self.charge_full_peak
+        empty, idle = self.discharge_empty, self.idle_peak_with_charge
+        object.__setattr__(self, "_charge", (
+            self.charge_off_peak_bonus, 0.0, self.charge_peak, full, full, peak))
+        object.__setattr__(self, "_discharge", (
+            self.discharge_off_peak, 0.0, self.discharge_peak_bonus, empty, empty, empty))
+        object.__setattr__(self, "_idle", (0.0, 0.0, 0.0, 0.0, 0.0, idle))
 
     @classmethod
     def zero(cls) -> "PenaltyTable":
@@ -123,9 +135,6 @@ class EnergyFlows:
     next_energy_kwh: float
 
 
-# Module-level aliases keep each tier test in the kernel to one global lookup.
-_PEAK = Tier.PEAK
-_OFF_PEAK = Tier.OFF_PEAK
 # Scores cost only; used where no shaping applies.
 _NO_SHAPING = PenaltyTable.zero()
 
@@ -150,8 +159,9 @@ def transition(
     Boundary-binding transitions snap next_energy exactly onto capacity or
     the reserve. `charge_cap` limits what the battery accepts this hour.
 
-    cost is grid_import * price; penalty is the first matching shaping row
-    for (action, tier, charge before the action); reward = -cost + penalty.
+    cost is grid_import * price; penalty is the table's term for the action
+    at the tier, at or away from the action's edge (`PenaltyTable`), judged
+    on the charge before the action; reward = -cost + penalty.
     `lattice_transition` takes the penalties, the charged energy and the
     charge and idle next energies from this function, once per spec and
     penalty table. It repeats on arrays the rules that depend on the hour:
@@ -175,14 +185,7 @@ def transition(
         next_energy = capacity if charged == headroom else energy + charged
         curtailed = surplus - stored
         discharged = 0.0
-        if energy >= capacity:
-            penalty = penalties.charge_full_peak if tier is _PEAK else penalties.charge_full
-        elif tier is _PEAK:
-            penalty = penalties.charge_peak
-        elif tier is _OFF_PEAK:
-            penalty = penalties.charge_off_peak_bonus
-        else:
-            penalty = 0.0
+        penalty = penalties._charge[tier + 3 if energy >= capacity else tier]
     elif action == 1:  # discharge
         available = energy - soc_min if energy > soc_min else 0.0
         discharged = discharge_rate if discharge_rate < available else available
@@ -195,23 +198,13 @@ def transition(
             next_energy = energy - discharged
         curtailed = surplus
         charged = 0.0
-        if energy <= soc_min:
-            penalty = penalties.discharge_empty
-        elif tier is _OFF_PEAK:
-            penalty = penalties.discharge_off_peak
-        elif tier is _PEAK:
-            penalty = penalties.discharge_peak_bonus
-        else:
-            penalty = 0.0
+        penalty = penalties._discharge[tier + 3 if energy <= soc_min else tier]
     else:  # idle
         grid_import = deficit
         next_energy = energy
         curtailed = surplus
         charged = discharged = 0.0
-        if tier is _PEAK and energy >= soc_min:
-            penalty = penalties.idle_peak_with_charge
-        else:
-            penalty = 0.0
+        penalty = penalties._idle[tier + 3 if energy >= soc_min else tier]
     cost = grid_import * price
     return (
         renewables - curtailed,
@@ -226,12 +219,6 @@ def transition(
     )
 
 
-# The tiers in the order of the per-tier tables of `_level_terms`. A tier's
-# code is its index here: `tuple.index` finds it by identity in C, where a
-# dict would run `Enum.__hash__` in Python for every hour.
-_TIERS = tuple(Tier)
-
-
 @functools.lru_cache(maxsize=8)
 def _level_terms(spec: BatterySpec, penalties: PenaltyTable) -> tuple[np.ndarray, ...]:
     """What `lattice_transition` reads that depends on the charge level alone,
@@ -241,7 +228,7 @@ def _level_terms(spec: BatterySpec, penalties: PenaltyTable) -> tuple[np.ndarray
     charge takes and the level it leads to; the idle next level; the
     discharge limit before the hour's deficit binds; and the energy above
     the reserve. Then the penalty of each (tier, level, action), shape
-    (len(Tier), soc_levels, 3) in `Tier` order. All but the energy above the
+    (len(Tier), soc_levels, 3), indexed by tier code. All but the energy above the
     reserve come from `transition` at the level's energy with no cap, at an
     unbounded deficit, where a discharge meets only its rate and the
     reserve. The arrays are shared between calls, so they are read-only.
@@ -309,7 +296,7 @@ def lattice_transition(
     next_level[..., 2] = idle_level
 
     cost = grid_import * np.asarray(price, dtype=float)[:, None, None]
-    return next_level, -cost + penalty[list(map(_TIERS.index, tiers))]
+    return next_level, -cost + penalty[list(tiers)]
 
 
 def apply_action(

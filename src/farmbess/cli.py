@@ -89,8 +89,9 @@ def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, st
     qtable_path = out / f"qtable_seed{seed}.qt"
     log_path = out / f"training_log_seed{seed}.csv"
     manifest_path = out / f"manifest_seed{seed}.json"
-    save_qtable(table, qtable_path)
+    # The log first: a log refused for a non-finite return leaves no file.
     log.write_csv(log_path)
+    save_qtable(table, qtable_path)
     manifest = {
         "command": "train",
         "package_version": __version__,

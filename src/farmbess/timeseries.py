@@ -13,7 +13,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
 
@@ -36,10 +36,12 @@ class DataValidationError(ValueError):
     """Raised when a dataset violates the hourly-series schema."""
 
 
-class Tier(Enum):
-    OFF_PEAK = "off-peak"
-    STANDARD = "standard"
-    PEAK = "peak"
+class Tier(IntEnum):
+    """A tariff tier; its value is its index in every per-tier table."""
+
+    OFF_PEAK = 0
+    STANDARD = 1
+    PEAK = 2
 
 
 def month_of_hour(hour_index: int) -> int:
@@ -106,12 +108,7 @@ class TariffSchedule:
 
     def price_at(self, hour_of_day: int) -> float:
         """Rate of the tier containing the given hour of day."""
-        tier = self.tier_of(hour_of_day)
-        if tier is Tier.PEAK:
-            return self.peak_rate
-        if tier is Tier.OFF_PEAK:
-            return self.off_peak_rate
-        return self.standard_rate
+        return (self.off_peak_rate, self.standard_rate, self.peak_rate)[self.tier_of(hour_of_day)]
 
 
 def _tariff_prices(tariff: TariffSchedule, n_hours: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -272,7 +274,7 @@ def test_lattice_transition_gives_each_penalty_table_its_own_rewards():
 
 def test_a_negative_zero_row_is_stored_as_zero_and_shares_its_cache_entry():
     table = PenaltyTable(*[-0.0] * 8)
-    assert np.array(list(vars(table).values())).tobytes() == bytes(8 * 8)
+    assert np.array(astuple(table)).tobytes() == bytes(8 * 8)
     day = (POWERWALL, *zip(*_MIXED_DAY), TariffSchedule().tiers)
     lattice_transition(*day, PenaltyTable.zero())
     before = _level_terms.cache_info()
@@ -328,9 +330,15 @@ REWARD_CASES = [
 ]
 
 
+def _case_id(value):
+    """A tier is named in a test id; the default would print its code."""
+    return f"Tier.{value.name}" if isinstance(value, Tier) else None
+
+
 @pytest.mark.parametrize(
     "action,tier,price,load,renewables,energy,expected_reward,expected_penalty",
     REWARD_CASES,
+    ids=_case_id,
 )
 def test_reward_matrix(action, tier, price, load, renewables, energy,
                        expected_reward, expected_penalty):
@@ -381,6 +389,69 @@ def test_custom_penalty_table_is_honored():
         Action.CHARGE, Tier.OFF_PEAK, 0.05, 2.0, 0.0, 5.0, POWERWALL, table
     )
     assert penalty == 2.5
+
+
+def _reference_penalty(action, tier, energy, spec, table):
+    """The shaping term as a first-match cascade of rows keyed on the tier
+    and the charge before the action."""
+    if action == Action.CHARGE:
+        if energy >= spec.capacity_kwh:
+            return table.charge_full_peak if tier is Tier.PEAK else table.charge_full
+        if tier is Tier.PEAK:
+            return table.charge_peak
+        if tier is Tier.OFF_PEAK:
+            return table.charge_off_peak_bonus
+        return 0.0
+    if action == Action.DISCHARGE:
+        if energy <= spec.soc_min_kwh:
+            return table.discharge_empty
+        if tier is Tier.OFF_PEAK:
+            return table.discharge_off_peak
+        if tier is Tier.PEAK:
+            return table.discharge_peak_bonus
+        return 0.0
+    if tier is Tier.PEAK and energy >= spec.soc_min_kwh:
+        return table.idle_peak_with_charge
+    return 0.0
+
+
+# Eight different non-zero rows, so that no two rows, and no row and an
+# unshaped 0, can stand in for each other.
+_DISTINCT_TABLES = st.lists(
+    st.floats(-100.0, 100.0).filter(bool), min_size=8, max_size=8, unique=True
+).map(lambda rows: PenaltyTable(*rows))
+
+
+@st.composite
+def _edge_energies(draw, spec):
+    """0, the reserve, the capacity, a float neighbour of one of them, or a
+    uniform charge; as a float or a numpy scalar."""
+    edge = draw(st.sampled_from([0.0, spec.soc_min_kwh, spec.capacity_kwh]))
+    energy = draw(st.one_of(
+        st.just(edge),
+        st.sampled_from([-math.inf, math.inf]).map(lambda to: math.nextafter(edge, to)),
+        st.floats(0.0, spec.capacity_kwh),
+    ))
+    return np.float64(energy) if draw(st.booleans()) else energy
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=st.builds(
+        BatterySpec,
+        capacity_kwh=st.floats(0.5, 50.0),
+        reserve_fraction=st.sampled_from([0.0, 0.1, 0.25]) | st.floats(0.0, 0.9),
+    ),
+    table=_DISTINCT_TABLES,
+    action=st.sampled_from(Action),
+    tier=st.sampled_from(Tier),
+    data=st.data(),
+)
+def test_penalty_is_the_reference_cascade(spec, table, action, tier, data):
+    energy = data.draw(_edge_energies(spec))
+    _, penalty = _reward(action, tier, 0.1, 2.0, 1.0, energy, spec, table)
+    expected = _reference_penalty(action, tier, energy, spec, table)
+    assert penalty.hex() == expected.hex()
 
 
 # ---------------------------------------------------------------- episode start

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import csv
 import errno
 import functools
 import hashlib
@@ -39,6 +40,7 @@ from farmbess.cli import OUTPUT_DIR_ENV, main
 from farmbess.config import ConfigError, RunConfig, _type_hints, load_config
 from farmbess.encoding import BinSpec
 from farmbess.evaluation import ComparisonReport, qtable_controller, rollout
+from test_timeseries import _OVERLONG_CELL, _mutated_csv
 
 
 def _refuse_constant(name):
@@ -49,6 +51,14 @@ def _read_strict_json(path: Path):
     """The file's JSON, refusing the NaN and Infinity that `json` writes by
     default and that no JSON reader need accept."""
     return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def _non_finite_cells(path: Path) -> list[str]:
+    """The cells of a CSV file that spell an infinity or a NaN, bare or in a
+    wrapper such as `np.float64(…)`."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        cells = [cell for row in csv.reader(handle) for cell in row]
+    return [cell for cell in cells if re.search(r"(?i)\b(inf|infinity|nan)\b", cell)]
 
 
 def _config(tmp_path, text, name="run.yaml") -> Path:
@@ -841,6 +851,8 @@ def test_a_non_finite_result_is_refused_in_one_line(tmp_path, capsys, key, comma
         _read_strict_json(path)
     for path in out.glob("*.qt"):
         load_qtable(path)
+    for path in out.glob("*.csv"):
+        assert _non_finite_cells(path) == [], path
 
 
 def test_compare_needs_two_refs(tmp_path, capsys):
@@ -1117,6 +1129,33 @@ def test_evaluate_with_a_mutated_qtable_payload_is_one_line(saved_load_pv_table,
     else:
         assert code == 2
         assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+
+@seed(3011)
+@settings(max_examples=40, deadline=None)
+@given(case=_mutated_csv())
+def test_evaluate_with_a_mutated_csv_is_one_line(tmp_path_factory, case):
+    """A dataset CSV with up to two faults, as `load_csv`'s property draws
+    them: the run works, or is refused in one line that names the CSV or a
+    report it would not write."""
+    text, _ = case
+    folder = tmp_path_factory.mktemp("csv")
+    series = folder / "series.csv"
+    series.write_bytes(
+        text.replace(_OVERLONG_CELL, "0" * (csv.field_size_limit() + 1)).encode("utf-8")
+    )
+    out = folder / "out"
+    config = _config(folder, f"dataset:\n  path: {series}\nrun:\n  output_dir: {out}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--config", str(config), "baseline:no-battery"])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert err.count("\n") == 1, err
+        assert err.startswith((f"error: {series}:", f"error: {out}/")), err
 
 
 def _config_keys(node, where=()):
