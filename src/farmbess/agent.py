@@ -3,7 +3,6 @@ day-episode training loop, and Q-table persistence."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import sys
@@ -14,14 +13,11 @@ import numpy as np
 
 from .battery import Action, BatterySpec, PenaltyTable, transition
 from .encoding import _EDGE_SNAP, StateEncoder, soc_level_energy
-from .ioutil import atomic_write_bytes, atomic_write_chunks
+from .ioutil import atomic_write_bytes, atomic_write_rows
 from .timeseries import HourlySeries, TariffSchedule
 
 QTABLE_MAGIC = "farmbess-qtable"
 QTABLE_FORMAT_VERSION = 1
-
-# Rows of a training log formatted and written at a time.
-_LOG_CHUNK_ROWS = 4096
 
 
 # The actions in index order, so a greedy pick is a tuple lookup rather than
@@ -100,28 +96,15 @@ class TrainingLog:
         """Write one CSV row per episode. A non-finite rate or return (an
         episode whose summed reward overflowed) is refused in a ValueError
         naming the file, and nothing is written."""
-        floats = (self.alphas, self.epsilons, self.episode_returns)
-        if not all(np.isfinite(column).all() for column in floats):
-            raise ValueError(f"{path}: not written: it would hold a non-finite number")
         # The pinned logs hold numpy's float64 scalar repr, `np.float64(x)`
         # under numpy 2 and bare `x` under 1.x: the float's own repr inside a
         # wrapper taken from numpy, which costs less than each scalar's repr.
-        # `map(float, …)` makes one float at a time. The rows are formatted
-        # and written a chunk at a time, so no more than a chunk's text is
-        # held.
         value = repr(np.float64(0.5)).replace("0.5", "{!r}")
-        row = f"{{}},{{}},{{}},{value},{value},{value}\n".format
-
-        def rows(start: int) -> str:
-            end = start + _LOG_CHUNK_ROWS
-            ints = (column[start:end].tolist() for column in (self.day_indices, self.soc_levels))
-            cells = (map(float, column[start:end]) for column in floats)
-            return "".join(map(row, range(start, end), *ints, *cells))
-
-        header = "episode,day_index,initial_soc_level,alpha,epsilon,episode_return\n"
-        atomic_write_chunks(
-            path, itertools.chain([header], map(rows, range(0, len(self), _LOG_CHUNK_ROWS)))
-        )
+        row = f"{{}},{{}},{{}},{value},{value},{value}"
+        header = "episode,day_index,initial_soc_level,alpha,epsilon,episode_return"
+        ints = (range(len(self)), self.day_indices, self.soc_levels)
+        floats = (self.alphas, self.epsilons, self.episode_returns)
+        atomic_write_rows(path, header, row, (*ints, *floats))
 
 
 def greedy_action(q: QTable, state: int) -> Action:

@@ -7,8 +7,10 @@ the setting's dotted config key ("hyperparams.total_episodes"), which
 `--help` shows, and every command passes those keys to `load_config`. The
 FARMBESS_OUTPUT_DIR environment variable overrides the configured output
 directory (but not an explicit --out flag). All output files are written
-atomically and every run is reproducible from its manifest. No file holds a
-non-finite number: such a report or table is refused in one line, unwritten.
+atomically, every CSV a chunk of rows at a time by `ioutil.atomic_write_rows`,
+and every run is reproducible from its manifest. No file holds a non-finite
+number: such a report, table or CSV is refused in one line, unwritten.
+`train` loads the dataset once for all its seeds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .evaluation import (
     rollout,
 )
 from .ioutil import atomic_write_json, atomic_write_text, refuse_directory
-from .timeseries import SyntheticProfileConfig, generate_synthetic, write_csv
+from .timeseries import HourlySeries, SyntheticProfileConfig, generate_synthetic, write_csv
 
 OUTPUT_DIR_ENV = "FARMBESS_OUTPUT_DIR"
 
@@ -76,9 +78,11 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_one_seed(config: RunConfig, seed: int, out_dir: str) -> tuple[str, str, str]:
-    """Train one seed and write its three output files (worker-safe)."""
-    series = config.load_series()
+def _train_one_seed(
+    config: RunConfig, series: HourlySeries, seed: int, out_dir: str
+) -> tuple[str, str, str]:
+    """Train one seed on the series and write its three output files
+    (worker-safe: a pool pickles the series into each job)."""
     encoder = config.encoder_for(series)
     hp = replace(config.hyperparams, rng_seed=seed)
     table, log = train(
@@ -112,6 +116,7 @@ def cmd_train(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config, _overrides(args))
+    series = config.load_series()
     out_dir = _output_dir(config, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.workers > 1 and len(config.run.seeds) > 1:
@@ -122,12 +127,14 @@ def cmd_train(args) -> int:
         workers = min(args.workers, len(config.run.seeds))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_train_one_seed, config, seed, str(out_dir))
+                pool.submit(_train_one_seed, config, series, seed, str(out_dir))
                 for seed in config.run.seeds
             ]
             results = [future.result() for future in futures]
     else:
-        results = [_train_one_seed(config, seed, str(out_dir)) for seed in config.run.seeds]
+        results = [
+            _train_one_seed(config, series, seed, str(out_dir)) for seed in config.run.seeds
+        ]
     for seed, paths in zip(config.run.seeds, results):
         print(f"seed {seed}: wrote {', '.join(paths)}")
     return 0

@@ -2,9 +2,9 @@
 strictly before any run starts.
 
 The sections are the fields of `RunConfig`, and the keys of each section
-are the fields of its dataclass. Unknown keys, values of the wrong type and
-non-finite numbers are rejected where the file is read, with a one-line
-`ConfigError` naming `section.key`.
+are the fields of its dataclass. Unknown keys, values of the wrong type,
+non-finite numbers and sizing keys over `_SIZE_CEILING` are rejected where
+the file is read, with a one-line `ConfigError` naming `section.key`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ from .timeseries import (
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
+
+
+# The most entries a sizing key may ask one array to hold: the episodes of a
+# training log, the hours of a synthetic series, or the states of the widest
+# encoding. The defaults ask for at most 10**6, and ten times every default
+# size for 3.3 * 10**8 states. Far above it no array can be allocated, and
+# numpy would fail with a traceback where the config fails in one line.
+_SIZE_CEILING = 10**9
 
 
 # Sections that configure the run rather than one program object; each
@@ -249,6 +257,13 @@ def _validate(raw: dict, where: str) -> RunConfig:
 
     if not 0 <= encoding.percentile <= 100:
         raise ConfigError(f"encoding.percentile must be in [0, 100], got {encoding.percentile}")
+    # Each sizing key with the size it asks for. The bins are sized for the
+    # widest encoding, as `compare --ablation` builds every kind.
+    states = 24 * sections["battery"].soc_levels
+    sizes = {"hyperparams.total_episodes": sections["hyperparams"].total_episodes,
+             "battery.soc_levels": states}
+    if dataset.synthetic is not None:
+        sizes["dataset.synthetic.days"] = 24 * dataset.synthetic.days
     for column in ("load", "pv", "wind"):
         count = getattr(encoding, f"{column}_bins")
         if count < 1:
@@ -256,6 +271,14 @@ def _validate(raw: dict, where: str) -> RunConfig:
         bin_max = getattr(encoding, f"{column}_bin_max")
         if bin_max is not None and not bin_max > 0:
             raise ConfigError(f"encoding.{column}_bin_max must be > 0, got {bin_max}")
+        states *= count
+        sizes[f"encoding.{column}_bins"] = states
+    for key, size in sizes.items():
+        if size > _SIZE_CEILING:
+            raise ConfigError(
+                f"{key} is too large: it sizes an array of {size:,} entries, "
+                f"over the limit of {_SIZE_CEILING:,}"
+            )
 
     if not run.seeds:
         raise ConfigError("run.seeds must be a non-empty list of integers")

@@ -22,7 +22,7 @@ from .agent import _ACTIONS, Hyperparams, QTable, train
 from .baselines import BaselineKind, baseline_decision
 from .battery import _NO_SHAPING, Action, BatterySpec, PenaltyTable, lattice_transition, transition
 from .encoding import StateEncoder, soc_bin, soc_level_energy
-from .ioutil import atomic_write_json, atomic_write_text
+from .ioutil import atomic_write_json, atomic_write_rows
 from .timeseries import HourlySeries, TariffSchedule, Tier, month_of_hour
 
 # A controller binds to a series: controller(series) returns a decide(i,
@@ -74,16 +74,11 @@ class EvalReport:
         atomic_write_json(path, self.to_json_dict())
 
     def write_csv(self, path: str | Path) -> None:
-        rows = map(
-            "{},{},{!r},{!r},{!r}".format,
-            self.hour_index,
-            (action.name.lower() for action in self.action),
-            self.grid_import_kwh,
-            self.cost,
-            self.soc_after,
+        actions = [action.name.lower() for action in self.action]
+        atomic_write_rows(
+            path, "hour_index,action,grid_import_kwh,cost,soc_after", "{},{},{!r},{!r},{!r}",
+            (self.hour_index, actions, self.grid_import_kwh, self.cost, self.soc_after),
         )
-        lines = ["hour_index,action,grid_import_kwh,cost,soc_after", *rows]
-        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

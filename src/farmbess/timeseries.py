@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_rows
 
 REQUIRED_COLUMNS = ("hour", "load_kwh", "pv_kwh")
 OPTIONAL_COLUMNS = ("wind_kwh", "price_per_kwh")
@@ -436,7 +436,5 @@ def write_csv(series: HourlySeries, path: str | Path, include_price: bool = True
         columns["wind_kwh"] = series.wind
     if include_price:
         columns["price_per_kwh"] = series.price
-    fields = [map(str, range(len(series)))]
-    fields.extend(map(repr, column.tolist()) for column in columns.values())
-    lines = [",".join(["hour", *columns]), *map(",".join, zip(*fields))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header, row = ",".join(["hour", *columns]), "{}" + ",{!r}" * len(columns)
+    atomic_write_rows(path, header, row, [range(len(series)), *columns.values()])

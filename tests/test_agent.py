@@ -41,7 +41,7 @@ from farmbess import (
     train,
     transition,
 )
-from farmbess import agent
+from farmbess import ioutil
 from farmbess.agent import QTableFormatError, _randbelow
 from farmbess.encoding import BinSpec
 
@@ -817,7 +817,7 @@ def test_training_log_csv_bytes_hold_across_chunks(tmp_path):
     """Rows are written a chunk at a time; logs ending one row short of, on
     and one row past a chunk edge, and one spanning three chunks, write the
     row writer's bytes."""
-    chunk = agent._LOG_CHUNK_ROWS
+    chunk = ioutil._CHUNK_ROWS
     for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         log = _random_log(n)
         path = tmp_path / f"log{n}.csv"

@@ -18,6 +18,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -446,6 +447,41 @@ def test_train_starts_no_more_workers_than_seeds(tmp_path, monkeypatch):
     config = _config(tmp_path, text.format(out=tmp_path / "out"))
     assert main(["train", "--config", str(config), "--workers", "64"]) == 0
     assert asked == [2]
+
+
+# The Q-tables and training logs of three seeds trained on SMALL_SYNTH, as
+# the build that loaded the series once per seed wrote them. A log is hashed
+# with numpy 2's `np.float64(x)` written as numpy 1.x writes it, bare `x`.
+THREE_SEED_DIGESTS = {
+    "qtable_seed7.qt": "2a74c9a685959c1ab1bf41b09e3d0265a4b89ff822eb0eb02ae23382526b95c9",
+    "qtable_seed8.qt": "6e2ffb216b2c0d9f5e0ad86ecfeada28e9a6f9c721b79c7dcdea30629a715efe",
+    "qtable_seed9.qt": "c5f0b5554395e59c35126e8efc0b28a8fa178f4a8654347017aff8f933a249bf",
+    "training_log_seed7.csv": "3dd5ece464f3a95a7f9388303a136c917fc4de2ddec94d739a6742fe4f0e986f",
+    "training_log_seed8.csv": "6fc5c63720fd067aab4801ed3d2038a4fe48f10299bcccd2b2b3d7c293c26ccf",
+    "training_log_seed9.csv": "6c8b451aa880f80743718b5b398917383a27bfa8fc4ab82235393adab257a9bf",
+}
+
+
+def test_train_loads_the_series_once_for_every_seed(tmp_path, monkeypatch):
+    calls = []
+    load_series = RunConfig.load_series
+
+    def counted(self):
+        calls.append(self)
+        return load_series(self)
+
+    monkeypatch.setattr(RunConfig, "load_series", counted)
+    text = SMALL_SYNTH.format(out="out").replace("seeds: [7]", "seeds: [7, 8, 9]")
+    config = _config(tmp_path, text)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    digests = {}
+    for name in THREE_SEED_DIGESTS:
+        data = (tmp_path / "out" / name).read_bytes()
+        if name.endswith(".csv"):
+            data = re.sub(rb"np\.float64\(([^)]*)\)", rb"\1", data)
+        digests[name] = hashlib.sha256(data).hexdigest()
+    assert digests == THREE_SEED_DIGESTS
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
@@ -951,6 +987,43 @@ def test_soc_levels_too_large_for_a_float_is_one_line(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: battery: soc_levels must be at most")
     assert err.count("error:") == 1 and err.count("\n") == 1
+
+
+# Sizing keys too large for any array, each with the size numpy refuses at
+# once: the key's array would span more bytes than an index can address, or
+# its state stride overflows a C long.
+_HUGE_SIZING_KEYS = {
+    "hyperparams.total_episodes": "hyperparams:\n  total_episodes: 2000000000000000000\n",
+    "dataset.synthetic.days": "dataset:\n  synthetic:\n    days: 100000000000000000\n",
+    "battery.soc_levels": "battery:\n  soc_levels: 2000000000000000000\n",
+    "encoding.load_bins": "encoding:\n  kind: hour-soc-load-pv-wind\n"
+    + "".join(f"  {c}_bins: 100000000\n" for c in ("load", "pv", "wind")),
+}
+
+
+@pytest.mark.parametrize("key", list(_HUGE_SIZING_KEYS))
+def test_a_huge_sizing_key_is_one_line_naming_it(tmp_path, capsys, key):
+    """`train` refuses the key in one line before it allocates, where it
+    once failed in numpy with a traceback."""
+    text = _HUGE_SIZING_KEYS[key]
+    if "dataset" not in text:
+        text = "dataset:\n  synthetic:\n    days: 1\n" + text
+    config = _config(tmp_path, text)
+    start = time.perf_counter()
+    code = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key} is too large:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_ten_times_every_default_size_is_admitted():
+    keys = {"hyperparams.total_episodes": 10_000_000, "dataset.synthetic.days": 3650,
+            "battery.soc_levels": 110, "encoding.load_bins": 50, "encoding.pv_bins": 50,
+            "encoding.wind_bins": 50}
+    config = load_config(None, {**keys, "encoding.kind": "hour-soc-load-pv-wind"})
+    assert config.encoder_for(config.load_series()).size() == 24 * 110 * 50**3
 
 
 @pytest.mark.parametrize(

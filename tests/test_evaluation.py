@@ -47,6 +47,7 @@ from farmbess.evaluation import (
     qtable_controller,
 )
 from farmbess.timeseries import Tier
+from test_timeseries import _CHUNK_EDGE_DAYS
 
 POWERWALL = BatterySpec()
 
@@ -650,6 +651,47 @@ def test_rollout_report_files(tmp_path, synthetic_week, tariff):
     data = json.loads(json_path.read_text())
     assert data["label"] == "msc"
     assert data["total_cost"] == pytest.approx(report.total_cost)
+
+
+def _reference_trace_text(report) -> str:
+    """The text the row-joining `EvalReport.write_csv` wrote."""
+    lines = ["hour_index,action,grid_import_kwh,cost,soc_after"]
+    columns = (report.hour_index, report.action, report.grid_import_kwh, report.cost,
+               report.soc_after)
+    lines.extend(
+        f"{i},{action.name.lower()},{grid!r},{cost!r},{soc!r}"
+        for i, action, grid, cost, soc in zip(*columns)
+    )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("days", _CHUNK_EDGE_DAYS)
+def test_rollout_trace_bytes_hold_across_chunks(tmp_path, tariff, days):
+    """Rows are written a chunk at a time; a trace either side of a chunk
+    edge, and one spanning three chunks, writes the row writer's bytes."""
+    series = generate_synthetic(SyntheticProfileConfig(days=days, rng_seed=days), tariff)
+    report = rollout(
+        baseline_controller(BaselineKind.MSC, POWERWALL, tariff), series, POWERWALL, label="msc"
+    )
+    path = tmp_path / "trace.csv"
+    report.write_csv(path)
+    assert path.read_bytes() == _reference_trace_text(report).encode("utf-8")
+
+
+def test_rollout_trace_refuses_a_non_finite_cost(tmp_path, tariff):
+    """A price of 1e308 on a load of 10 kWh costs inf: the trace is refused
+    in one line naming the file, where it once held `0,idle,10.0,inf,1.35`,
+    and no file is left."""
+    report = rollout(
+        baseline_controller(BaselineKind.NO_BATTERY, POWERWALL, tariff),
+        _day(10.0, 0.0, price=1e308), POWERWALL,
+    )
+    assert report.cost[0] == math.inf
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError) as info:
+        report.write_csv(path)
+    assert str(info.value) == f"{path}: not written: it would hold a non-finite number"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- oracle properties

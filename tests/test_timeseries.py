@@ -27,7 +27,7 @@ from farmbess import (
     month_of_hour,
     write_csv,
 )
-from farmbess import timeseries
+from farmbess import ioutil, timeseries
 from farmbess.timeseries import (
     OPTIONAL_COLUMNS,
     REQUIRED_COLUMNS,
@@ -643,6 +643,25 @@ def test_write_csv_bytes_match_the_row_writer(tmp_path, synthetic_week, wind, in
         path = tmp_path / "series.csv"
         write_csv(case, path, include_price=include_price)
         assert path.read_bytes() == _reference_write_csv(case, include_price).encode("utf-8")
+
+
+# Days whose hours end just short of and just past a chunk of rows, and days
+# that span more than two chunks.
+_CHUNK_EDGE_DAYS = (
+    ioutil._CHUNK_ROWS // 24,
+    ioutil._CHUNK_ROWS // 24 + 1,
+    2 * ioutil._CHUNK_ROWS // 24 + 1,
+)
+
+
+@pytest.mark.parametrize("days", _CHUNK_EDGE_DAYS)
+def test_write_csv_bytes_hold_across_chunks(tmp_path, tariff, days):
+    """Rows are written a chunk at a time; a series either side of a chunk
+    edge, and one spanning three chunks, writes the row writer's bytes."""
+    series = generate_synthetic(SyntheticProfileConfig(days=days, rng_seed=days), tariff)
+    path = tmp_path / "series.csv"
+    write_csv(series, path)
+    assert path.read_bytes() == _reference_write_csv(series).encode("utf-8")
 
 
 # ---------------------------------------------------------------- series type
