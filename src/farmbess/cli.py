@@ -19,7 +19,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -210,7 +210,7 @@ def _format_pct(value: float | None) -> str:
 def _comparison_text(rows) -> str:
     table = [("candidate", "import_reduction", "cost_reduction", "peak_reduction")] + [
         (
-            row.candidate_label,
+            row.candidate,
             _format_pct(row.import_reduction_pct),
             _format_pct(row.cost_reduction_pct),
             _format_pct(row.peak_reduction_pct),
@@ -257,7 +257,7 @@ def cmd_compare(args) -> int:
 
     json_path = out_dir / "comparison.json"
     text_path = out_dir / "comparison.txt"
-    atomic_write_json(json_path, [row.to_json_dict() for row in rows])
+    atomic_write_json(json_path, [asdict(row) for row in rows])
     text = _comparison_text(rows)
     atomic_write_text(text_path, text + "\n")
     print(text)
@@ -336,6 +336,12 @@ def main(argv: list[str] | None = None) -> int:
     # all ValueErrors.
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # A size under config's ceiling can still be more than the machine
+    # holds; numpy's message gives the size, not the key that asked for it.
+    except MemoryError as exc:
+        message = f"out of memory: {exc}" if str(exc) else "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -47,13 +47,12 @@ class MonthlyAggregate:
 class EvalReport:
     """Per-hour columns plus aggregates for one controller on one series.
 
-    Entry i of each column belongs to the series' i-th hour: its index, the
+    Entry i of each column belongs to the series' i-th hour: the
     controller's action, the grid import and cost, and the stored energy
-    after the hour.
+    after the hour. The trace CSV writes i as its `hour_index` column.
     """
 
     label: str
-    hour_index: tuple[int, ...]
     action: tuple[Action, ...]
     grid_import_kwh: tuple[float, ...]
     cost: tuple[float, ...]
@@ -77,7 +76,7 @@ class EvalReport:
         actions = [action.name.lower() for action in self.action]
         atomic_write_rows(
             path, "hour_index,action,grid_import_kwh,cost,soc_after", "{},{},{!r},{!r},{!r}",
-            (self.hour_index, actions, self.grid_import_kwh, self.cost, self.soc_after),
+            (range(len(actions)), actions, self.grid_import_kwh, self.cost, self.soc_after),
         )
 
 
@@ -86,23 +85,14 @@ class ComparisonReport:
     """Relative reductions of a candidate controller against a base one.
 
     A reduction is None (null in JSON) when the base total is zero and the
-    percentage is undefined.
+    percentage is undefined. `comparison.json` holds each row's `asdict`.
     """
 
-    base_label: str
-    candidate_label: str
+    base: str
+    candidate: str
     import_reduction_pct: float | None
     cost_reduction_pct: float | None
     peak_reduction_pct: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": self.base_label,
-            "candidate": self.candidate_label,
-            "import_reduction_pct": self.import_reduction_pct,
-            "cost_reduction_pct": self.cost_reduction_pct,
-            "peak_reduction_pct": self.peak_reduction_pct,
-        }
 
 
 def baseline_controller(
@@ -210,7 +200,6 @@ def rollout(
     monthly = tuple(MonthlyAggregate(m, *months[m]) for m in sorted(months))
     return EvalReport(
         label=label,
-        hour_index=tuple(range(len(series))),
         action=tuple(actions),
         grid_import_kwh=tuple(imports),
         cost=tuple(costs),
@@ -266,8 +255,8 @@ def compare(base: EvalReport, candidate: EvalReport) -> ComparisonReport:
             total += ratio
         peak = total / len(ratios) * 100.0
     return ComparisonReport(
-        base_label=base.label,
-        candidate_label=candidate.label,
+        base=base.label,
+        candidate=candidate.label,
         import_reduction_pct=reduction(base.total_import_kwh, candidate.total_import_kwh),
         cost_reduction_pct=reduction(base.total_cost, candidate.total_cost),
         peak_reduction_pct=peak,

@@ -790,7 +790,7 @@ def _reference_comparison_text(rows) -> str:
     headers = ("candidate", "import_reduction", "cost_reduction", "peak_reduction")
     table = [
         (
-            row.candidate_label,
+            row.candidate,
             cli._format_pct(row.import_reduction_pct),
             cli._format_pct(row.cost_reduction_pct),
             cli._format_pct(row.peak_reduction_pct),
@@ -1016,6 +1016,28 @@ def test_a_huge_sizing_key_is_one_line_naming_it(tmp_path, capsys, key):
     assert code == 2
     assert err.startswith(f"error: {key} is too large:") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+_ALLOCATE = "Unable to allocate 3.73 GiB for an array with shape (500000000,) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [(_ALLOCATE, f"error: out of memory: {_ALLOCATE}\n"), ("", "error: out of memory\n")],
+    ids=["numpy", "empty"],
+)
+def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, message, line):
+    """A size under the ceiling that the machine cannot hold (a one-day
+    `train` of 500,000,000 episodes under `ulimit -v` 2 GB) is one line, where
+    it once ended in numpy's traceback."""
+
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "train", allocate)
+    config = _config(tmp_path, "dataset:\n  synthetic:\n    days: 1\n")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == line
 
 
 def test_ten_times_every_default_size_is_admitted():

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +94,6 @@ def _report(label, total_import, total_cost, peaks=()):
     )
     return EvalReport(
         label=label,
-        hour_index=(),
         action=(),
         grid_import_kwh=(),
         cost=(),
@@ -277,7 +277,7 @@ def test_rollout_matches_the_reference_bit_for_bit(
     )
     assert len(trace) == len(series) == 9600
     hours, actions, imports, costs, energies = zip(*trace)
-    assert report.hour_index == hours
+    assert hours == tuple(range(len(series)))
     assert report.action == actions
     assert all(type(a) is Action for a in report.action)
     assert len(set(report.action)) > 1  # the policy is not a constant
@@ -431,7 +431,7 @@ def test_compare_antisymmetric_sign():
 
 def test_comparison_report_json_round_trip():
     report = ComparisonReport("a", "b", 1.5, None, -2.0)
-    data = json.loads(json.dumps(report.to_json_dict()))
+    data = json.loads(json.dumps(asdict(report)))
     assert data["cost_reduction_pct"] is None
     assert data["import_reduction_pct"] == 1.5
 
@@ -656,7 +656,7 @@ def test_rollout_report_files(tmp_path, synthetic_week, tariff):
 def _reference_trace_text(report) -> str:
     """The text the row-joining `EvalReport.write_csv` wrote."""
     lines = ["hour_index,action,grid_import_kwh,cost,soc_after"]
-    columns = (report.hour_index, report.action, report.grid_import_kwh, report.cost,
+    columns = (range(len(report.action)), report.action, report.grid_import_kwh, report.cost,
                report.soc_after)
     lines.extend(
         f"{i},{action.name.lower()},{grid!r},{cost!r},{soc!r}"
