@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 import json
 import sys
 import types
@@ -204,10 +205,6 @@ class RunConfig:
         return StateEncoder.for_series(kind or self.encoding.kind, series, self.battery, self.encoding)
 
     def digest(self) -> str:
-        # Imported here: only train's manifest hashes, and no other module
-        # that every command imports needs hashlib.
-        import hashlib
-
         return hashlib.sha256(
             json.dumps(self.resolved, sort_keys=True).encode("utf-8")
         ).hexdigest()

@@ -8,7 +8,7 @@ Usage (from the repository root):
 Each commit's tree is extracted with `git archive` into a temporary
 directory; a tree without `bench/` or `BENCHMARK.json` (the seed commit) is
 given the ones the benchmark was defined with (`bec9583`). Then, for each
-round and each workload, `python3 bench/run.py --workload W --seed S
+round and each workload, `python3 bench/run.py --workload W --seed 0
 --seconds N --trace 0` runs once in every tree, the commits taking turns
 (reversed every other round), so a slow spell of the machine falls on all of
 them. The runner's last two stdout lines are its `report` and its result.
@@ -37,6 +37,7 @@ from pathlib import Path
 WORKLOADS = ("train", "evaluate", "io")
 # The commit that defined the benchmark; later commits only kept its files.
 BENCH_COMMIT = "bec9583"
+SEED = 0
 GRAFTED = ("bench", "BENCHMARK.json")
 
 
@@ -63,21 +64,29 @@ def checkout(commit: str, dest: Path) -> list[str]:
     return missing
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One run of the tree's runner; its result and report, or its error."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+def run_bench(tree: Path, workload: str, seconds: int) -> dict:
+    """One run of the tree's runner; its result and report, or its error.
+    A run that fails, hangs or prints something else is recorded as an error
+    so that the rounds already run are still written."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", "0"]
     # The runner imports farmbess from the tree's src/ and nowhere else.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
-                          timeout=seconds * 10 + 300)
+    try:
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=seconds * 10 + 300)
+    except subprocess.TimeoutExpired as exc:
+        return {"error": f"timed out after {exc.timeout} s"}
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("report "):
         return {"error": f"exit {done.returncode}: {done.stderr.strip()[-2000:]}"}
-    return {
-        "result": json.loads(lines[-1]),
-        "report": json.loads(lines[-2].removeprefix("report ")),
-    }
+    try:
+        return {
+            "result": json.loads(lines[-1]),
+            "report": json.loads(lines[-2].removeprefix("report ")),
+        }
+    except json.JSONDecodeError as exc:
+        return {"error": f"unreadable output: {exc}"}
 
 
 def metric_values(run: dict) -> dict[str, float]:
@@ -116,8 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("commits", nargs="+", help="commits to benchmark, in this order")
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seconds", type=int, default=10, help="--seconds of each run")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--out", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.seconds < 1:
@@ -131,13 +138,13 @@ def main(argv: list[str] | None = None) -> int:
             trees[sha].mkdir()
             grafted[sha] = checkout(sha, trees[sha])
         runs: dict[str, dict[str, list[dict]]] = {
-            sha: {w: [] for w in args.workloads} for sha in trees
+            sha: {w: [] for w in WORKLOADS} for sha in trees
         }
         for r in range(args.rounds):
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-            for workload in args.workloads:
+            for workload in WORKLOADS:
                 for sha in order:
-                    run = {"round": r, **run_bench(trees[sha], workload, args.seed, args.seconds)}
+                    run = {"round": r, **run_bench(trees[sha], workload, args.seconds)}
                     runs[sha][workload].append(run)
                     status = run.get("error") or "wall_s {:.4f} s".format(
                         run["result"]["metrics"].get("wall_s", {}).get("value", float("nan"))
@@ -150,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         document = {
             "commit": sha,
             "grafted": grafted[sha],
-            "command": f"python3 bench/run.py --workload W --seed {args.seed} "
+            "command": f"python3 bench/run.py --workload W --seed {SEED} "
             f"--seconds {args.seconds} --trace 0",
             "rounds": args.rounds,
             "machine": machine(every),
