@@ -6,16 +6,21 @@ built-in default. Each flag that overrides a setting stores its value under
 the setting's dotted config key ("hyperparams.total_episodes"), which
 `--help` shows, and every command passes those keys to `load_config`. The
 FARMBESS_OUTPUT_DIR environment variable overrides the configured output
-directory (but not an explicit --out flag). All output files are written
-atomically, every CSV a chunk of rows at a time by `ioutil.atomic_write_rows`,
-and every run is reproducible from its manifest. No file holds a non-finite
-number: such a report, table or CSV is refused in one line, unwritten.
-`train` loads the dataset once for all its seeds.
+directory (but not an explicit --out flag). A command makes its output
+directory with its first file, so one that fails before it has a result
+leaves none behind; an output directory at or under an existing file is
+refused before any work. All output files are written atomically, every
+CSV a chunk of rows at a time by `ioutil.atomic_write_rows`, and every run
+is reproducible from its manifest. No file holds a non-finite number: such
+a report, table or CSV is refused in one line, unwritten. `train` loads the
+dataset once for all its seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import os
 import sys
@@ -46,12 +51,13 @@ class CliError(ValueError):
 
 
 def _output_dir(config: RunConfig, out_flag: str | None) -> Path:
-    if out_flag:
-        return Path(out_flag)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path(config.run.output_dir)
+    out = Path(out_flag or os.environ.get(OUTPUT_DIR_ENV) or config.run.output_dir)
+    # The first file written makes the directory, so a path at or under an
+    # existing file would fail only then, after the work: refuse it now.
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    return out
 
 
 def _overrides(args) -> dict:
@@ -79,7 +85,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_one_seed(
-    config: RunConfig, series: HourlySeries, seed: int, out_dir: str
+    config: RunConfig, series: HourlySeries, out_dir: Path, seed: int
 ) -> tuple[str, str, str]:
     """Train one seed on the series and write its three output files
     (worker-safe: a pool pickles the series into each job)."""
@@ -89,10 +95,9 @@ def _train_one_seed(
         series, config.battery, config.tariff, config.penalties, hyperparams=hp, encoder=encoder
     )
 
-    out = Path(out_dir)
-    qtable_path = out / f"qtable_seed{seed}.qt"
-    log_path = out / f"training_log_seed{seed}.csv"
-    manifest_path = out / f"manifest_seed{seed}.json"
+    qtable_path = out_dir / f"qtable_seed{seed}.qt"
+    log_path = out_dir / f"training_log_seed{seed}.csv"
+    manifest_path = out_dir / f"manifest_seed{seed}.json"
     # The log first: a log refused for a non-finite return leaves no file.
     log.write_csv(log_path)
     save_qtable(table, qtable_path)
@@ -117,24 +122,17 @@ def cmd_train(args) -> int:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config, _overrides(args))
     series = config.load_series()
-    out_dir = _output_dir(config, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.workers > 1 and len(config.run.seeds) > 1:
+    job = functools.partial(_train_one_seed, config, series, _output_dir(config, args.out))
+    # The pool may start all its workers at once: no more than the seeds.
+    workers = min(args.workers, len(config.run.seeds))
+    pool = contextlib.nullcontext()
+    if workers > 1:
         # Imported here: it pulls in logging, and no other command needs it.
         import concurrent.futures
 
-        # The pool may start all its workers at the first submit: no more than the seeds.
-        workers = min(args.workers, len(config.run.seeds))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_train_one_seed, config, series, seed, str(out_dir))
-                for seed in config.run.seeds
-            ]
-            results = [future.result() for future in futures]
-    else:
-        results = [
-            _train_one_seed(config, series, seed, str(out_dir)) for seed in config.run.seeds
-        ]
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    with pool:
+        results = list((pool.map if workers > 1 else map)(job, config.run.seeds))
     for seed, paths in zip(config.run.seeds, results):
         print(f"seed {seed}: wrote {', '.join(paths)}")
     return 0
@@ -186,10 +184,9 @@ def _evaluate_ref(ref: str, config: RunConfig, series) -> EvalReport:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
+    out_dir = _output_dir(config, args.out)
     series = config.load_series()
     report = _evaluate_ref(args.controller, config, series)
-    out_dir = _output_dir(config, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     slug = _ref_slug(args.controller)
     csv_path = out_dir / f"eval_{slug}.csv"
     json_path = out_dir / f"eval_{slug}.json"
@@ -229,7 +226,6 @@ def cmd_compare(args) -> int:
     config = load_config(args.config, _overrides(args))
     series = config.load_series()
     out_dir = _output_dir(config, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.ablation:
         rows = ablation_run(
@@ -284,16 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="write a synthetic hourly-year CSV")
     gen.add_argument("--config", help="YAML config supplying dataset.synthetic and tariff")
-    for flag, key, kind in (
-        ("--days", "days", int),
-        ("--seed", "rng_seed", int),
-        ("--base-load", "base_load_kwh", float),
-        ("--load-amplitude", "load_amplitude_kwh", float),
-        ("--pv-peak", "pv_peak_kwh", float),
-        ("--wind-mean", "wind_mean_kwh", float),
-        ("--noise", "noise_fraction", float),
-    ):
-        _override(gen, flag, f"dataset.synthetic.{key}", type=kind, metavar=kind.__name__.upper())
+    _override(gen, "--days", "dataset.synthetic.days", type=int, metavar="INT")
+    _override(gen, "--seed", "dataset.synthetic.rng_seed", type=int, metavar="INT")
     _override(gen, "--no-wind", "dataset.include_wind", action="store_false",
               help="set dataset.include_wind to false: omit the wind column")
     gen.add_argument("--out", help="output CSV path (default: <output dir>/synthetic.csv)")

@@ -421,8 +421,8 @@ def test_train_worker_pool_matches_sequential(tmp_path):
 
 
 def test_train_starts_no_more_workers_than_seeds(tmp_path, monkeypatch):
-    """The pool may start every worker at its first submit, so `--workers`
-    above the seed count asks for one worker a seed."""
+    """The pool may start every worker at once, so `--workers` above the
+    seed count asks for one worker a seed."""
     import concurrent.futures
 
     asked = []
@@ -437,10 +437,8 @@ def test_train_starts_no_more_workers_than_seeds(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     text = SMALL_SYNTH.replace("days: 4", "days: 2").replace("seeds: [7]", "seeds: [7, 8]")
@@ -491,6 +489,25 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
     check = "import sys, farmbess.cli; sys.exit('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_train_refuses_an_out_at_or_under_a_file_before_training(
+    tmp_path, capsys, monkeypatch, under
+):
+    """The output directory is made only by the first file written, so an
+    `--out` that a file blocks is refused in one line naming the file,
+    before any training."""
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+    config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "unused"))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert main(["train", "--config", str(config), "--out", str(afile / under)]) == 2
+    refusal = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(afile))
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert calls == []
+    assert afile.read_text() == "kept\n"
 
 
 def test_train_episodes_override_flag(tmp_path):
@@ -882,7 +899,7 @@ def test_a_non_finite_result_is_refused_in_one_line(tmp_path, capsys, key, comma
     else:
         assert code == 2
         assert re.fullmatch(rf"error: {re.escape(str(out))}/\S+: not written: [^\n]+\n", err), err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
     for path in out.glob("*.json"):
         _read_strict_json(path)
     for path in out.glob("*.qt"):
@@ -895,6 +912,7 @@ def test_compare_needs_two_refs(tmp_path, capsys):
     config = _config(tmp_path, SMALL_SYNTH.format(out=tmp_path / "o"))
     assert main(["compare", "--config", str(config), "baseline:tou"]) != 0
     assert "two controller references" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_ablation_three_rows(tmp_path):
@@ -1038,6 +1056,7 @@ def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, message, line)
     config = _config(tmp_path, "dataset:\n  synthetic:\n    days: 1\n")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == line
+    assert not (tmp_path / "o").exists()
 
 
 def test_ten_times_every_default_size_is_admitted():
